@@ -247,7 +247,8 @@ def run_hcdv(
 
     if cfg.normalize:
         drift = abs(math.fsum(values.tolist()) - surplus)
-        assert drift <= 1e-6 * max(1.0, abs(surplus)), "value mass escaped during propagation"
+        if not drift <= 1e-6 * max(1.0, abs(surplus)):
+            raise AssertionError(f"value mass escaped during propagation: drift {drift}")
 
     return ValueVector(
         values=values,

@@ -7,6 +7,15 @@ prefix mode one shared permutation serves every player per sweep, so the
 player-sum telescopes to v(full) - v(empty) exactly, for any number of
 permutations. Permutation logs store one 63-bit seed per permutation and can
 be replayed to reproduce an estimate bit for bit.
+
+Payoffs with a batched form (``CharacteristicFn`` with the nearest-centroid
+learner, flagged by its ``batched`` property) are scored a whole coalition
+matrix at a time: ``exact_shapley`` makes one ``evaluate_coalitions`` call for
+all 2^K coalitions, and prefix sweeps turn their permutations into prefix rows,
+drop duplicate rows and score the distinct ones together. Plain callables,
+the ridge-logistic learner and independent sampling are called once per
+coalition, in the same order as always. Either way every coalition goes
+through the payoff's cache, so evaluation counts do not depend on the path.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ import numpy as np
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, union
 
 EXACT_PLAYER_LIMIT = 12
+_PREFIX_ROW_BUDGET = 1 << 20  # (rows, K) prefix-matrix elements built at once
 
 
 class CoalitionGame:
@@ -41,6 +51,7 @@ class CoalitionGame:
         if sum(len(p) for p in self.players) != len(merged):
             raise ValueError("player point sets must be disjoint")
         self._eval: Callable[[PointSet], float] = getattr(payoff, "evaluate", payoff)
+        self._batch = payoff.evaluate_coalitions if getattr(payoff, "batched", False) else None
         self.payoff = payoff
         if bound is None:
             bound = getattr(payoff, "B", None)
@@ -63,6 +74,16 @@ class CoalitionGame:
     def value_of_mask(self, mask: np.ndarray) -> float:
         """Payoff of the coalition of points flagged in a boolean mask."""
         return self._eval(PointSet._from_sorted(np.flatnonzero(mask).astype(np.int64)))
+
+    def values_of_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Payoffs of the coalitions flagged by the rows of an (R, K) 0/1 player matrix.
+
+        A batched payoff scores all rows in one call; any other payoff is
+        called once per row, in row order.
+        """
+        if self._batch is not None:
+            return self._batch(self.players, rows)
+        return np.array([self.value_of_ids(np.flatnonzero(row)) for row in rows], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -98,14 +119,12 @@ def exact_shapley(game: CoalitionGame) -> ShapleyEstimate:
             f"got K={K} — use monte_carlo_shapley"
         )
     n_masks = 1 << K
-    ids_per_mask = [np.flatnonzero([(m >> i) & 1 for i in range(K)]) for m in range(n_masks)]
-    v = np.empty(n_masks)
-    for m in range(n_masks):
-        v[m] = game.value_of_ids(ids_per_mask[m])
-    popcount = np.array([bin(m).count("1") for m in range(n_masks)], dtype=np.int64)
+    masks = np.arange(n_masks, dtype=np.int64)
+    rows = (masks[:, None] >> np.arange(K)) & 1
+    v = game.values_of_rows(rows)
+    popcount = rows.sum(axis=1)
     fact = [math.factorial(s) for s in range(K + 1)]
     weight = np.array([fact[s] * fact[K - 1 - s] / fact[K] for s in range(K)])
-    masks = np.arange(n_masks, dtype=np.int64)
     values = np.empty(K)
     for i in range(K):
         without = masks[(masks >> i) & 1 == 0]
@@ -113,7 +132,8 @@ def exact_shapley(game: CoalitionGame) -> ShapleyEstimate:
         values[i] = float(gains @ weight[popcount[without]])
     total = math.fsum(values.tolist())
     surplus = v[n_masks - 1] - v[0]
-    assert abs(total - surplus) <= 1e-9, "exact Shapley must satisfy efficiency"
+    if not abs(total - surplus) <= 1e-9:
+        raise AssertionError(f"exact Shapley must satisfy efficiency: sum {total} vs surplus {surplus}")
     return ShapleyEstimate(values=values, T=0, mode="exact", permutation_log=None)
 
 
@@ -133,10 +153,30 @@ def _resolve_generator(rng) -> tuple[np.random.Generator, int]:
 
 
 def _check_marginal(gain: float, bound: Optional[float]) -> None:
-    if bound is not None:
-        assert abs(gain) <= 2.0 * bound + 1e-9, (
-            f"marginal contribution {gain} escapes [-2B, 2B] with B={bound}"
+    if bound is not None and not abs(gain) <= 2.0 * bound + 1e-9:
+        raise AssertionError(f"marginal contribution {gain} escapes [-2B, 2B] with B={bound}")
+
+
+def _prefix_values(game: CoalitionGame, perms: np.ndarray) -> np.ndarray:
+    """Payoffs of every prefix of every permutation, empty prefix first: (T, K + 1).
+
+    Prefix rows are built a chunk at a time (so memory stays bounded for
+    any K), duplicate rows are dropped, and each chunk's distinct rows are
+    scored in one call.
+    """
+    T, K = perms.shape
+    position = np.argsort(perms, axis=1)  # position[t, j]: where player j sits in permutation t
+    flat = np.empty(T * (K + 1))
+    step = max(1, _PREFIX_ROW_BUDGET // K)
+    for start in range(0, flat.size, step):
+        r = np.arange(start, min(start + step, flat.size))
+        rows = position[r // (K + 1)] < (r % (K + 1))[:, None]
+        packed = np.packbits(rows, axis=1)
+        _, first, inverse = np.unique(
+            packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
         )
+        flat[r] = game.values_of_rows(rows[first])[inverse]
+    return flat.reshape(T, K + 1)
 
 
 def monte_carlo_shapley(
@@ -178,7 +218,17 @@ def monte_carlo_shapley(
             seeds = gen.integers(0, 2**63, size=(K, T), dtype=np.uint64)
 
     totals = np.zeros(K)
-    if sampling == "prefix":
+    if sampling == "prefix" and game._batch is not None:
+        perms = np.stack([_permutation_from_seed(seed, K) for seed in seeds])
+        gains = np.diff(_prefix_values(game, perms), axis=1)
+        if game.bound is not None:
+            bad = ~(np.abs(gains) <= 2.0 * game.bound + 1e-9)
+            if bad.any():
+                _check_marginal(float(gains[bad][0]), game.bound)
+        for perm, gain in zip(perms, gains):
+            totals[perm] += gain
+        log = list(seeds)
+    elif sampling == "prefix":
         mask = np.zeros(game._mask_size, dtype=bool)
         v_empty = game.value_of_mask(mask)
         for seed in seeds:

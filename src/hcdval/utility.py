@@ -9,6 +9,13 @@ and scores it on the validation split (empty or single-class coalitions score
 chance level), and dispersion(S) is the mean cosine distance between
 cross-label pairs inside S measured in the embedding space. Both terms are
 bounded, so |v| <= B = 1 + lambda * d_max with d_max = 2 for cosine.
+
+With the nearest-centroid learner both terms depend on S only through
+per-class sufficient statistics: counts, feature sums, sums of unit
+embedding rows and counts of nonzero-norm rows. ``_nearest_centroid_utility``
+and ``_dispersion_from_stats`` score coalitions from those statistics, one row
+per coalition; the one-coalition functions below call them with a single row,
+and ``CharacteristicFn.evaluate_coalitions`` with many.
 """
 
 from __future__ import annotations
@@ -19,12 +26,19 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, union
+from .core import EMPTY_SET, LabeledDataset, PointSet, coalition_key, union
 
 METRICS = ("accuracy", "balanced_accuracy", "auc")
 LEARNERS = ("nearest_centroid", "ridge_logistic")
 
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
+
+# Batched scoring works in chunks: the (rows, points) membership matrix, the
+# (groups, points) one-hot matrix and the (rows, n_val, C, D) distance
+# temporary stay within these element counts, whatever the number of players.
+_MEMBER_BUDGET = 1 << 20
+_ONEHOT_BUDGET = 1 << 17
+_DISTANCE_BUDGET = 1 << 15
 
 
 def chance_level(metric: str, num_classes: int) -> float:
@@ -32,24 +46,6 @@ def chance_level(metric: str, num_classes: int) -> float:
     if metric == "auc":
         return 0.5
     return 1.0 / num_classes
-
-
-def _fit_nearest_centroid(X: np.ndarray, y: np.ndarray):
-    classes = np.unique(y)
-    centroids = np.stack([X[y == c].mean(axis=0) for c in classes])
-    return classes, centroids
-
-
-def _predict_nearest_centroid(model, val_X: np.ndarray):
-    classes, centroids = model
-    d2 = ((val_X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    pred = classes[np.argmin(d2, axis=1)]
-    if classes.size == 2:
-        # binary decision value: margin of the class-1 centroid over class-0
-        score = np.sqrt(d2[:, 0]) - np.sqrt(d2[:, 1])
-    else:
-        score = None
-    return pred, score, classes
 
 
 def _fit_ridge_logistic(X: np.ndarray, y: np.ndarray, num_classes: int,
@@ -117,6 +113,112 @@ def _score(metric: str, pred, score, val_y: np.ndarray, num_classes: int) -> flo
     raise ValueError(f"unknown metric {metric!r}")
 
 
+def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Sums of the rows of ``values`` per group id: one-hot matmuls over chunks of groups."""
+    out = np.empty((n_groups, values.shape[1]))
+    step = max(1, _ONEHOT_BUDGET // max(1, groups.size))
+    for start in range(0, n_groups, step):
+        ids = np.arange(start, min(start + step, n_groups))
+        out[ids] = (groups == ids[:, None]).astype(np.float64) @ values
+    return out
+
+
+def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows scaled to unit norm (zero-norm rows stay zero), plus the nonzero-norm flags."""
+    norms = np.linalg.norm(Z, axis=1)
+    nonzero = norms > 0.0
+    unit = np.zeros_like(Z)
+    unit[nonzero] = Z[nonzero] / norms[nonzero, None]
+    return unit, nonzero
+
+
+def _pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """binary_auc of every row of ``scores``.
+
+    Counts positive-over-negative wins plus half the ties, which is the same
+    half-integer as binary_auc's rank sum, over the same product, so the two
+    agree exactly.
+    """
+    pos = scores[:, labels == 1][:, :, None]
+    neg = scores[:, labels != 1][:, None, :]
+    n_pairs = pos.shape[1] * neg.shape[2]
+    if n_pairs == 0:
+        return np.full(scores.shape[0], 0.5)
+    wins = (pos > neg).sum(axis=(1, 2)) + 0.5 * (pos == neg).sum(axis=(1, 2))
+    return wins / n_pairs
+
+
+def _nearest_centroid_utility(
+    counts: np.ndarray,
+    sums: np.ndarray,
+    val_X: np.ndarray,
+    val_y: np.ndarray,
+    metric: str,
+    chance: float,
+) -> np.ndarray:
+    """Nearest-centroid validation score of coalitions given by class statistics.
+
+    :param counts: (R, C) class counts of each coalition row
+    :param sums: (R, C, D) class feature sums of each coalition row
+    :returns: (R,) scores; rows with fewer than two classes, or a non-finite
+        score, get ``chance``
+
+    A class absent from a row has no centroid (an infinite distance), so the
+    argmin picks the lowest present class on ties, as a model fitted on the
+    present classes alone does. The binary AUC score is the margin of the
+    class-1 centroid over the class-0 centroid.
+    """
+    present = counts > 0
+    ok = present.sum(axis=1) >= 2
+    if not ok.all():
+        out = np.full(counts.shape[0], chance)
+        if ok.any():
+            out[ok] = _nearest_centroid_utility(counts[ok], sums[ok], val_X, val_y, metric, chance)
+        return out
+    centroids = sums / np.maximum(counts, 1.0)[:, :, None]
+    d2 = ((val_X[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+    if not present.all():
+        d2 = np.where(present[:, None, :], d2, np.inf)
+    if metric == "auc":
+        scores = _pairwise_auc(np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
+    else:
+        pred = d2.argmin(axis=2)
+        if metric == "accuracy":
+            scores = (pred == val_y).sum(axis=1) / val_y.size
+        else:
+            recalls = [
+                ((pred == c) & (val_y == c)).sum(axis=1) / np.count_nonzero(val_y == c)
+                for c in np.unique(val_y)
+            ]
+            scores = np.stack(recalls, axis=1).mean(axis=1)
+    return np.where(np.isfinite(scores), scores, chance)
+
+
+def _dispersion_from_stats(
+    counts: np.ndarray, unit_sums: np.ndarray, nonzero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean cross-label cosine distance of coalitions given by class statistics.
+
+    :param counts: (R, C) class counts
+    :param unit_sums: (R, C, d) class sums of unit embedding rows
+    :param nonzero: (R, C) class counts of nonzero-norm embedding rows
+    :returns: (R,) values and (R,) cross-label pair counts; rows without a
+        cross-label pair get value 0
+
+    Class-wise unit-vector sums turn the pairwise dot-product sum into a few
+    d-dimensional dots; pairs involving a zero-norm row count as distance 2.
+    """
+    total = counts.sum(axis=1)
+    pair_count = 0.5 * (total * total - (counts * counts).sum(axis=1))
+    m_total = nonzero.sum(axis=1)
+    cross_nonzero = 0.5 * (m_total * m_total - (nonzero * nonzero).sum(axis=1))
+    grand = unit_sums.sum(axis=1)
+    dot_sum = 0.5 * ((grand * grand).sum(axis=1) - (unit_sums * unit_sums).sum(axis=2).sum(axis=1))
+    dist_sum = 2.0 * (pair_count - cross_nonzero) + (cross_nonzero - dot_sum)
+    values = np.where(pair_count > 0, dist_sum / np.maximum(pair_count, 1.0), 0.0)
+    return values, pair_count
+
+
 def coalition_utility(
     data: LabeledDataset,
     points: PointSet,
@@ -129,7 +231,8 @@ def coalition_utility(
 
     Coalitions that cannot produce a discriminative model (empty, or carrying
     fewer than two distinct labels) score chance level, as does a learner that
-    fails numerically.
+    fails numerically. The nearest-centroid learner is scored from the
+    coalition's class counts and feature sums (``_nearest_centroid_utility``).
     """
     if metric not in METRICS:
         raise ValueError(f"unknown metric {metric!r}")
@@ -148,12 +251,12 @@ def coalition_utility(
         return chance
     try:
         if learner == "nearest_centroid":
-            pred, score, _ = _predict_nearest_centroid(_fit_nearest_centroid(X, y), val_X)
-        else:
-            model = _fit_ridge_logistic(X, y, data.num_classes)
-            if not (np.isfinite(model[0]).all() and np.isfinite(model[1]).all()):
-                return chance
-            pred, score, _ = _predict_ridge_logistic(model, val_X)
+            stats = _group_sums(np.column_stack([np.ones(idx.size), X]), y, data.num_classes)
+            return float(_nearest_centroid_utility(stats[None, :, 0], stats[None, :, 1:], val_X, val_y, metric, chance)[0])
+        model = _fit_ridge_logistic(X, y, data.num_classes)
+        if not (np.isfinite(model[0]).all() and np.isfinite(model[1]).all()):
+            return chance
+        pred, score, _ = _predict_ridge_logistic(model, val_X)
         out = _score(metric, pred, score, val_y, data.num_classes)
     except FloatingPointError:
         return chance
@@ -179,32 +282,16 @@ def normalized_dispersion(
     other row.
     """
     idx = points.indices
-    total = int(idx.size)
-    if total < 2:
+    if idx.size < 2:
         return DispersionResult(0.0, 0)
-    Z = embedding_vectors[idx]
     y = labels[idx]
-    norms = np.linalg.norm(Z, axis=1)
-    nonzero = norms > 0.0
-    classes, class_ids = np.unique(y, return_inverse=True)
-    if classes.size < 2:
+    class_counts = np.bincount(y)
+    if np.count_nonzero(class_counts) < 2:
         return DispersionResult(0.0, 0)
-    n_c = np.bincount(class_ids, minlength=classes.size).astype(np.int64)
-    pair_count = int((total * total - int((n_c * n_c).sum())) // 2)
-    # rows with positive norm contribute unit vectors; class-wise vector sums
-    # turn the pairwise dot-product sum into a few d-dimensional dots
-    m_c = np.bincount(class_ids, weights=nonzero.astype(np.float64), minlength=classes.size)
-    unit = np.zeros_like(Z)
-    unit[nonzero] = Z[nonzero] / norms[nonzero, None]
-    sums = np.zeros((classes.size, Z.shape[1]))
-    np.add.at(sums, class_ids, unit)
-    m_total = float(m_c.sum())
-    cross_nonzero = 0.5 * (m_total * m_total - float((m_c * m_c).sum()))
-    grand = sums.sum(axis=0)
-    dot_sum = 0.5 * (float(grand @ grand) - float((sums * sums).sum(axis=1).sum()))
-    zero_pairs = pair_count - cross_nonzero
-    dist_sum = 2.0 * zero_pairs + (cross_nonzero - dot_sum)
-    return DispersionResult(float(dist_sum / max(1, pair_count)), pair_count)
+    unit, nonzero = _unit_rows(embedding_vectors[idx])
+    stats = _group_sums(np.column_stack([np.ones(idx.size), unit, nonzero]), y, class_counts.size)
+    values, pairs = _dispersion_from_stats(stats[None, :, 0], stats[None, :, 1:-1], stats[None, :, -1])
+    return DispersionResult(float(values[0]), int(pairs[0]))
 
 
 class CharacteristicFn:
@@ -217,10 +304,15 @@ class CharacteristicFn:
     :param metric: "accuracy" | "balanced_accuracy" | "auc" (binary only)
     :param learner: "nearest_centroid" | "ridge_logistic"
 
-    Payoffs are cached by the exact byte key of the sorted index array;
-    ``evaluations`` counts cache misses only. Evaluation is deterministic:
-    both learners are closed-form or fixed-step full-batch, so no RNG is
-    consumed.
+    Payoffs are cached by ``coalition_key``, a 16-byte BLAKE2b digest of
+    the sorted index array (16 bytes per coalition, on the assumption that
+    no two coalitions collide in 128 bits); ``evaluations`` counts cache
+    misses only. Evaluation is deterministic: both learners are closed-form
+    or fixed-step full-batch, so no RNG is consumed.
+
+    With the nearest-centroid learner (``batched``), ``evaluate_coalitions``
+    scores whole batches of coalitions over disjoint point blocks from
+    per-block class statistics, through the same cache and checks.
     """
 
     def __init__(
@@ -251,6 +343,19 @@ class CharacteristicFn:
         self._cache: dict[bytes, float] = {}
         self.evaluations = 0  # cache misses: actual payoff computations
         self.lookups = 0
+        if self.batched:
+            # per-point columns of the sufficient statistics: count, features
+            # and, for the dispersion term, unit embedding and nonzero flag
+            columns = [np.ones(dataset.n), dataset.features]
+            if self.lam:
+                unit, nonzero = _unit_rows(vectors)
+                columns += [unit, nonzero]
+            self._point_stats = np.column_stack(columns)
+
+    @property
+    def batched(self) -> bool:
+        """Whether ``evaluate_coalitions`` is available (nearest-centroid learner)."""
+        return self.learner == "nearest_centroid"
 
     @property
     def d_max(self) -> float:
@@ -279,10 +384,76 @@ class CharacteristicFn:
         value = self.base_utility(points)
         if self.lam:
             value = value + self.lam * self.normalized_dispersion(points).value
-        assert abs(value) <= self.B + 1e-12
+        self._store(key, value)
+        return value
+
+    def _store(self, key: bytes, value: float) -> None:
+        if not abs(value) <= self.B + 1e-12:
+            raise AssertionError(f"payoff {value} escapes the bound B={self.B}")
         self._cache[key] = value
         self.evaluations += 1
-        return value
+
+    def evaluate_coalitions(self, blocks: Sequence[PointSet], rows: np.ndarray) -> np.ndarray:
+        """Payoffs of coalitions given as 0/1 rows over disjoint point blocks.
+
+        Row r is the union of the blocks j with ``rows[r, j]`` set. Every
+        coalition is looked up in, and its payoff stored into, the cache that
+        ``evaluate`` uses, with the same bound check; a coalition repeated
+        within the batch counts as one miss. The misses are scored together:
+        per-(block, class) counts and sums are formed once, one matmul of the
+        miss rows against them gives every coalition's class statistics, and
+        the whole validation split is predicted in one array pass per chunk
+        of rows.
+        """
+        if not self.batched:
+            raise ValueError(f"no batched payoff for learner {self.learner!r}")
+        rows = np.asarray(rows, dtype=bool)
+        points = np.concatenate([b.indices for b in blocks])
+        owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        order = np.argsort(points)
+        points, owner = points[order], owner[order]
+        if np.any(points[1:] == points[:-1]):
+            raise ValueError("coalition blocks must be disjoint")
+        values = np.empty(rows.shape[0])
+        misses: dict[bytes, list] = {}
+        step = max(1, _MEMBER_BUDGET // max(1, points.size))
+        for start in range(0, rows.shape[0], step):
+            members = rows[start : start + step][:, owner]
+            for r, selected in enumerate(members, start):
+                key = coalition_key(points[selected])
+                hit = self._cache.get(key)
+                if hit is None:
+                    misses.setdefault(key, []).append(r)
+                else:
+                    values[r] = hit
+        self.lookups += rows.shape[0]
+        if misses:
+            first = [at[0] for at in misses.values()]
+            scored = self._score_rows(points, owner, len(blocks), rows[first])
+            for (key, at), value in zip(misses.items(), scored.tolist()):
+                self._store(key, value)
+                values[at] = value
+        return values
+
+    def _score_rows(self, points: np.ndarray, owner: np.ndarray, n_blocks: int, rows: np.ndarray) -> np.ndarray:
+        data = self.dataset
+        C = data.num_classes
+        stats = _group_sums(self._point_stats[points], owner * C + data.labels[points], n_blocks * C)
+        stats = stats.reshape(n_blocks, -1)
+        val_X, val_y = data.val_features, data.val_labels
+        D = val_X.shape[1]
+        chance = chance_level(self.metric, C)
+        out = np.empty(rows.shape[0])
+        step = max(1, _DISTANCE_BUDGET // (val_y.size * C * D))
+        for start in range(0, rows.shape[0], step):
+            coalition = (rows[start : start + step].astype(np.float64) @ stats).reshape(-1, C, stats.shape[1] // C)
+            counts = coalition[:, :, 0]
+            value = _nearest_centroid_utility(counts, coalition[:, :, 1 : 1 + D], val_X, val_y, self.metric, chance)
+            if self.lam:
+                dispersion, _ = _dispersion_from_stats(counts, coalition[:, :, 1 + D : -1], coalition[:, :, -1])
+                value = value + self.lam * dispersion
+            out[start : start + step] = value
+        return out
 
     def level_payoff(self, coalitions: Sequence[PointSet]) -> float:
         """Payoff of a coalition-of-coalitions: evaluate the union of members."""

@@ -1,0 +1,202 @@
+"""The batched nearest-centroid payoff against the one-coalition-at-a-time path.
+
+``CharacteristicFn.evaluate_coalitions`` scores many coalitions over disjoint
+point blocks from per-block class statistics. These tests hold it to
+``evaluate`` on the same coalitions (values, cache keys, miss counts), and the
+Shapley solvers that use it to the generic per-coalition path.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hcdval import (
+    CharacteristicFn,
+    CoalitionGame,
+    LabeledDataset,
+    PointSet,
+    RngStream,
+    exact_shapley,
+    make_synthetic,
+    monte_carlo_shapley,
+    union,
+)
+
+TOL = 1e-12
+
+
+def random_dataset(seed: int, C: int, D: int, on_grid: bool) -> tuple:
+    """A small dataset plus an embedding with zero-norm rows.
+
+    On the grid, features are multiples of 0.5: their sums are exact in any
+    order, so validation points often sit at exactly equal distances from
+    two centroids and the argmin tie-break is exercised.
+    """
+    gen = np.random.default_rng(seed)
+    n, n_val = int(gen.integers(6, 15)), int(gen.integers(3, 9))
+    if on_grid:
+        feats = 0.5 * gen.integers(-3, 4, size=(n + n_val, D))
+    else:
+        feats = gen.normal(size=(n + n_val, D))
+    labels = gen.integers(0, C, size=n + n_val)
+    data = LabeledDataset(feats[:n], labels[:n], feats[n:], labels[n:], C)
+    emb = gen.normal(size=(n, 3))
+    emb[gen.random(n) < 0.25] = 0.0
+    return data, emb
+
+
+def random_blocks(gen: np.random.Generator, n: int) -> list:
+    """Disjoint blocks of one to three points covering a random subset."""
+    order = gen.permutation(n)[: int(gen.integers(2, n + 1))]
+    cuts = np.sort(gen.choice(np.arange(1, order.size), size=min(order.size - 1, int(gen.integers(1, 6))), replace=False))
+    return [PointSet(part) for part in np.split(order, cuts) if part.size]
+
+
+def test_cache_key_is_a_16_byte_digest():
+    assert len(PointSet(range(1000)).key()) == 16
+    assert PointSet([1, 2]).key() != PointSet([1, 3]).key()
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    C=st.sampled_from([2, 3]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+    lam=st.sampled_from([0.0, 0.5]),
+    on_grid=st.booleans(),
+)
+def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_grid):
+    if metric == "auc" and C != 2:
+        C = 2
+    data, emb = random_dataset(seed, C, D=2, on_grid=on_grid)
+    gen = np.random.default_rng(seed + 1)
+    blocks = random_blocks(gen, data.n)
+    K = len(blocks)
+    # empty, every singleton, the full set, random rows, and a repeat
+    rows = np.vstack([np.zeros(K, bool), np.eye(K, dtype=bool), np.ones(K, bool), gen.random((8, K)) < 0.5])
+    rows = np.vstack([rows, rows[-1]])
+    batched = CharacteristicFn(data, emb, lam=lam, metric=metric)
+    single = CharacteristicFn(data, emb, lam=lam, metric=metric)
+    got = batched.evaluate_coalitions(blocks, rows)
+    want = np.array([single.evaluate(union([b for b, on in zip(blocks, row) if on])) for row in rows])
+    assert np.abs(got - want).max() <= TOL
+    assert batched.evaluations == single.evaluations
+    assert set(batched._cache) == set(single._cache)
+    # a second pass, batched or not, is served from the cache
+    again = batched.evaluate_coalitions(blocks, rows)
+    assert np.array_equal(again, got)
+    batched.evaluate(union(blocks))
+    assert batched.evaluations == single.evaluations
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "balanced_accuracy", "auc"])
+def test_equidistant_validation_point_breaks_the_tie_the_same_way(metric):
+    # class-0 centroid at -1, class-1 centroid at +1; validation point 0 is
+    # equidistant and goes to the lower class on both paths
+    feats = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+    labels = np.array([0, 0, 1, 1])
+    val = np.array([[0.0], [-2.0], [2.0]])
+    data = LabeledDataset(feats, labels, val, np.array([1, 0, 1]), 2)
+    blocks = [PointSet([i]) for i in range(4)]
+    rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=bool)
+    got = CharacteristicFn(data, feats, lam=0.0, metric=metric).evaluate_coalitions(blocks, rows)
+    single = CharacteristicFn(data, feats, lam=0.0, metric=metric)
+    want = [single.evaluate(PointSet(np.flatnonzero(row))) for row in rows]
+    expected = {"accuracy": 2.0 / 3.0, "balanced_accuracy": 0.75, "auc": 1.0}[metric]
+    assert got.tolist() == want == [expected] * 3
+
+
+def test_blocks_must_be_disjoint_and_learner_batchable():
+    data = make_synthetic(30, seed=2)
+    cf = CharacteristicFn(data, data.features)
+    with pytest.raises(ValueError, match="disjoint"):
+        cf.evaluate_coalitions([PointSet([0, 1]), PointSet([1, 2])], np.ones((1, 2), bool))
+    ridge = CharacteristicFn(data, data.features, learner="ridge_logistic")
+    assert not ridge.batched
+    assert CoalitionGame([PointSet([0]), PointSet([1])], ridge)._batch is None
+    with pytest.raises(ValueError, match="ridge_logistic"):
+        ridge.evaluate_coalitions([PointSet([0])], np.ones((1, 1), bool))
+
+
+def _games(seed: int, lam: float, metric: str, sizes) -> tuple:
+    """The same game twice: batched, and through a plain callable (generic path)."""
+    data = make_synthetic(80, subclusters=3, overlap=0.3, seed=seed)
+    order = np.random.default_rng(seed).permutation(data.n)
+    players = [PointSet(part) for part in np.split(order[: sum(sizes)], np.cumsum(sizes)[:-1])]
+    batched = CharacteristicFn(data, data.features, lam=lam, metric=metric)
+    generic = CharacteristicFn(data, data.features, lam=lam, metric=metric)
+    plain = CoalitionGame(players, lambda points: generic.evaluate(points), bound=generic.B)
+    return CoalitionGame(players, batched), plain, batched, generic
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 1_000),
+    lam=st.sampled_from([0.0, 0.5]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+)
+def test_solvers_match_the_generic_path(seed, lam, metric):
+    game, plain, batched, generic = _games(seed, lam, metric, [1, 2, 1, 3, 1, 1, 2])
+    exact = exact_shapley(game).values
+    assert np.abs(exact - exact_shapley(plain).values).max() <= TOL
+    assert batched.evaluations == generic.evaluations == 2**7
+
+    game, plain, batched, generic = _games(seed, lam, metric, [9, 4, 12, 7, 1])
+    est = monte_carlo_shapley(game, 12, RngStream(seed, "batched"))
+    ref = monte_carlo_shapley(plain, 12, RngStream(seed, "batched"))
+    assert est.permutation_log == ref.permutation_log
+    assert np.abs(est.values - ref.values).max() <= TOL
+    assert batched.evaluations == generic.evaluations
+
+
+def test_batched_permutation_log_replays_bit_for_bit():
+    game, _, batched, _ = _games(5, 0.5, "accuracy", [6, 3, 8, 2, 5, 4])
+    est = monte_carlo_shapley(game, 20, RngStream(3, "replay"))
+    warm = monte_carlo_shapley(game, 0, None, permutation_log=est.permutation_log)
+    cold_cf = CharacteristicFn(batched.dataset, batched.vectors, lam=0.5)
+    cold = monte_carlo_shapley(CoalitionGame(game.players, cold_cf), 0, None, permutation_log=est.permutation_log)
+    assert warm.values.tobytes() == est.values.tobytes() == cold.values.tobytes()
+
+
+CHECKS_UNDER_O = """
+import numpy as np
+from hcdval import CharacteristicFn, CoalitionGame, PointSet, RngStream, make_synthetic, monte_carlo_shapley
+
+assert False, "asserts are stripped under -O"
+
+def raises(fn):
+    try:
+        fn()
+    except AssertionError as err:
+        return str(err)
+    return "no error"
+
+plain = CoalitionGame([PointSet([i]) for i in range(3)], lambda pts: 5.0 * len(pts), bound=0.5)
+print(raises(lambda: monte_carlo_shapley(plain, 4, RngStream(0, "bound"))))
+data = make_synthetic(40, seed=1)
+players = [PointSet(range(i, data.n, 4)) for i in range(4)]
+batched = CoalitionGame(players, CharacteristicFn(data, data.features), bound=1e-3)
+print(raises(lambda: monte_carlo_shapley(batched, 4, RngStream(0, "bound"))))
+
+class Tight(CharacteristicFn):
+    B = 0.01
+
+print(raises(lambda: Tight(data, data.features).evaluate(PointSet(range(data.n)))))
+print(raises(lambda: Tight(data, data.features).evaluate_coalitions(players, np.ones((1, 4), bool))))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
+    lines = out.stdout.splitlines()
+    assert len(lines) == 4
+    assert lines[0].startswith("marginal contribution") and lines[1].startswith("marginal contribution")
+    assert lines[2].startswith("payoff") and lines[3].startswith("payoff")
