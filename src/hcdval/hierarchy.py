@@ -293,7 +293,27 @@ class HierarchyTree:
         return tree
 
     def copy(self) -> "HierarchyTree":
-        return HierarchyTree.from_json(self.to_json())
+        """An independent copy, equal to ``from_json(to_json())`` node by node.
+
+        Member sets are immutable and shared; prototypes, child lists and
+        level lists are copied.
+        """
+        tree = HierarchyTree(self.branching, self.leaf_cap, self.gamma)
+        tree.levels = [list(ids) for ids in self.levels]
+        for nid in sorted(self.nodes):
+            n = self.nodes[nid]
+            tree.nodes[nid] = TreeNode(
+                id=n.id,
+                level=n.level,
+                parent=n.parent,
+                children=list(n.children),
+                members=n.members,
+                prototype=n.prototype.copy(),
+                cached_shapley=None if n.cached_shapley is None else float(n.cached_shapley),
+                budget=None if n.budget is None else float(n.budget),
+            )
+        tree._next_id = 1 + max(tree.nodes) if tree.nodes else 0
+        return tree
 
 
 def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float = 0.25, seed: int = 0) -> HierarchyTree:

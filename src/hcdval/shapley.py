@@ -12,10 +12,13 @@ Payoffs with a batched form (``CharacteristicFn`` with the nearest-centroid
 learner, flagged by its ``batched`` property) are scored a whole coalition
 matrix at a time: ``exact_shapley`` makes one ``evaluate_coalitions`` call for
 all 2^K coalitions, and prefix sweeps turn their permutations into prefix rows,
-drop duplicate rows and score the distinct ones together. Plain callables,
-the ridge-logistic learner and independent sampling are called once per
-coalition, in the same order as always. Either way every coalition goes
-through the payoff's cache, so evaluation counts do not depend on the path.
+drop duplicate rows and score the distinct ones together, and independent
+sampling (``independent_player_estimate`` and ``sampling="independent"``)
+turns one player's T permutations into 2T rows, predecessors without and
+with the player, and scores their distinct rows in one call. Plain callables
+and the ridge-logistic learner are called once per coalition, in the same
+order as always. Either way every coalition goes through the payoff's cache,
+so evaluation counts do not depend on the path.
 """
 
 from __future__ import annotations
@@ -170,13 +173,35 @@ def _prefix_values(game: CoalitionGame, perms: np.ndarray) -> np.ndarray:
     step = max(1, _PREFIX_ROW_BUDGET // K)
     for start in range(0, flat.size, step):
         r = np.arange(start, min(start + step, flat.size))
-        rows = position[r // (K + 1)] < (r % (K + 1))[:, None]
-        packed = np.packbits(rows, axis=1)
-        _, first, inverse = np.unique(
-            packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True
-        )
-        flat[r] = game.values_of_rows(rows[first])[inverse]
+        flat[r] = _distinct_row_values(game, position[r // (K + 1)] < (r % (K + 1))[:, None])
     return flat.reshape(T, K + 1)
+
+
+def _distinct_row_values(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
+    """Payoffs of the rows of a 0/1 player matrix, scoring each distinct row once."""
+    packed = np.packbits(rows, axis=1)
+    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    return game.values_of_rows(rows[first])[inverse]
+
+
+def _player_gains(game: CoalitionGame, player: int, seeds) -> np.ndarray:
+    """One player's marginal contribution in each seeded permutation: (T,).
+
+    Permutation t contributes two coalitions, the player's predecessors and
+    the predecessors plus the player, as rows 2t and 2t + 1 of one 0/1 player
+    matrix. A batched payoff scores the distinct rows in one call; any other
+    payoff is called once per row, in row order. Every gain is checked
+    against the payoff bound, in permutation order.
+    """
+    perms = np.stack([_permutation_from_seed(int(seed), game.K) for seed in seeds])
+    position = np.argsort(perms, axis=1)
+    rows = np.repeat(position < position[:, player : player + 1], 2, axis=0)
+    rows[1::2, player] = True
+    v = _distinct_row_values(game, rows) if game._batch is not None else game.values_of_rows(rows)
+    gains = v[1::2] - v[0::2]
+    for gain in gains.tolist():
+        _check_marginal(gain, game.bound)
+    return gains
 
 
 def monte_carlo_shapley(
@@ -245,14 +270,7 @@ def monte_carlo_shapley(
         log = list(seeds)
     else:
         for i in range(K):
-            for t in range(T):
-                perm = _permutation_from_seed(int(seeds[i, t]), K)
-                cut = int(np.flatnonzero(perm == i)[0])
-                before = perm[:cut]
-                v_pre = game.value_of_ids(before)
-                v_with = game.value_of_ids(np.append(before, i))
-                gain = v_with - v_pre
-                _check_marginal(gain, game.bound)
+            for gain in _player_gains(game, i, seeds[i]).tolist():
                 totals[i] += gain
         log = None
     return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=log)
@@ -273,14 +291,7 @@ def independent_player_estimate(game: CoalitionGame, player: int, T: int, rng) -
     gen, _ = _resolve_generator(rng)
     seeds = gen.integers(0, 2**63, size=T, dtype=np.uint64)
     total = 0.0
-    for t in range(T):
-        perm = _permutation_from_seed(int(seeds[t]), game.K)
-        cut = int(np.flatnonzero(perm == player)[0])
-        before = perm[:cut]
-        v_pre = game.value_of_ids(before)
-        v_with = game.value_of_ids(np.append(before, player))
-        gain = v_with - v_pre
-        _check_marginal(gain, game.bound)
+    for gain in _player_gains(game, player, seeds).tolist():
         total += gain
     return total / T
 

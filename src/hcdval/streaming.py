@@ -7,11 +7,18 @@ prototype is close enough), and only the touched leaves plus their ancestors
 
 * families whose children are all dirty re-run one shared prefix sweep;
 * families with a mix refresh just the dirty children, one at a time, with
-  independent permutation draws, keeping clean siblings' estimates bit-exact;
+  independent permutation draws (``independent_player_estimate``; with a
+  batched payoff each child's 2T coalitions are scored in one call),
+  keeping clean siblings' estimates bit-exact;
 * mass re-propagation gives clean children their cached masses unchanged and
   splits the residual (refreshed parent mass minus the clean children's
   share) across dirty children, so value drift stays confined to the dirty
   subtree while the point values still sum to the refreshed total surplus.
+  A negative residual is split by the same rule, so the dirty children's
+  shares turn negative, and a warning names the parent.
+
+The tree is copied node by node on every batch (member sets are shared, as
+they are immutable), so the input state stays a consistent pre-ingest view.
 
 Every few steps (the rebalance period) leaves that outgrew the capacity cap
 are split in place under their parent and valued within the same pass.
@@ -326,7 +333,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
                 if residual < 0.0 and clean_kids:
                     warnings.warn(f"negative residual mass {residual} under node {pid}")
                 ests = np.asarray([raw[c] if raw[c] is not None else 0.0 for c in dirty_kids])
-                shares = _split_mass(residual, ests) if residual >= 0.0 else _negative_residual_split(residual, ests)
+                shares = _split_mass(residual, ests)
                 for c, share in zip(dirty_kids, shares.tolist()):
                     masses[c] = share
             singles = [cf.evaluate(tree.node(c).members) for c in kids]
@@ -377,12 +384,6 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         tree_seed=state.tree_seed,
         metrics=state.metrics + [metrics],
     )
-
-
-def _negative_residual_split(residual: float, estimates: np.ndarray) -> np.ndarray:
-    """A negative residual is spread like a positive one (sign flows through)."""
-    shares = _split_mass(-residual, estimates)
-    return -shares
 
 
 def full_recompute(state: StreamState) -> ValueVector:

@@ -23,6 +23,7 @@ from hcdval import (
     PointSet,
     RngStream,
     exact_shapley,
+    independent_player_estimate,
     make_synthetic,
     monte_carlo_shapley,
     union,
@@ -155,6 +156,59 @@ def test_solvers_match_the_generic_path(seed, lam, metric):
     assert batched.evaluations == generic.evaluations
 
 
+@settings(deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 1_000),
+    lam=st.sampled_from([0.0, 0.5]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+)
+def test_independent_sampling_matches_the_generic_path(seed, lam, metric):
+    game, plain, batched, generic = _games(seed, lam, metric, [9, 4, 12, 7, 1, 3])
+    for player in range(game.K):
+        est = independent_player_estimate(game, player, 16, RngStream(seed, f"independent-{player}"))
+        ref = independent_player_estimate(plain, player, 16, RngStream(seed, f"independent-{player}"))
+        assert abs(est - ref) <= TOL
+    assert batched.evaluations == generic.evaluations
+    assert set(batched._cache) == set(generic._cache)
+
+    game, plain, batched, generic = _games(seed + 1, lam, metric, [2, 5, 1, 8, 6])
+    est = monte_carlo_shapley(game, 12, RngStream(seed, "ind"), sampling="independent")
+    ref = monte_carlo_shapley(plain, 12, RngStream(seed, "ind"), sampling="independent")
+    assert np.abs(est.values - ref.values).max() <= TOL
+    assert batched.evaluations == generic.evaluations
+    assert set(batched._cache) == set(generic._cache)
+
+
+def _old_independent_sequence(players, player, seeds) -> list:
+    """Coalitions in the order the per-permutation loop asks for them."""
+    seen = []
+    for seed in seeds:
+        perm = np.random.default_rng(int(seed)).permutation(len(players))
+        before = perm[: int(np.flatnonzero(perm == player)[0])]
+        seen.append(union([players[j] for j in before]))
+        seen.append(union([players[j] for j in before] + [players[player]]))
+    return seen
+
+
+def test_plain_payoffs_see_the_same_coalition_sequence():
+    players = [PointSet([0, 1]), PointSet([2]), PointSet([3, 4, 5]), PointSet([6]), PointSet([7, 8])]
+    seen = []
+
+    def recording(points):
+        seen.append(points)
+        return float(len(points) % 3)
+
+    game = CoalitionGame(players, recording)
+    independent_player_estimate(game, 2, 9, RngStream(4, "record"))
+    seeds = RngStream(4, "record").generator().integers(0, 2**63, size=9, dtype=np.uint64)
+    assert seen == _old_independent_sequence(players, 2, seeds)
+
+    seen.clear()
+    monte_carlo_shapley(game, 3, RngStream(5, "record"), sampling="independent")
+    seeds = RngStream(5, "record").generator().integers(0, 2**63, size=(5, 3), dtype=np.uint64)
+    assert seen == [ps for i in range(5) for ps in _old_independent_sequence(players, i, seeds[i])]
+
+
 def test_batched_permutation_log_replays_bit_for_bit():
     game, _, batched, _ = _games(5, 0.5, "accuracy", [6, 3, 8, 2, 5, 4])
     est = monte_carlo_shapley(game, 20, RngStream(3, "replay"))
@@ -166,7 +220,10 @@ def test_batched_permutation_log_replays_bit_for_bit():
 
 CHECKS_UNDER_O = """
 import numpy as np
-from hcdval import CharacteristicFn, CoalitionGame, PointSet, RngStream, make_synthetic, monte_carlo_shapley
+from hcdval import (
+    CharacteristicFn, CoalitionGame, PointSet, RngStream, independent_player_estimate, make_synthetic,
+    monte_carlo_shapley,
+)
 
 assert False, "asserts are stripped under -O"
 
@@ -183,6 +240,8 @@ data = make_synthetic(40, seed=1)
 players = [PointSet(range(i, data.n, 4)) for i in range(4)]
 batched = CoalitionGame(players, CharacteristicFn(data, data.features), bound=1e-3)
 print(raises(lambda: monte_carlo_shapley(batched, 4, RngStream(0, "bound"))))
+print(raises(lambda: monte_carlo_shapley(batched, 4, RngStream(0, "bound"), sampling="independent")))
+print(raises(lambda: independent_player_estimate(batched, 1, 4, RngStream(0, "bound"))))
 
 class Tight(CharacteristicFn):
     B = 0.01
@@ -197,6 +256,7 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 4
-    assert lines[0].startswith("marginal contribution") and lines[1].startswith("marginal contribution")
-    assert lines[2].startswith("payoff") and lines[3].startswith("payoff")
+    assert len(lines) == 6
+    assert all(line.startswith("marginal contribution") for line in lines[:4])
+    assert lines[4].startswith("payoff") and lines[5].startswith("payoff")
+

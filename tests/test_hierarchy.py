@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcdval import PointSet, balanced_split, build_tree, capacity_window, union
+from hcdval import HierarchyTree, PointSet, balanced_split, build_tree, capacity_window, union
 
 
 def test_capacity_window_hand_cases():
@@ -147,6 +147,41 @@ def test_tree_json_roundtrip_preserves_annotations():
         assert other.cached_shapley == node.cached_shapley
         assert other.budget == node.budget
         assert np.allclose(other.prototype, node.prototype)
+
+
+def test_tree_copy_equals_a_json_round_trip_and_is_independent():
+    tree = build_tree(_embedding(90, seed=6), (3, 2), leaf_cap=12, gamma=0.25, seed=6)
+    for i, nid in enumerate(tree.nodes):
+        node = tree.node(nid)
+        node.cached_shapley = np.float64(0.1 * i) if i % 3 else None
+        node.budget = 0.2 * i if i % 2 else None
+    gone = tree.levels[-1].pop()  # the newest node goes, as in a rebalance: ids now have a gap at the top
+    tree.node(tree.node(gone).parent).children.remove(gone)
+    del tree.nodes[gone]
+    clone, ref = tree.copy(), HierarchyTree.from_json(tree.to_json())
+    assert clone.to_json() == ref.to_json()
+    assert clone._next_id == ref._next_id
+    assert list(clone.nodes) == list(ref.nodes)
+    assert (clone.branching, clone.leaf_cap, clone.gamma, clone.levels) == (ref.branching, ref.leaf_cap, ref.gamma, ref.levels)
+    for nid, want in ref.nodes.items():
+        got = clone.node(nid)
+        assert (got.id, got.level, got.parent, got.children) == (want.id, want.level, want.parent, want.children)
+        assert got.members == want.members
+        assert got.prototype.tobytes() == want.prototype.tobytes()
+        for field in ("cached_shapley", "budget"):
+            value = getattr(got, field)
+            assert value == getattr(want, field) and type(value) is type(getattr(want, field))
+
+    before = tree.to_json()
+    for node in clone.nodes.values():
+        node.prototype += 1.0
+        node.children.append(-1)
+        node.cached_shapley = 7.0
+        node.members = PointSet([0])
+    clone.levels[0].append(-1)
+    clone.levels.append([])
+    clone.nodes.clear()
+    assert tree.to_json() == before
 
 
 def test_family_and_node_tokens_track_content():
