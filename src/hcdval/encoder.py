@@ -12,6 +12,14 @@ penalty discourages embeddings that amplify small input perturbations.
 Gradients are central finite differences over the entries of W — the model is
 deliberately tiny (D * d is capped), so derivative-free training keeps the
 whole pipeline dependency-light and exactly reproducible.
+
+The objective is a function of a stack of matrices, (P, d, D) -> (P,): each
+gradient step builds all 2 * d * D perturbed matrices and scores them in one
+array pass (embedding, nearest-centroid accuracy, dispersion from per-class
+unit sums, and the smoothness probes of every pair and draw), and the
+snapshots of a run are scored as one stack per batch. Stacks are scored in
+chunks so that no temporary exceeds ``_STACK_BUDGET`` elements, for any
+d * D up to MAX_PARAMS and up to VAL_SUBSAMPLE validation rows.
 """
 
 from __future__ import annotations
@@ -23,11 +31,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LabeledDataset, PointSet, RngStream, content_token, read_matrix_binary, write_matrix_binary
-from .utility import normalized_dispersion, D_MAX
+from .utility import D_MAX, _dispersion_from_stats, _unit_rows
 
 EMBED_SOURCES = ("precomputed", "identity", "trained_linear")
 MAX_PARAMS = 4096
 VAL_SUBSAMPLE = 256
+
+# Stacked scoring works in chunks of matrices: the perturbation stack and each
+# temporary of the objective (embedded batch, centroid distances of the
+# validation rows, embedded probes) stay within this element count.
+_STACK_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -38,7 +51,9 @@ class EmbeddingMatrix:
     :param source: "precomputed" | "identity" | "trained_linear"
     :param transform: the trained (d, D) matrix when source is trained_linear,
         kept so streaming ingest can embed new raw rows
-    :param training_trace: per-epoch averaged objective values (diagnostics)
+    :param training_trace: the objective of each snapshot (the init first,
+        then one per epoch) averaged over the fixed epoch-0 batch partition;
+        the returned transform is the snapshot with the highest score
     """
 
     vectors: np.ndarray
@@ -104,13 +119,6 @@ def load_embeddings(path, expected_n: Optional[int] = None) -> EmbeddingMatrix:
     return EmbeddingMatrix(vectors=vectors, source="precomputed")
 
 
-def _cosine_distance(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return D_MAX
-    return float(1.0 - (a @ b) / (na * nb))
-
-
 def _feature_bounds(data: LabeledDataset):
     low = data.feature_low if data.feature_low is not None else data.features.min(axis=0)
     high = data.feature_high if data.feature_high is not None else data.features.max(axis=0)
@@ -130,6 +138,48 @@ def _sample_pairs(labels: np.ndarray, idx: np.ndarray, partners: int, gen: np.ra
         for c in np.sort(chosen):
             pairs.append((int(a), int(idx[c])))
     return pairs
+
+
+def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps: float):
+    """Anchor rows (n, D), partner rows (n, D) and clipped shifted anchors (n, k, D).
+
+    Directions are scaled to unit norm (a zero direction stays zero) and the
+    shifted anchors ``x_p + eps * r`` are clipped to the train-split feature
+    range. None of this depends on W, so it is done once per batch.
+    """
+    directions = np.asarray(directions, dtype=np.float64)
+    n, D = len(pairs), data.dim
+    if directions.ndim != 3 or directions.shape[0] != n or directions.shape[1] < 1 or directions.shape[2] != D:
+        raise ValueError(f"directions must have shape ({n}, k, {D}) with k >= 1, got {directions.shape}")
+    norms = np.linalg.norm(directions, axis=2, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    directions = directions / norms
+    low, high = _feature_bounds(data)
+    p, q = np.asarray(pairs, dtype=np.int64).T
+    anchors = data.features[p]
+    return anchors, data.features[q], np.clip(anchors[:, None, :] + eps * directions, low, high)
+
+
+def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine distance between matching rows of ``a`` and ``b`` (last axis); D_MAX where either has zero norm."""
+    na = np.sqrt((a * a).sum(axis=-1))
+    nb = np.sqrt((b * b).sum(axis=-1))
+    zero = (na == 0.0) | (nb == 0.0)
+    return np.where(zero, D_MAX, 1.0 - (a * b).sum(axis=-1) / np.where(zero, 1.0, na * nb))
+
+
+def _stacked_penalty(Ws: np.ndarray, probes, eps: float) -> np.ndarray:
+    """Smoothness penalty of every matrix of a (P, d, D) stack, as a (P,) array."""
+    if probes is None:
+        return np.zeros(len(Ws))
+    anchors, partners, shifted = probes
+    Wt = Ws.transpose(0, 2, 1)
+    z_q = partners @ Wt
+    base = _cosine_distances(anchors @ Wt, z_q)
+    n, k, D = shifted.shape
+    z_s = (shifted.reshape(n * k, D) @ Wt).reshape(len(Ws), n, k, -1)
+    slopes = ((_cosine_distances(z_s, z_q[:, :, None, :]) - base[:, :, None]) / eps) ** 2
+    return slopes.mean(axis=2).mean(axis=1)
 
 
 def smoothness_penalty(
@@ -152,7 +202,9 @@ def smoothness_penalty(
     Perturbed inputs are clipped to the train-split feature range. Batches
     with no cross-label pair give 0. Passing explicit ``pairs`` and
     ``directions`` freezes the sampling (used by the trainer so the penalty is
-    a deterministic function of W inside one gradient step).
+    a deterministic function of W inside one gradient step); ``directions``
+    must then have shape (len(pairs), k, D) with k >= 1, or ValueError is
+    raised.
     """
     W = np.asarray(W, dtype=np.float64)
     idx = batch.indices
@@ -165,59 +217,79 @@ def smoothness_penalty(
     if directions is None:
         gen = RngStream(cfg.seed, "fd-directions", content_token(idx)).generator()
         directions = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
-    directions = np.asarray(directions, dtype=np.float64)
-    norms = np.linalg.norm(directions, axis=2, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    directions = directions / norms
-    low, high = _feature_bounds(data)
-    eps = cfg.fd_step
-    total = 0.0
-    for (p, q), dirs in zip(pairs, directions):
-        x_p, x_q = data.features[p], data.features[q]
-        z_p, z_q = W @ x_p, W @ x_q
-        base = _cosine_distance(z_p, z_q)
-        acc = 0.0
-        for r in dirs:
-            x_shift = np.clip(x_p + eps * r, low, high)
-            acc += ((_cosine_distance(W @ x_shift, z_q) - base) / eps) ** 2
-        total += acc / dirs.shape[0]
-    return total / len(pairs)
+    probes = _probe_inputs(data, pairs, directions, cfg.fd_step)
+    return float(_stacked_penalty(W[None], probes, cfg.fd_step)[0])
 
 
-def _batch_objective(data, idx, W, cfg, val_X, val_y, pairs, directions) -> float:
-    Z = data.features[idx] @ W.T
-    y = data.labels[idx]
-    # nearest-centroid accuracy of the embedded batch on the embedded subsample
+def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions):
+    """The batch objective J as a function of a (P, d, D) stack of matrices.
+
+    Everything that does not depend on W (batch rows, class masks, probe
+    inputs) is prepared here once; the returned function scores a stack in
+    chunks so that no per-chunk temporary exceeds ``_STACK_BUDGET`` elements
+    (beyond a single matrix's own), and returns a (P,) array.
+    """
+    X, y = data.features[idx], data.labels[idx]
     classes = np.unique(y)
-    if classes.size >= 2:
-        centroids = np.stack([Z[y == c].mean(axis=0) for c in classes])
-        vz = val_X @ W.T
-        d2 = ((vz[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        pred = classes[np.argmin(d2, axis=1)]
-        utility = float(np.mean(pred == val_y))
-    else:
-        utility = 1.0 / data.num_classes
-    disp = normalized_dispersion(Z, y, PointSet._from_sorted(np.arange(len(idx), dtype=np.int64))).value
-    penalty = smoothness_penalty(data, PointSet._from_sorted(np.sort(idx)), W, cfg, pairs=pairs, directions=directions)
-    return utility + cfg.lam * disp - cfg.alpha * penalty
+    members = [y == c for c in classes]
+    onehot = np.array(members, dtype=np.float64)
+    counts = onehot.sum(axis=1)
+    probes = _probe_inputs(data, pairs, directions, cfg.fd_step) if pairs else None
+    n_probes = 0 if probes is None else probes[2].shape[0] * probes[2].shape[1]
+    widest = max(len(idx), val_y.size * classes.size, n_probes)
+
+    def objective(Ws: np.ndarray) -> np.ndarray:
+        Ws = np.asarray(Ws, dtype=np.float64)
+        out = np.empty(len(Ws))
+        step = max(1, _STACK_BUDGET // (Ws.shape[1] * widest))
+        for start in range(0, len(Ws), step):
+            chunk = Ws[start : start + step]
+            Wt = chunk.transpose(0, 2, 1)
+            Z = X @ Wt
+            # nearest-centroid accuracy of the embedded batch on the embedded subsample
+            if classes.size >= 2:
+                # masked means, as a one-matrix fit takes them, so argmin ties break the same way
+                centroids = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
+                vz = val_X @ Wt
+                d2 = ((vz[:, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+                utility = np.mean(classes[d2.argmin(axis=2)] == val_y, axis=1)
+            else:
+                utility = np.full(len(chunk), 1.0 / data.num_classes)
+            unit, nonzero = _unit_rows(Z)
+            chunk_counts = np.broadcast_to(counts, (len(chunk), classes.size))
+            disp, _ = _dispersion_from_stats(chunk_counts, onehot @ unit, nonzero @ onehot.T)
+            penalty = _stacked_penalty(chunk, probes, cfg.fd_step)
+            out[start : start + step] = utility + cfg.lam * disp - cfg.alpha * penalty
+        return out
+
+    return objective
 
 
-def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a scalar function over a parameter matrix."""
+def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4, *, stacked: bool = False) -> np.ndarray:
+    """Central-difference gradient of a function over a parameter matrix.
+
+    Entry k moves by h_k = rel_step * (1 + |W_k|) up and down, and its
+    derivative is (f(W + h_k e_k) - f(W - h_k e_k)) / (2 h_k). The 2 * W.size
+    perturbed matrices (up then down, entry by entry) are built in chunks of
+    at most ``_STACK_BUDGET`` elements, or one entry's pair if a matrix is
+    larger. With ``stacked``, ``fn`` maps a (P, *W.shape) stack to P values
+    and receives each chunk in one call; otherwise ``fn`` maps one matrix to a
+    scalar and is called on the perturbed matrices in order. W is not modified.
+    """
     W = np.asarray(W, dtype=np.float64)
-    grad = np.zeros_like(W)
     flat = W.ravel()
-    gflat = grad.ravel()
-    for k in range(flat.size):
-        h = rel_step * (1.0 + abs(flat[k]))
-        orig = flat[k]
-        flat[k] = orig + h
-        up = fn(W)
-        flat[k] = orig - h
-        down = fn(W)
-        flat[k] = orig
-        gflat[k] = (up - down) / (2.0 * h)
-    return grad
+    h = rel_step * (1.0 + np.abs(flat))
+    values = np.empty(2 * flat.size)
+    step = max(1, _STACK_BUDGET // (2 * flat.size))
+    for start in range(0, flat.size, step):
+        entries = np.arange(start, min(start + step, flat.size))
+        stack = np.tile(flat, (2 * entries.size, 1))
+        at = 2 * np.arange(entries.size)
+        stack[at, entries] = flat[entries] + h[entries]
+        stack[at + 1, entries] = flat[entries] - h[entries]
+        stack = stack.reshape(-1, *W.shape)
+        values[2 * start : 2 * start + len(stack)] = fn(stack) if stacked else [fn(M) for M in stack]
+    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(W.shape)
 
 
 def _epoch_batches(n: int, batch_size: int, gen: np.random.Generator):
@@ -251,39 +323,29 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     val_idx = np.sort(val_gen.choice(n_val, size=take, replace=False))
     val_X, val_y = data.val_features[val_idx], data.val_labels[val_idx]
 
-    def frozen_batch_inputs(epoch: int):
+    def batch_objectives(epoch: int):
         gen = RngStream(cfg.seed, "encoder-batches", b"", epoch).generator()
-        batches = _epoch_batches(data.n, cfg.batch_size, gen)
-        frozen = []
-        for b, idx in enumerate(batches):
+        objectives = []
+        for b, idx in enumerate(_epoch_batches(data.n, cfg.batch_size, gen)):
             pg = RngStream(cfg.seed, "encoder-pairs", content_token(epoch, b)).generator()
             pairs = _sample_pairs(data.labels, idx, cfg.partners_per_anchor, pg)
-            dirs = pg.standard_normal((max(1, len(pairs)), cfg.fd_draws, D)) if pairs else None
-            frozen.append((idx, pairs, dirs))
-        return frozen
+            dirs = pg.standard_normal((len(pairs), cfg.fd_draws, D)) if pairs else None
+            objectives.append(_batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs))
+        return objectives
 
-    scoring_inputs = frozen_batch_inputs(0)
-
-    def score(Wm: np.ndarray) -> float:
-        vals = [
-            _batch_objective(data, idx, Wm, cfg, val_X, val_y, pairs, dirs)
-            for idx, pairs, dirs in scoring_inputs
-        ]
-        return float(np.mean(vals)) if vals else 0.0
-
-    snapshots = [W.copy()]
-    trace = [score(W)]
+    scoring = batch_objectives(0)
+    snapshots = [W]
     for epoch in range(1, cfg.epochs + 1):
-        epoch_vals = []
-        for idx, pairs, dirs in frozen_batch_inputs(epoch):
-            fn = lambda Wm: _batch_objective(data, idx, Wm, cfg, val_X, val_y, pairs, dirs)
-            grad = fd_gradient(fn, W.copy())
-            W = W + cfg.lr * grad
-            epoch_vals.append(fn(W))
-        snapshots.append(W.copy())
-        trace.append(float(np.mean(epoch_vals)) if epoch_vals else trace[0])
+        for objective in batch_objectives(epoch):
+            W = W + cfg.lr * fd_gradient(objective, W, stacked=True)
+        snapshots.append(W)
 
-    scores = [score(Wm) for Wm in snapshots]
+    stack = np.stack(snapshots)
+    if scoring:
+        per_batch = np.stack([objective(stack) for objective in scoring], axis=1)
+        scores = [float(np.mean(row)) for row in per_batch]
+    else:
+        scores = [0.0] * len(snapshots)
     best = int(np.argmax(scores))
     W_best = snapshots[best]
     return EmbeddingMatrix(

@@ -124,8 +124,8 @@ def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.nda
 
 
 def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows scaled to unit norm (zero-norm rows stay zero), plus the nonzero-norm flags."""
-    norms = np.linalg.norm(Z, axis=1)
+    """Rows (last axis) scaled to unit norm (zero-norm rows stay zero), plus the nonzero-norm flags."""
+    norms = np.linalg.norm(Z, axis=-1)
     nonzero = norms > 0.0
     unit = np.zeros_like(Z)
     unit[nonzero] = Z[nonzero] / norms[nonzero, None]
