@@ -6,7 +6,15 @@ averages marginal contributions over sampled permutations; in the default
 prefix mode one shared permutation serves every player per sweep, so the
 player-sum telescopes to v(full) - v(empty) exactly, for any number of
 permutations. Permutation logs store one 63-bit seed per permutation and can
-be replayed to reproduce an estimate bit for bit.
+be replayed to reproduce an estimate bit for bit; a replayed log may hold any
+integer seed in [0, 2^64).
+
+Permutation t is ``np.random.default_rng(seed_t).permutation(K)``, drawn for
+all seeds of a call at once by ``_permutations``: it runs numpy's SeedSequence
+hashing as uint32 array arithmetic over every seed, derives each seed's PCG64
+state from the hashed words, and lets one PCG64 set to each state in turn run
+numpy's own shuffle. That skips building a generator per permutation and
+gives the same rows bit for bit.
 
 Payoffs with a batched form (``CharacteristicFn`` with the nearest-centroid
 learner, flagged by its ``batched`` property) are scored a whole coalition
@@ -14,16 +22,17 @@ matrix at a time: ``exact_shapley`` makes one ``evaluate_coalitions`` call for
 all 2^K coalitions, and prefix sweeps turn their permutations into prefix rows,
 drop duplicate rows and score the distinct ones together, and independent
 sampling (``independent_player_estimate`` and ``sampling="independent"``)
-turns one player's T permutations into 2T rows, predecessors without and
-with the player, and scores their distinct rows in one call. Plain callables
-and the ridge-logistic learner are called once per coalition, in the same
-order as always. Either way every coalition goes through the payoff's cache,
-so evaluation counts do not depend on the path.
+turns each player's T permutations into 2T rows, predecessors without and
+with the player, and scores each player's distinct rows in one call. Plain
+callables and the ridge-logistic learner are called once per coalition, in
+the same order as always. Either way every coalition goes through the
+payoff's cache, so evaluation counts do not depend on the path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -140,8 +149,74 @@ def exact_shapley(game: CoalitionGame) -> ShapleyEstimate:
     return ShapleyEstimate(values=values, T=0, mode="exact", permutation_log=None)
 
 
-def _permutation_from_seed(seed: int, K: int) -> np.ndarray:
-    return np.random.default_rng(int(seed)).permutation(K)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    out = np.array(consts, dtype=np.uint32)[:, None]
+    out.setflags(write=False)
+    return out
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): the k-th hashmix of
+# the entropy pool xors with _HASH_A[k] and multiplies by _HASH_A[k + 1];
+# generate_state does the same with _HASH_B. Then PCG64's 128-bit multiplier.
+_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Hashmixes k .. k + n - 1 of one SeedSequence constant sequence, one per row."""
+    mixed = (values ^ consts[k : k + n]) * consts[k + 1 : k + n + 1]
+    return mixed ^ (mixed >> 16)
+
+
+def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(int(s)).generate_state(4, np.uint64)`` for every uint64 seed s: (4, T).
+
+    numpy turns s into its little-endian 32-bit words and hashes missing pool
+    words as 0, so the entropy [s & 0xFFFFFFFF, s >> 32] gives numpy's pool for
+    every s below 2^64. The arithmetic is uint32 and wraps as numpy's does.
+    """
+    pool = np.zeros((4, seeds.size), dtype=np.uint32)
+    pool[0] = seeds & 0xFFFFFFFF
+    pool[1] = seeds >> 32
+    pool = _hashmix(pool, _HASH_A, 0, 4)
+    # mix_entropy: every word, hashed once per other word, is mixed into each
+    # other word; the source word stays put, so its three targets update at once
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        mixed = _MIX_L * pool[dst] - _MIX_R * _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3)
+        pool[dst] = mixed ^ (mixed >> 16)
+    # generate_state: eight uint32 words cycling over the pool, joined in
+    # little-endian pairs into four uint64 words
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
+    return words[0::2] | (words[1::2] << 32)
+
+
+def _permutations(seeds, K: int) -> np.ndarray:
+    """The rows ``np.random.default_rng(int(s)).permutation(K)`` for the given seeds: (T, K).
+
+    The SeedSequence words of all seeds are computed at once (above). PCG64
+    seeds itself from them with srandom: state = 0, inc = (initseq << 1) | 1,
+    step, add initstate, step; that is state = (inc + initstate) * M + inc
+    mod 2^128. One PCG64 is set to each seed's state in turn and shuffles a
+    row of 0 .. K - 1 in place, which is what ``Generator.permutation(K)``
+    does, so every row is numpy's own for any K.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
+    perms = np.tile(np.arange(K, dtype=np.int64), (seeds.size, 1))
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    for row, (init_hi, init_lo, seq_hi, seq_lo) in zip(perms, _seed_sequence_words(seeds).T.tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        state = ((inc + (init_hi << 64 | init_lo)) * _PCG64_MULT + inc) & _MASK128
+        bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        gen.shuffle(row)
+    return perms
 
 
 def _resolve_generator(rng) -> tuple[np.random.Generator, int]:
@@ -158,6 +233,23 @@ def _resolve_generator(rng) -> tuple[np.random.Generator, int]:
 def _check_marginal(gain: float, bound: Optional[float]) -> None:
     if bound is not None and not abs(gain) <= 2.0 * bound + 1e-9:
         raise AssertionError(f"marginal contribution {gain} escapes [-2B, 2B] with B={bound}")
+
+
+def _check_gains(gains: np.ndarray, bound: Optional[float]) -> None:
+    """``_check_marginal`` over an array of gains, raising for the first bad one in C order."""
+    if bound is None:
+        return
+    bad = ~(np.abs(gains) <= 2.0 * bound + 1e-9)
+    if bad.any():
+        _check_marginal(float(gains[bad][0]), bound)
+
+
+def _sums_in_order(gains: np.ndarray) -> np.ndarray:
+    """Each row of a (P, T) gain array summed left to right from 0.0, as a running total: (P,)."""
+    sums = np.zeros(gains.shape[0])
+    for column in gains.T:
+        sums += column
+    return sums
 
 
 def _prefix_values(game: CoalitionGame, perms: np.ndarray) -> np.ndarray:
@@ -184,24 +276,43 @@ def _distinct_row_values(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
     return game.values_of_rows(rows[first])[inverse]
 
 
-def _player_gains(game: CoalitionGame, player: int, seeds) -> np.ndarray:
-    """One player's marginal contribution in each seeded permutation: (T,).
+def _player_gains(game: CoalitionGame, players: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """Each listed player's marginal contribution in each of its seeded permutations: (P, T).
 
-    Permutation t contributes two coalitions, the player's predecessors and
-    the predecessors plus the player, as rows 2t and 2t + 1 of one 0/1 player
-    matrix. A batched payoff scores the distinct rows in one call; any other
-    payoff is called once per row, in row order. Every gain is checked
-    against the payoff bound, in permutation order.
+    Row k of the (P, T) ``seeds`` holds the seeds of player ``players[k]``'s
+    permutations; all P·T permutations are drawn in one call. Permutation t
+    of player k contributes two coalitions, the player's predecessors and the
+    predecessors plus the player, as rows 2(kT + t) and 2(kT + t) + 1 of one
+    0/1 player matrix. A batched payoff scores each player's distinct rows in
+    one call, player by player, exactly as P one-player calls would: a
+    coalition scored in a different batch can round differently in its last
+    bit (BLAS takes another kernel for a one-row product), so scoring all
+    players' rows together would not reproduce the one-player estimates. Any
+    other payoff is called once per row, in row order. Every gain is checked
+    against the payoff bound, player by player and in permutation order.
     """
-    perms = np.stack([_permutation_from_seed(int(seed), game.K) for seed in seeds])
-    position = np.argsort(perms, axis=1)
-    rows = np.repeat(position < position[:, player : player + 1], 2, axis=0)
-    rows[1::2, player] = True
-    v = _distinct_row_values(game, rows) if game._batch is not None else game.values_of_rows(rows)
-    gains = v[1::2] - v[0::2]
-    for gain in gains.tolist():
-        _check_marginal(gain, game.bound)
+    P, T = seeds.shape
+    who = np.repeat(players, T)
+    draw = np.arange(P * T)
+    position = np.argsort(_permutations(seeds, game.K), axis=1)
+    rows = np.repeat(position < position[draw, who][:, None], 2, axis=0)
+    rows[2 * draw + 1, who] = True
+    if game._batch is not None:
+        v = np.concatenate([_distinct_row_values(game, part) for part in np.split(rows, P)])
+    else:
+        v = game.values_of_rows(rows)
+    gains = (v[1::2] - v[0::2]).reshape(P, T)
+    _check_gains(gains, game.bound)
     return gains
+
+
+def _replay_seeds(permutation_log: Sequence[int]) -> np.ndarray:
+    """A permutation log's seeds as uint64, rejecting entries no seed can be."""
+    seeds = list(permutation_log)
+    for i, seed in enumerate(seeds):
+        if not isinstance(seed, numbers.Integral) or not 0 <= int(seed) < 2**64:
+            raise ValueError(f"permutation log entry {i} is {seed!r}, not an integer in [0, 2^64)")
+    return np.array([int(seed) for seed in seeds], dtype=np.uint64)
 
 
 def monte_carlo_shapley(
@@ -221,7 +332,8 @@ def monte_carlo_shapley(
     player-sum identity.
 
     Passing ``permutation_log`` (prefix mode only) replays exactly those
-    per-permutation seeds and reproduces the estimate bit for bit.
+    per-permutation seeds and reproduces the estimate bit for bit. Every
+    entry must be an integer in [0, 2^64).
     """
     K = game.K
     if sampling not in ("prefix", "independent"):
@@ -229,35 +341,30 @@ def monte_carlo_shapley(
     if permutation_log is not None:
         if sampling != "prefix":
             raise ValueError("permutation logs are only defined for prefix sweeps")
-        seeds = [int(s) for s in permutation_log]
-        T = len(seeds)
+        seeds = _replay_seeds(permutation_log)
+        T = seeds.size
         if T < 1:
             raise ValueError("permutation log is empty")
     else:
         if T < 1:
             raise ValueError("need at least one permutation (T >= 1)")
         gen, _ = _resolve_generator(rng)
-        if sampling == "prefix":
-            seeds = [int(s) for s in gen.integers(0, 2**63, size=T, dtype=np.uint64)]
-        else:
-            seeds = gen.integers(0, 2**63, size=(K, T), dtype=np.uint64)
+        seeds = gen.integers(0, 2**63, size=T if sampling == "prefix" else (K, T), dtype=np.uint64)
 
+    if sampling == "independent":
+        totals = _sums_in_order(_player_gains(game, np.arange(K), seeds))
+        return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=None)
+    perms = _permutations(seeds, K)
     totals = np.zeros(K)
-    if sampling == "prefix" and game._batch is not None:
-        perms = np.stack([_permutation_from_seed(seed, K) for seed in seeds])
+    if game._batch is not None:
         gains = np.diff(_prefix_values(game, perms), axis=1)
-        if game.bound is not None:
-            bad = ~(np.abs(gains) <= 2.0 * game.bound + 1e-9)
-            if bad.any():
-                _check_marginal(float(gains[bad][0]), game.bound)
+        _check_gains(gains, game.bound)
         for perm, gain in zip(perms, gains):
             totals[perm] += gain
-        log = list(seeds)
-    elif sampling == "prefix":
+    else:
         mask = np.zeros(game._mask_size, dtype=bool)
         v_empty = game.value_of_mask(mask)
-        for seed in seeds:
-            perm = _permutation_from_seed(seed, K)
+        for perm in perms:
             mask[:] = False
             prev = v_empty
             for player in perm:
@@ -267,33 +374,39 @@ def monte_carlo_shapley(
                 _check_marginal(gain, game.bound)
                 totals[player] += gain
                 prev = cur
-        log = list(seeds)
-    else:
-        for i in range(K):
-            for gain in _player_gains(game, i, seeds[i]).tolist():
-                totals[i] += gain
-        log = None
-    return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=log)
+    return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=seeds.tolist())
 
 
-def independent_player_estimate(game: CoalitionGame, player: int, T: int, rng) -> float:
+def independent_player_estimate(game: CoalitionGame, player, T: int, rng) -> float | np.ndarray:
     """Monte-Carlo marginal estimate for one player only (2T evaluations).
 
     Samples T permutations of the player set and averages the player's
     marginal contribution against its random predecessors. Used by streaming
     refreshes that must re-roll a single dirty node without touching its
     siblings' cached estimates.
+
+    ``player`` may also be a sequence of distinct players, with ``rng`` a
+    sequence of as many streams. The result is then an array whose entry k
+    equals ``independent_player_estimate(game, player[k], T, rng[k])`` bit for
+    bit; the permutations of all the players are drawn together.
     """
     if T < 1:
         raise ValueError("need at least one permutation (T >= 1)")
-    if not 0 <= player < game.K:
-        raise ValueError(f"player {player} out of range for K={game.K}")
-    gen, _ = _resolve_generator(rng)
-    seeds = gen.integers(0, 2**63, size=T, dtype=np.uint64)
-    total = 0.0
-    for gain in _player_gains(game, player, seeds).tolist():
-        total += gain
-    return total / T
+    single = isinstance(player, (int, np.integer))
+    players = [int(player)] if single else [int(p) for p in player]
+    streams = [rng] if single else rng
+    if not players:
+        raise ValueError("need at least one player")
+    if isinstance(streams, (RngStream, np.random.Generator, int, np.integer)) or len(streams) != len(players):
+        raise ValueError(f"{len(players)} players need a sequence of as many random streams")
+    if len(set(players)) != len(players):
+        raise ValueError(f"players must be distinct, got {players}")
+    for p in players:
+        if not 0 <= p < game.K:
+            raise ValueError(f"player {p} out of range for K={game.K}")
+    seeds = np.stack([_resolve_generator(r)[0].integers(0, 2**63, size=T, dtype=np.uint64) for r in streams])
+    means = _sums_in_order(_player_gains(game, np.array(players), seeds)) / T
+    return float(means[0]) if single else means
 
 
 def _per_point_from_groups(

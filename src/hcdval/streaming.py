@@ -6,9 +6,10 @@ prototype is close enough), and only the touched leaves plus their ancestors
 — the dirty set — are re-estimated:
 
 * families whose children are all dirty re-run one shared prefix sweep;
-* families with a mix refresh just the dirty children, one at a time, with
-  independent permutation draws (``independent_player_estimate``; with a
-  batched payoff each child's 2T coalitions are scored in one call),
+* families with a mix refresh just the dirty children, each with its own
+  independent permutation draws, in one ``independent_player_estimate`` call
+  per family (the permutations of all dirty children are drawn together;
+  with a batched payoff each child's 2T coalitions are scored in one call),
   keeping clean siblings' estimates bit-exact;
 * mass re-propagation gives clean children their cached masses unchanged and
   splits the residual (refreshed parent mass minus the clean children's
@@ -302,9 +303,10 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
                 for c, v in zip(kids, est.values.tolist()):
                     raw[c] = v
             else:
-                for c in dirty_kids:
-                    stream = RngStream(state.cfg.seed, "refresh-node", tree.node_token(c), epoch)
-                    raw[c] = independent_player_estimate(game, kids.index(c), state.cfg.T, stream)
+                streams = [RngStream(state.cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
+                ests = independent_player_estimate(game, [kids.index(c) for c in dirty_kids], state.cfg.T, streams)
+                for c, v in zip(dirty_kids, ests.tolist()):
+                    raw[c] = v
     evals_refresh = cf.evaluations - marks
 
     # -- re-propagate masses along dirty edges --------------------------------

@@ -6,6 +6,7 @@ point blocks from per-block class statistics. These tests hold it to
 Shapley solvers that use it to the generic per-coalition path.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -209,6 +210,74 @@ def test_plain_payoffs_see_the_same_coalition_sequence():
     assert seen == [ps for i in range(5) for ps in _old_independent_sequence(players, i, seeds[i])]
 
 
+def _recording(score, seen: list):
+    """A batched payoff that also keeps every row matrix it is asked to score."""
+
+    def record(blocks, rows):
+        seen.append(rows.copy())
+        return score(blocks, rows)
+
+    return record
+
+
+@settings(deadline=None, max_examples=10)
+@given(
+    seed=st.integers(0, 1_000),
+    lam=st.sampled_from([0.0, 0.5]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+)
+def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
+    sizes = [9, 4, 12, 7, 1, 3]
+    players = [4, 0, 2]
+
+    def streams():
+        return [RngStream(seed, "several", bytes([p])) for p in players]
+
+    together = _games(seed, lam, metric, sizes)
+    alone = _games(seed, lam, metric, sizes)
+    # a coalition can round differently in another batch, so the batched
+    # payoff must see exactly the calls that one-player estimates make
+    batches = {"together": [], "alone": []}
+    for name, games in (("together", together), ("alone", alone)):
+        games[0]._batch = _recording(games[0]._batch, batches[name])
+    for g in (0, 1):  # batched, then plain callable
+        est = independent_player_estimate(together[g], players, 16, streams())
+        ref = [independent_player_estimate(alone[g], p, 16, r) for p, r in zip(players, streams())]
+        assert est.tobytes() == np.array(ref).tobytes()
+    assert len(batches["together"]) == len(players)
+    assert all(np.array_equal(a, b) for a, b in zip(batches["together"], batches["alone"], strict=True))
+    for k in (2, 3):  # the batched payoff's cache, then the plain callable's
+        assert together[k].evaluations == alone[k].evaluations
+        assert set(together[k]._cache) == set(alone[k]._cache)
+
+
+def test_plain_payoffs_see_each_players_sequence_in_player_order():
+    players = [PointSet([0, 1]), PointSet([2]), PointSet([3, 4, 5]), PointSet([6]), PointSet([7, 8])]
+    seen = []
+
+    def payoff(points):
+        return math.sin(1.0 + points.indices.sum()) / (1 + len(points))
+
+    def recording(points):
+        seen.append(points)
+        return payoff(points)
+
+    game = CoalitionGame(players, recording)
+    order = [3, 0, 2]
+    streams = [RngStream(8, "record", bytes([p])) for p in order]
+    est = independent_player_estimate(game, order, 24, streams)
+    want, means = [], []
+    for p, stream in zip(order, streams):
+        coalitions = _old_independent_sequence(players, p, stream.seeds(24))
+        want += coalitions
+        total = 0.0  # the per-permutation running total, as before batching
+        for without, with_p in zip(coalitions[0::2], coalitions[1::2]):
+            total += payoff(with_p) - payoff(without)
+        means.append(total / 24)
+    assert seen == want
+    assert est.tobytes() == np.array(means).tobytes()
+
+
 def test_batched_permutation_log_replays_bit_for_bit():
     game, _, batched, _ = _games(5, 0.5, "accuracy", [6, 3, 8, 2, 5, 4])
     est = monte_carlo_shapley(game, 20, RngStream(3, "replay"))
@@ -242,6 +311,7 @@ batched = CoalitionGame(players, CharacteristicFn(data, data.features), bound=1e
 print(raises(lambda: monte_carlo_shapley(batched, 4, RngStream(0, "bound"))))
 print(raises(lambda: monte_carlo_shapley(batched, 4, RngStream(0, "bound"), sampling="independent")))
 print(raises(lambda: independent_player_estimate(batched, 1, 4, RngStream(0, "bound"))))
+print(raises(lambda: independent_player_estimate(batched, [3, 1], 4, [RngStream(0, "a"), RngStream(0, "b")])))
 
 class Tight(CharacteristicFn):
     B = 0.01
@@ -256,7 +326,7 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 6
-    assert all(line.startswith("marginal contribution") for line in lines[:4])
-    assert lines[4].startswith("payoff") and lines[5].startswith("payoff")
+    assert len(lines) == 7
+    assert all(line.startswith("marginal contribution") for line in lines[:5])
+    assert lines[5].startswith("payoff") and lines[6].startswith("payoff")
 

@@ -17,7 +17,7 @@ from hcdval import (
     monte_carlo_shapley,
     random_values,
 )
-from hcdval.shapley import _permutation_from_seed
+from hcdval.shapley import _permutations
 
 from conftest import permutation_average_oracle, random_table_game
 
@@ -118,13 +118,11 @@ def test_prefix_estimator_converges_to_exact():
     assert est.values == pytest.approx(exact, abs=0.05)
 
 
-def test_prefix_log_replays_bit_for_bit():
-    game, _ = random_table_game(4, 3)
-    est = monte_carlo_shapley(game, 16, RngStream(9, "replay"))
-    assert est.permutation_log is not None and len(est.permutation_log) == 16
+def _sweeps_by_hand(game, log) -> np.ndarray:
+    """Prefix sweeps over ``np.random.default_rng(seed).permutation(K)`` for each logged seed."""
     vals = np.zeros(game.K)
-    for seed in est.permutation_log:
-        perm = _permutation_from_seed(seed, game.K)
+    for seed in log:
+        perm = np.random.default_rng(seed).permutation(game.K)
         prev = game.value_of_ids([])
         picked = []
         for p in perm.tolist():
@@ -132,8 +130,52 @@ def test_prefix_log_replays_bit_for_bit():
             cur = game.value_of_ids(picked)
             vals[p] += cur - prev
             prev = cur
-    vals /= len(est.permutation_log)
-    assert est.values == pytest.approx(vals, abs=1e-12)
+    return vals / len(log)
+
+
+def test_prefix_log_replays_bit_for_bit():
+    game, _ = random_table_game(4, 3)
+    est = monte_carlo_shapley(game, 16, RngStream(9, "replay"))
+    assert est.permutation_log is not None and len(est.permutation_log) == 16
+    assert est.values == pytest.approx(_sweeps_by_hand(game, est.permutation_log), abs=1e-12)
+
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+def _default_rng_rows(seeds, K) -> np.ndarray:
+    return np.array([np.random.default_rng(s).permutation(K) for s in seeds], dtype=np.int64).reshape(len(seeds), K)
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), max_size=12),
+    K=st.integers(0, 40),
+)
+def test_permutations_match_default_rng(seeds, K):
+    want = _default_rng_rows(seeds, K)
+    assert np.array_equal(_permutations(seeds, K), want)
+    assert np.array_equal(_permutations(np.array(seeds, dtype=np.uint64), K), want)
+
+
+def test_permutations_match_default_rng_on_edge_seeds_for_every_size():
+    for K in range(41):
+        assert np.array_equal(_permutations(EDGE_SEEDS, K), _default_rng_rows(EDGE_SEEDS, K))
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, 2**64])
+def test_replay_rejects_seeds_that_are_not_uint64(bad):
+    game, _ = random_table_game(4, 3)
+    with pytest.raises(ValueError, match=r"entry 1 is .*not an integer in \[0, 2\^64\)"):
+        monte_carlo_shapley(game, 0, None, permutation_log=[7, bad, 2.5])
+
+
+def test_replay_accepts_the_largest_uint64_seed():
+    game, _ = random_table_game(4, 3)
+    log = [2**64 - 1, np.uint64(2**63 + 5)]
+    est = monte_carlo_shapley(game, 0, None, permutation_log=log)
+    assert est.permutation_log == [2**64 - 1, 2**63 + 5]
+    assert est.values.tobytes() == _sweeps_by_hand(game, [2**64 - 1, 2**63 + 5]).tobytes()
 
 
 def test_same_stream_reproduces_the_same_estimate():
@@ -213,6 +255,37 @@ def test_independent_player_estimate_is_deterministic():
     exact = exact_shapley(game).values
     c = independent_player_estimate(game, 2, 4000, RngStream(3, "ipe"))
     assert c == pytest.approx(exact[2], abs=0.08)
+
+
+def test_independent_bound_check_reports_the_first_bad_gain_player_by_player():
+    # player 1 gains 3 alone and 7 after player 0; player 2 always gains 5
+    def payoff(points):
+        ids = set(points.indices.tolist())
+        return 3.0 * (1 in ids) + 4.0 * (0 in ids and 1 in ids) + 5.0 * (2 in ids)
+
+    game = make_game(3, payoff, bound=1.0)
+    seeds = RngStream(6, "first-bad").seeds(5)
+    perm = np.random.default_rng(int(seeds[0])).permutation(3).tolist()
+    first = 7.0 if perm.index(0) < perm.index(1) else 3.0
+    with pytest.raises(AssertionError, match=f"marginal contribution {first} "):
+        independent_player_estimate(game, [1, 2], 5, [RngStream(6, "first-bad"), RngStream(7, "first-bad")])
+    with pytest.raises(AssertionError, match="marginal contribution 5.0 "):
+        independent_player_estimate(game, [2, 1], 5, [RngStream(7, "first-bad"), RngStream(6, "first-bad")])
+
+
+def test_independent_player_estimate_validates_its_players():
+    game, _ = random_table_game(4, 5)
+    streams = [RngStream(0, "a"), RngStream(0, "b")]
+    with pytest.raises(ValueError, match="distinct"):
+        independent_player_estimate(game, [1, 1], 4, streams)
+    with pytest.raises(ValueError, match="out of range"):
+        independent_player_estimate(game, [1, 4], 4, streams)
+    with pytest.raises(ValueError, match="as many random streams"):
+        independent_player_estimate(game, [0, 1, 2], 4, streams)
+    with pytest.raises(ValueError, match="as many random streams"):
+        independent_player_estimate(game, [0, 1], 4, RngStream(0, "a"))
+    with pytest.raises(ValueError, match="at least one player"):
+        independent_player_estimate(game, [], 4, [])
 
 
 def _small_data(seed=0):
