@@ -9,6 +9,12 @@ evenly); leaves finally spread their own mass over member points, exactly
 otherwise. Because each family hands down exactly its parent's mass, the
 point values sum to the root surplus by construction.
 
+``propagate`` is the one hand-down engine, for the batch run and for
+streaming ingest alike; each caller brings its own level estimator. Given a
+``dirty`` set (the nodes whose members changed), it re-splits only families
+under dirty parents and redistributes only dirty leaves; ``dirty=None``
+marks every node dirty, which is the batch run.
+
 A parallel audit map propagates budgets through the classic singleton-payoff
 weights; it satisfies the same per-family conservation invariant but does not
 feed the returned values.
@@ -19,8 +25,8 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -118,19 +124,94 @@ def _split_mass(pot: float, estimates: np.ndarray) -> np.ndarray:
     return np.full(estimates.size, pot / estimates.size)
 
 
-def _distribute_leaf(values: np.ndarray, leaf_members: PointSet, mass: float, cfg: HcdvConfig, cf) -> int:
-    """Spread one leaf's mass over its points; returns payoff evaluations used."""
+def _plays_exact_leaf(cfg: HcdvConfig, g: int) -> bool:
+    """Whether a leaf of g points plays an exact within-leaf game."""
+    return cfg.leaf_mode == "exact_if_small" and 2 <= g <= min(cfg.leaf_cap, EXACT_PLAYER_LIMIT)
+
+
+def _distribute_leaf(values: np.ndarray, leaf_members: PointSet, mass: float, cfg: HcdvConfig, cf) -> None:
+    """Spread one leaf's mass over its points."""
     g = len(leaf_members)
-    exact_cap = min(cfg.leaf_cap, EXACT_PLAYER_LIMIT)
-    if cfg.leaf_mode == "exact_if_small" and 2 <= g <= exact_cap:
-        before = getattr(cf, "evaluations", 0)
+    if _plays_exact_leaf(cfg, g):
         players = [PointSet._from_sorted(leaf_members.indices[i : i + 1]) for i in range(g)]
         est = exact_shapley(CoalitionGame(players, cf))
-        used = getattr(cf, "evaluations", 0) - before
         values[leaf_members.indices] = _split_mass(mass, est.values)
-        return used
-    values[leaf_members.indices] = mass / g
-    return 0
+    else:
+        values[leaf_members.indices] = mass / g
+
+
+Families = List[Tuple[int, List[int]]]
+
+
+def propagate(
+    tree: HierarchyTree,
+    cf,
+    cfg: HcdvConfig,
+    surplus: float,
+    values: np.ndarray,
+    masses: Dict[int, float],
+    raw: Dict[int, Optional[float]],
+    budget: Dict[int, float],
+    level_estimates: Callable[[int, Families], Dict[int, Optional[float]]],
+    dirty: Optional[Set[int]] = None,
+) -> Dict[str, int]:
+    """Hand the root surplus down the tree into ``values``, family by family.
+
+    Level by level from the root, ``level_estimates(level, families)`` gets
+    that level's families under dirty parents and returns raw estimates for
+    (at least) their dirty children; a sole child mapped to None inherits
+    its parent's whole mass. Clean children keep their masses; dirty ones
+    split the residual, the parent's mass minus the clean children's, by
+    their clipped estimates. Singleton payoffs set the audit budgets. Then
+    every dirty leaf spreads its mass over its points, and every node is
+    annotated. ``dirty=None`` marks every node dirty: the batch run. The
+    maps and ``values`` are updated in place; returns the payoff evaluations
+    of the estimates ("sweeps"), the singletons and the leaf games.
+    """
+
+    def evals() -> int:
+        return getattr(cf, "evaluations", 0)
+
+    if dirty is None:
+        dirty = set(tree.nodes)
+    phase = {"sweeps": 0, "singletons": 0, "leaves": 0}
+    root = tree.root_id
+    masses[root] = raw[root] = budget[root] = surplus
+
+    for level in range(1, len(tree.levels)):
+        families = [(pid, kids) for pid, kids in tree.families(level) if pid in dirty]
+        marks = evals()
+        raw.update(level_estimates(level, families))
+        phase["sweeps"] += evals() - marks
+        for pid, kids in families:
+            pot = masses[pid]
+            if len(kids) == 1 and raw[kids[0]] is None:
+                masses[kids[0]] = budget[kids[0]] = pot
+                continue
+            clean_kids = [c for c in kids if c not in dirty]
+            dirty_kids = [c for c in kids if c in dirty]
+            residual = pot - math.fsum(masses[c] for c in clean_kids)
+            if residual < 0.0 and clean_kids:
+                warnings.warn(f"negative residual mass {residual} under node {pid}")
+            ests = np.asarray([raw[c] for c in dirty_kids], dtype=np.float64)
+            shares = _split_mass(residual, ests) if cfg.normalize else ests
+            masses.update(zip(dirty_kids, shares.tolist()))
+            marks = evals()
+            singles = [cf.evaluate(tree.node(c).members) for c in kids]
+            phase["singletons"] += evals() - marks
+            for c, w in zip(kids, propagation_weights(singles).tolist()):
+                budget[c] = w * pot
+
+    marks = evals()
+    for lid in tree.leaf_ids():
+        if lid in dirty:
+            _distribute_leaf(values, tree.node(lid).members, masses[lid], cfg, cf)
+    phase["leaves"] = evals() - marks
+
+    for nid, node in tree.nodes.items():
+        node.cached_shapley = masses.get(nid)
+        node.budget = budget.get(nid)
+    return phase
 
 
 def run_hcdv(
@@ -148,91 +229,47 @@ def run_hcdv(
         raise ValueError("tree leaf capacity differs from the run config")
 
     start = time.perf_counter()
-    phase = {"root": 0, "sweeps": 0, "singletons": 0, "leaves": 0}
     before = getattr(cf, "evaluations", 0)
-
-    root = tree.root_id
-    surplus = cf.evaluate(tree.node(root).members) - cf.evaluate(EMPTY_SET)
-    phase["root"] = getattr(cf, "evaluations", 0) - before
+    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
+    evals_root = getattr(cf, "evaluations", 0) - before
     if surplus < 0.0:
         warnings.warn(f"total surplus is negative ({surplus}); value mass will be negative")
 
-    masses: Dict[int, float] = {root: surplus}
-    raw: Dict[int, Optional[float]] = {root: surplus}
-    budget: Dict[int, float] = {root: surplus}
     level_player_counts: List[int] = []
     eval_bound = 2
-
+    per_player = 2 * cfg.T if cfg.sampling == "independent" else cfg.T + 1
     for level in range(1, len(tree.levels)):
-        families = tree.families(level)
-        if cfg.game_scope == "global":
-            level_players = sum(len(kids) for _, kids in families)
-        else:
-            level_players = sum(len(kids) for _, kids in families if len(kids) > 1)
-        level_player_counts.append(level_players)
-        per_player = 2 * cfg.T if cfg.sampling == "independent" else cfg.T + 1
-        eval_bound += level_players * per_player + level_players
-
-        if cfg.game_scope == "global":
-            node_ids = [cid for _, kids in families for cid in kids]
-            marks = getattr(cf, "evaluations", 0)
-            estimates = _estimate_level_global(tree, node_ids, level, cf, cfg)
-            phase["sweeps"] += getattr(cf, "evaluations", 0) - marks
-        else:
-            estimates = {}
-            for pid, kids in families:
-                if len(kids) == 1:
-                    estimates[kids[0]] = None
-                    continue
-                players = [tree.node(c).members for c in kids]
-                stream = RngStream(cfg.seed, "level-game", tree.family_token(pid))
-                marks = getattr(cf, "evaluations", 0)
-                est = monte_carlo_shapley(CoalitionGame(players, cf), cfg.T, stream, sampling=cfg.sampling)
-                phase["sweeps"] += getattr(cf, "evaluations", 0) - marks
-                for c, v in zip(kids, est.values.tolist()):
-                    estimates[c] = v
-
-        for pid, kids in families:
-            pot = masses[pid]
-            if len(kids) == 1 and cfg.game_scope == "parent":
-                cid = kids[0]
-                raw[cid] = None
-                masses[cid] = pot
-                budget[cid] = pot
-                continue
-            ests = np.asarray([estimates[c] for c in kids], dtype=np.float64)
-            for c, v in zip(kids, ests.tolist()):
-                raw[c] = v
-            if cfg.normalize:
-                shares = _split_mass(pot, ests)
-            else:
-                shares = ests
-            for c, share in zip(kids, shares.tolist()):
-                masses[c] = share
-            marks = getattr(cf, "evaluations", 0)
-            singles = [cf.evaluate(tree.node(c).members) for c in kids]
-            phase["singletons"] += getattr(cf, "evaluations", 0) - marks
-            weights = propagation_weights(singles)
-            for c, w in zip(kids, weights.tolist()):
-                budget[c] = w * pot
-
-    values = np.zeros(data.n)
+        players = sum(len(kids) for _, kids in tree.families(level) if len(kids) > 1 or cfg.game_scope == "global")
+        level_player_counts.append(players)
+        eval_bound += players * per_player + players
     for lid in tree.leaf_ids():
-        leaf = tree.node(lid)
-        used = _distribute_leaf(values, leaf.members, masses[lid], cfg, cf)
-        phase["leaves"] += used
-        if cfg.leaf_mode == "exact_if_small" and 2 <= len(leaf.members) <= min(cfg.leaf_cap, EXACT_PLAYER_LIMIT):
-            eval_bound += 1 << len(leaf.members)
+        g = len(tree.node(lid).members)
+        if _plays_exact_leaf(cfg, g):
+            eval_bound += 1 << g
 
-    for nid, mass in masses.items():
-        tree.node(nid).cached_shapley = mass
-    for nid, b in budget.items():
-        tree.node(nid).budget = b
+    def level_games(level: int, families: Families) -> Dict[int, Optional[float]]:
+        if cfg.game_scope == "global":
+            return _estimate_level_global(tree, [c for _, kids in families for c in kids], level, cf, cfg)
+        estimates: Dict[int, Optional[float]] = {}
+        for pid, kids in families:
+            if len(kids) == 1:
+                estimates[kids[0]] = None
+                continue
+            game = CoalitionGame([tree.node(c).members for c in kids], cf)
+            stream = RngStream(cfg.seed, "level-game", tree.family_token(pid))
+            est = monte_carlo_shapley(game, cfg.T, stream, sampling=cfg.sampling)
+            estimates.update(zip(kids, est.values.tolist()))
+        return estimates
 
-    total_evals = getattr(cf, "evaluations", 0) - before
+    masses: Dict[int, float] = {}
+    raw: Dict[int, Optional[float]] = {}
+    budget: Dict[int, float] = {}
+    values = np.zeros(data.n)
+    phase = {"root": evals_root, **propagate(tree, cf, cfg, surplus, values, masses, raw, budget, level_games)}
+
     report = HcdvReport(
         surplus=surplus,
-        eval_count=total_evals,
+        eval_count=getattr(cf, "evaluations", 0) - before,
         phase_counts=phase,
         eval_bound=eval_bound,
         masses=masses,

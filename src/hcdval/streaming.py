@@ -3,20 +3,27 @@
 Each ingested batch is embedded with the frozen encoder, assigned to the
 nearest leaf by cosine distance (or spawned as a new singleton leaf when no
 prototype is close enough), and only the touched leaves plus their ancestors
-— the dirty set — are re-estimated:
+— the dirty set — are re-valued, by the batch run's own engine
+(``hcdv.propagate``) restricted to the dirty path:
 
-* families whose children are all dirty re-run one shared prefix sweep;
-* families with a mix refresh just the dirty children, each with its own
-  independent permutation draws, in one ``independent_player_estimate`` call
-  per family (the permutations of all dirty children are drawn together;
-  with a batched payoff each child's 2T coalitions are scored in one call),
-  keeping clean siblings' estimates bit-exact;
-* mass re-propagation gives clean children their cached masses unchanged and
-  splits the residual (refreshed parent mass minus the clean children's
-  share) across dirty children, so value drift stays confined to the dirty
-  subtree while the point values still sum to the refreshed total surplus.
-  A negative residual is split by the same rule, so the dirty children's
-  shares turn negative, and a warning names the parent.
+* the refreshed root surplus is scored first, as a batch run scores it;
+* then one pass per level, from the root down, over the families under
+  dirty parents:
+
+  - a family whose children are all dirty re-runs one shared prefix sweep;
+  - a family with a mix refreshes just the dirty children, each with its
+    own independent permutation draws, in one ``independent_player_estimate``
+    call (the permutations of all dirty children are drawn together; with a
+    batched payoff each child's 2T coalitions are scored in one call),
+    keeping clean siblings' estimates bit-exact;
+  - clean children keep their cached masses unchanged and the dirty children
+    split the residual (parent mass minus the clean children's share), so
+    value drift stays confined to the dirty subtree while the point values
+    still sum to the refreshed total surplus. A negative residual is split
+    by the same rule, so the dirty children's shares turn negative, and a
+    warning names the parent;
+  - every child's audit budget is recomputed from its singleton payoff;
+* last, only the dirty leaves spread their new mass over their points.
 
 The tree is copied node by node on every batch (member sets are shared, as
 they are immutable), so the input state stays a consistent pre-ingest view.
@@ -27,7 +34,6 @@ are split in place under their parent and valued within the same pass.
 
 from __future__ import annotations
 
-import math
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -37,7 +43,7 @@ import numpy as np
 
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, content_token
 from .encoder import EmbeddingMatrix
-from .hcdv import HcdvConfig, run_hcdv, _distribute_leaf, _split_mass, propagation_weights
+from .hcdv import HcdvConfig, propagate, run_hcdv
 from .hierarchy import HierarchyTree, balanced_split, build_tree
 from .shapley import CoalitionGame, independent_player_estimate, monte_carlo_shapley
 from .utility import CharacteristicFn
@@ -74,7 +80,6 @@ class StreamState:
     surplus: float
     assign_threshold: float
     rebalance_period: int
-    updates_since_rebalance: int
     tree_seed: int
     metrics: List[StepMetrics] = field(default_factory=list)
 
@@ -124,7 +129,6 @@ def init_stream(
         surplus=report.surplus,
         assign_threshold=assign_threshold,
         rebalance_period=rebalance_period,
-        updates_since_rebalance=0,
         tree_seed=tree_seed,
     )
 
@@ -276,94 +280,45 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
                 _mark_dirty(tree, child.id, dirty)
             rebalanced = True
 
-    # -- refresh raw estimates on dirty families ------------------------------
-    raw = dict(state.raw_estimates)
-    masses = dict(state.masses)
-    budget = dict(state.budget_map)
-    for nid in list(raw):
-        if nid not in tree.nodes:
-            raw.pop(nid, None)
-            masses.pop(nid, None)
-            budget.pop(nid, None)
-
+    # -- hand the refreshed surplus down the dirty path ---------------------
+    cfg = state.cfg
+    masses = {nid: m for nid, m in state.masses.items() if nid in tree.nodes}
+    raw = {nid: r for nid, r in state.raw_estimates.items() if nid in tree.nodes}
+    budget = {nid: b for nid, b in state.budget_map.items() if nid in tree.nodes}
     marks = cf.evaluations
-    for level in range(len(tree.levels) - 1, 0, -1):
-        for pid, kids in tree.families(level):
-            dirty_kids = [c for c in kids if c in dirty]
-            if not dirty_kids:
-                continue
-            if len(kids) == 1:
-                raw[kids[0]] = None
-                continue
-            players = [tree.node(c).members for c in kids]
-            game = CoalitionGame(players, cf)
-            if len(dirty_kids) == len(kids):
-                stream = RngStream(state.cfg.seed, "refresh-family", tree.family_token(pid), epoch)
-                est = monte_carlo_shapley(game, state.cfg.T, stream)
-                for c, v in zip(kids, est.values.tolist()):
-                    raw[c] = v
-            else:
-                streams = [RngStream(state.cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
-                ests = independent_player_estimate(game, [kids.index(c) for c in dirty_kids], state.cfg.T, streams)
-                for c, v in zip(dirty_kids, ests.tolist()):
-                    raw[c] = v
-    evals_refresh = cf.evaluations - marks
-
-    # -- re-propagate masses along dirty edges --------------------------------
-    marks = cf.evaluations
-    root = tree.root_id
-    surplus = cf.evaluate(tree.node(root).members) - cf.evaluate(EMPTY_SET)
+    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
+    evals_root = cf.evaluations - marks
     if surplus < 0.0:
         warnings.warn(f"refreshed total surplus is negative ({surplus})")
-    masses[root] = surplus
-    raw[root] = surplus
-    budget[root] = surplus
-    for level in range(1, len(tree.levels)):
-        for pid, kids in tree.families(level):
-            if pid not in dirty:
-                continue
-            pot = masses[pid]
+
+    def refresh(level: int, families) -> Dict[int, Optional[float]]:
+        estimates: Dict[int, Optional[float]] = {}
+        for pid, kids in families:
             if len(kids) == 1:
-                cid = kids[0]
-                masses[cid] = pot
-                budget[cid] = pot
+                estimates[kids[0]] = None
                 continue
-            clean_kids = [c for c in kids if c not in dirty]
             dirty_kids = [c for c in kids if c in dirty]
-            if dirty_kids:
-                residual = pot - math.fsum(masses[c] for c in clean_kids)
-                if residual < 0.0 and clean_kids:
-                    warnings.warn(f"negative residual mass {residual} under node {pid}")
-                ests = np.asarray([raw[c] if raw[c] is not None else 0.0 for c in dirty_kids])
-                shares = _split_mass(residual, ests)
-                for c, share in zip(dirty_kids, shares.tolist()):
-                    masses[c] = share
-            singles = [cf.evaluate(tree.node(c).members) for c in kids]
-            weights = propagation_weights(singles)
-            for c, w in zip(kids, weights.tolist()):
-                budget[c] = w * pot
-    evals_masses = cf.evaluations - marks
+            game = CoalitionGame([tree.node(c).members for c in kids], cf)
+            if len(dirty_kids) == len(kids):
+                stream = RngStream(cfg.seed, "refresh-family", tree.family_token(pid), epoch)
+                estimates.update(zip(kids, monte_carlo_shapley(game, cfg.T, stream).values.tolist()))
+            else:
+                streams = [RngStream(cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
+                ests = independent_player_estimate(game, [kids.index(c) for c in dirty_kids], cfg.T, streams)
+                estimates.update(zip(dirty_kids, ests.tolist()))
+        return estimates
 
-    # -- redistribute dirty leaves --------------------------------------------
-    marks = cf.evaluations
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    for lid in tree.leaf_ids():
-        if lid in dirty:
-            _distribute_leaf(values, tree.node(lid).members, masses[lid], state.cfg, cf)
-    evals_leaves = cf.evaluations - marks
-
-    for nid in tree.nodes:
-        tree.node(nid).cached_shapley = masses.get(nid)
-        tree.node(nid).budget = budget.get(nid)
+    phase = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, refresh, dirty)
 
     metrics = StepMetrics(
         epoch=epoch,
         latency_ms=(time.perf_counter() - t_start) * 1000.0,
         dirty_count=len(dirty),
         eval_count=cf.evaluations - evals_at_start,
-        evals_refresh=evals_refresh,
-        evals_masses=evals_masses,
-        evals_leaves=evals_leaves,
+        evals_refresh=phase["sweeps"],
+        evals_masses=evals_root + phase["singletons"],
+        evals_leaves=phase["leaves"],
         leaf_count=len(tree.leaf_ids()),
         spawned=spawned,
         rebalanced=rebalanced,
@@ -382,7 +337,6 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         surplus=surplus,
         assign_threshold=state.assign_threshold,
         rebalance_period=state.rebalance_period,
-        updates_since_rebalance=0 if rebalanced else state.updates_since_rebalance + 1,
         tree_seed=state.tree_seed,
         metrics=state.metrics + [metrics],
     )

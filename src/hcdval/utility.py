@@ -20,13 +20,12 @@ and ``CharacteristicFn.evaluate_coalitions`` with many.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, coalition_key, union
+from .core import EMPTY_SET, LabeledDataset, PointSet, coalition_key
 
 METRICS = ("accuracy", "balanced_accuracy", "auc")
 LEARNERS = ("nearest_centroid", "ridge_logistic")
@@ -454,14 +453,3 @@ class CharacteristicFn:
                 value = value + self.lam * dispersion
             out[start : start + step] = value
         return out
-
-    def level_payoff(self, coalitions: Sequence[PointSet]) -> float:
-        """Payoff of a coalition-of-coalitions: evaluate the union of members."""
-        merged = union(coalitions)
-        if sum(len(c) for c in coalitions) != len(merged):
-            raise ValueError("coalition member sets must be disjoint")
-        return self.evaluate(merged)
-
-    def reset_counters(self) -> None:
-        self.evaluations = 0
-        self.lookups = 0

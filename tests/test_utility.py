@@ -140,13 +140,6 @@ def test_characteristic_decomposes_into_utility_and_dispersion():
     assert lam0.evaluate(pts) == pytest.approx(lam0.base_utility(pts), abs=1e-15)
 
 
-def test_characteristic_level_payoff_requires_disjoint_coalitions():
-    data = _two_blob_data()
-    cf = CharacteristicFn(data, data.features, lam=0.5)
-    with pytest.raises(ValueError, match="disjoint"):
-        cf.level_payoff([PointSet([0, 1]), PointSet([1, 2])])
-
-
 def test_characteristic_validation():
     data = _two_blob_data()
     with pytest.raises(ValueError):
