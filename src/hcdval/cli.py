@@ -48,7 +48,7 @@ from .evaluation import (
     surrogate_regret,
     synthetic_rows,
 )
-from .hcdv import GAME_SCOPES, LEAF_MODES, SAMPLING_MODES, HcdvConfig, last_run_report, run_hcdv
+from .hcdv import LEAF_MODES, HcdvConfig, last_run_report, run_hcdv
 from .hierarchy import build_tree
 from .shapley import CoalitionGame, exact_shapley, flat_mcds, group_shapley, leave_one_out, random_values
 from .streaming import ingest_batch, init_stream
@@ -69,7 +69,6 @@ class RunConfig:
     subcommand: str
     seed: int
     out: str = "out"
-    workers: int = 1
     # dataset
     data: Optional[str] = None
     data_format: str = "csv"
@@ -97,9 +96,6 @@ class RunConfig:
     permutations: int = 256
     lam: float = 0.5
     leaf_mode: str = "exact_if_small"
-    game_scope: str = "parent"
-    normalize: bool = True
-    sampling: str = "prefix"
     metric: str = "accuracy"
     learner: str = "nearest_centroid"
     # baselines
@@ -149,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="YAML file with RunConfig keys; flags override it")
         p.add_argument("--seed", type=int, default=None, help="root seed (required here or in the config file)")
         p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--workers", type=int, default=None, help="cap on worker parallelism (currently serial)")
         p.add_argument("--data", default=None, help="dataset file (csv or binary)")
         p.add_argument("--data-format", dest="data_format", choices=DATA_FORMATS, default=None)
         p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
@@ -173,9 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--permutations", "-T", dest="permutations", type=int, default=None)
         p.add_argument("--lam", type=float, default=None, help="dispersion weight in the characteristic")
         p.add_argument("--leaf-mode", dest="leaf_mode", choices=LEAF_MODES, default=None)
-        p.add_argument("--game-scope", dest="game_scope", choices=GAME_SCOPES, default=None)
-        p.add_argument("--no-normalize", dest="normalize", action="store_const", const=False, default=None)
-        p.add_argument("--sampling", choices=SAMPLING_MODES, default=None)
         p.add_argument("--metric", choices=tuple(METRICS), default=None)
         p.add_argument("--learner", choices=tuple(LEARNERS), default=None)
         p.add_argument("--method", choices=BASELINE_METHODS, default=None)
@@ -225,8 +217,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _validate_config(cfg: RunConfig) -> None:
     if cfg.subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand: {cfg.subcommand}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
     if cfg.data_format not in DATA_FORMATS:
         raise ConfigError(f"data_format must be one of {DATA_FORMATS}")
     if cfg.data_format == "synthetic":
@@ -260,10 +250,6 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("lam must be >= 0")
     if cfg.leaf_mode not in LEAF_MODES:
         raise ConfigError(f"leaf_mode must be one of {LEAF_MODES}")
-    if cfg.game_scope not in GAME_SCOPES:
-        raise ConfigError(f"game_scope must be one of {GAME_SCOPES}")
-    if cfg.sampling not in SAMPLING_MODES:
-        raise ConfigError(f"sampling must be one of {SAMPLING_MODES}")
     if cfg.metric not in METRICS:
         raise ConfigError(f"metric must be one of {tuple(METRICS)}")
     if cfg.learner not in LEARNERS:
@@ -344,9 +330,6 @@ def _hcdv_config(cfg: RunConfig) -> HcdvConfig:
         leaf_cap=cfg.leaf_cap,
         leaf_mode=cfg.leaf_mode,
         seed=cfg.seed,
-        game_scope=cfg.game_scope,
-        normalize=cfg.normalize,
-        sampling=cfg.sampling,
     )
 
 
@@ -621,11 +604,8 @@ def _suite_efficiency(cfg: RunConfig) -> dict:
     budget_gap = 0.0
     for level in range(1, len(tree.levels)):
         for pid, kids in tree.families(level):
-            if not all(k in report.budget_map for k in kids):
-                continue
-            pot = report.surplus if level == 1 else report.masses[pid]
             total = math.fsum(report.budget_map[k] for k in kids)
-            budget_gap = max(budget_gap, abs(total - pot))
+            budget_gap = max(budget_gap, abs(total - report.masses[pid]))
     passed = exact_gap <= 1e-9 and hcdv_gap <= 1e-6 and budget_gap <= 1e-9
     return {
         "exact_gap": exact_gap,

@@ -116,9 +116,9 @@ class LabeledDataset:
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
-        labs = np.ascontiguousarray(self.labels, dtype=np.int64)
+        labs = np.ascontiguousarray(class_codes(self.labels))
         vfeats = np.ascontiguousarray(self.val_features, dtype=np.float64)
-        vlabs = np.ascontiguousarray(self.val_labels, dtype=np.int64)
+        vlabs = np.ascontiguousarray(class_codes(self.val_labels))
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs)
         object.__setattr__(self, "val_features", vfeats)
@@ -325,6 +325,19 @@ def _parse_csv(path):
     return np.asarray(rows, dtype=np.float64), np.asarray(labels, dtype=np.int64)
 
 
+def class_codes(labels) -> np.ndarray:
+    """Labels as int64 class codes; a non-finite or non-integral label raises, naming its row."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind in "biu":
+        return labels.astype(np.int64, copy=False)
+    codes = labels.astype(np.float64)
+    with np.errstate(invalid="ignore"):  # inf - inf is nan, which fails the test below
+        bad = np.flatnonzero(~(np.abs(codes - np.round(codes)) <= 1e-9))
+    if bad.size:
+        raise ValueError(f"label at row {bad[0]} is {float(codes.flat[bad[0]])!r}, not an integer class code")
+    return np.round(codes).astype(np.int64)
+
+
 def dataset_from_arrays(
     features: np.ndarray,
     labels: np.ndarray,
@@ -339,7 +352,7 @@ def dataset_from_arrays(
     standard deviation (features with zero spread are left unscaled).
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_codes(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features and labels must align")
     if not np.isfinite(features).all():

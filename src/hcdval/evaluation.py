@@ -4,13 +4,17 @@ Everything here is seeded and deterministic: the checks compare measured
 quantities (Monte-Carlo deviations, efficiency drift, regret) against the
 bounds the estimator is supposed to satisfy, using exact Shapley oracles on
 small games as ground truth.
+
+The diagnostic game modes (one game per level, per-player independent
+permutations, raw estimates) live here too, not in ``hcdv.run_hcdv``:
+``diagnostic_hcdv`` and ``hierarchical_error_budget`` play them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -23,10 +27,12 @@ from .core import (
     content_token,
     dataset_from_arrays,
 )
-from .hcdv import HcdvConfig, last_run_report, run_hcdv, _split_mass
+from .hcdv import Families, HcdvConfig, _check_run_inputs, _distribute_leaf, _split_mass, propagate
 from .hierarchy import HierarchyTree
 from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
 
+
+GAME_SCOPES = ("parent", "global")
 
 SPUR_ANGLE = math.radians(95.0)
 SPUR_RADIUS = 7.0
@@ -127,18 +133,7 @@ def flip_labels(data: LabeledDataset, fraction: float, seed: int = 0):
     for i in flipped:
         offset = 1 if data.num_classes == 2 else int(gen.integers(1, data.num_classes))
         labels[i] = (labels[i] + offset) % data.num_classes
-    noisy = LabeledDataset(
-        features=data.features,
-        labels=labels,
-        val_features=data.val_features,
-        val_labels=data.val_labels,
-        num_classes=data.num_classes,
-        feature_mean=data.feature_mean,
-        feature_std=data.feature_std,
-        feature_low=data.feature_low,
-        feature_high=data.feature_high,
-    )
-    return noisy, flipped
+    return replace(data, labels=labels), flipped
 
 
 def topk_select(values, k: int) -> PointSet:
@@ -301,30 +296,84 @@ class ErrorBudgetReport:
     total_value: float
 
 
+def _diagnostic_level_estimator(
+    tree: HierarchyTree, cf, cfg: HcdvConfig, game_scope: str, sampling: str
+) -> Callable[[int, Families], Dict[int, Optional[float]]]:
+    """A ``propagate`` level estimator for the diagnostic game modes.
+
+    ``game_scope="parent"`` plays one game per family on ``run_hcdv``'s
+    streams (a sole child maps to None); "global" plays one game over all the
+    families' children. ``sampling`` is "prefix" or "independent".
+    """
+    if game_scope not in GAME_SCOPES:
+        raise ValueError(f"unknown game_scope {game_scope!r}")
+
+    def play(node_ids: List[int], purpose: str, token) -> Dict[int, Optional[float]]:
+        game = CoalitionGame([tree.node(c).members for c in node_ids], cf)
+        est = monte_carlo_shapley(game, cfg.T, RngStream(cfg.seed, purpose, token), sampling=sampling)
+        return dict(zip(node_ids, est.values.tolist()))
+
+    def level_estimates(level: int, families: Families) -> Dict[int, Optional[float]]:
+        if game_scope == "global":
+            node_ids = [c for _, kids in families for c in kids]
+            token = content_token(level, *(tree.node(c).members.indices for c in node_ids))
+            return play(node_ids, "level-game-global", token)
+        estimates: Dict[int, Optional[float]] = {}
+        for pid, kids in families:
+            estimates.update(play(kids, "level-game", tree.family_token(pid)) if len(kids) > 1 else {kids[0]: None})
+        return estimates
+
+    return level_estimates
+
+
+def diagnostic_hcdv(
+    data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig, game_scope: str, sampling: str
+) -> ValueVector:
+    """``run_hcdv``'s normalised hand-down with the level games played the given way.
+
+    The values still sum to the root surplus; ("parent", "prefix") equals
+    ``run_hcdv`` bit for bit. No run report is kept.
+    """
+    _check_run_inputs(data, emb, tree, cf, cfg)
+    level_estimates = _diagnostic_level_estimator(tree, cf, cfg, game_scope, sampling)
+    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
+    values = np.zeros(data.n)
+    propagate(tree, cf, cfg, surplus, values, {}, {}, {}, level_estimates)
+    tag = f"hcdv-{game_scope}-{sampling}"
+    return ValueVector(values=values, method_tag=tag, seed=cfg.seed, permutations_T=cfg.T, wallclock_ms=0.0)
+
+
 def hierarchical_error_budget(
     data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig
 ) -> ErrorBudgetReport:
     """Run the no-normalisation diagnostic and measure its error budget.
 
     The diagnostic plays one global game per level with per-player
-    independent permutations and keeps raw (unnormalised) estimates, so the
-    point values no longer sum to the root surplus by construction; the gap
-    must instead stay within the sum over levels of the worst per-coalition
-    Monte-Carlo error (measured against exact level oracles) plus the leaf
-    allocation gap of oversize leaves.
+    independent permutations and keeps the raw estimates: each leaf spreads
+    its own, so the point values no longer sum to the root surplus by
+    construction. The gap must instead stay within the sum over levels of the
+    worst per-coalition Monte-Carlo error (measured against exact level
+    oracles) plus the leaf allocation gap of oversize leaves.
     """
-    diag_cfg = replace(cfg, game_scope="global", normalize=False, sampling="independent")
-    phi = run_hcdv(data, emb, tree, cf, diag_cfg)
-    report = last_run_report()
+    _check_run_inputs(data, emb, tree, cf, cfg)
+    level_estimates = _diagnostic_level_estimator(tree, cf, cfg, "global", "independent")
+    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
+    raw = {tree.root_id: surplus}
+    for level in range(1, len(tree.levels)):
+        n_nodes = len(tree.levels[level])
+        if n_nodes > EXACT_PLAYER_LIMIT:  # checked before the level's game is played
+            raise ValueError(f"level {level} has {n_nodes} coalitions; exact oracle capped at {EXACT_PLAYER_LIMIT}")
+        raw.update(level_estimates(level, tree.families(level)))
+    values = np.zeros(data.n)
+    for lid in tree.leaf_ids():
+        _distribute_leaf(values, tree.node(lid).members, raw[lid], cfg, cf)
 
     eps_mc: List[float] = []
     for level in range(1, len(tree.levels)):
         node_ids = tree.levels[level]
-        if len(node_ids) > EXACT_PLAYER_LIMIT:
-            raise ValueError(f"level {level} has {len(node_ids)} coalitions; exact oracle capped at {EXACT_PLAYER_LIMIT}")
         players = [tree.node(c).members for c in node_ids]
         exact = exact_shapley(CoalitionGame(players, cf)).values
-        errs = [abs(report.raw_estimates[c] - e) for c, e in zip(node_ids, exact.tolist())]
+        errs = [abs(raw[c] - e) for c, e in zip(node_ids, exact.tolist())]
         eps_mc.append(max(errs))
 
     eps_leaf = 0.0
@@ -335,15 +384,15 @@ def hierarchical_error_budget(
             continue
         if g > EXACT_PLAYER_LIMIT:
             raise ValueError(f"oversize leaf of {g} points exceeds the exact-game cap")
-        mass = report.masses[lid]
+        mass = raw[lid]
         players = [PointSet._from_sorted(leaf.members.indices[i : i + 1]) for i in range(g)]
         exact_leaf = exact_shapley(CoalitionGame(players, cf)).values
         exact_alloc = _split_mass(mass, exact_leaf)
         uniform = np.full(g, mass / g)
         eps_leaf += float(np.abs(exact_alloc - uniform).sum())
 
-    total = math.fsum(phi.values.tolist())
-    deviation = abs(total - report.surplus)
+    total = math.fsum(values.tolist())
+    deviation = abs(total - surplus)
     bound = math.fsum(eps_mc) + eps_leaf
     return ErrorBudgetReport(
         deviation=deviation,
@@ -351,6 +400,6 @@ def hierarchical_error_budget(
         eps_leaf=eps_leaf,
         bound=bound,
         satisfied=bool(deviation <= bound),
-        surplus=report.surplus,
+        surplus=surplus,
         total_value=total,
     )

@@ -15,6 +15,9 @@ streaming ingest alike; each caller brings its own level estimator. Given a
 under dirty parents and redistributes only dirty leaves; ``dirty=None``
 marks every node dirty, which is the batch run.
 
+``run_hcdv`` has one configuration: family games by prefix sweeps, mass
+handed down normalised. The diagnostic game modes live in ``evaluation.py``.
+
 A parallel audit map propagates budgets through the classic singleton-payoff
 weights; it satisfies the same per-family conservation invariant but does not
 feed the returned values.
@@ -30,13 +33,11 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, content_token
+from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector
 from .hierarchy import HierarchyTree
 from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
 
 LEAF_MODES = ("exact_if_small", "always_uniform")
-GAME_SCOPES = ("parent", "global")
-SAMPLING_MODES = ("prefix", "independent")
 
 
 @dataclass(frozen=True)
@@ -50,12 +51,8 @@ class HcdvConfig:
         the leaf has at most min(leaf_cap, 12) points; "always_uniform"
         spreads leaf mass evenly
     :param seed: root seed for every derived stream
-    :param game_scope: "parent" plays one game per family (default);
-        "global" plays one game per level over all level nodes (diagnostics)
-    :param normalize: rescale estimates so each family hands down exactly its
-        parent's mass (default); False keeps raw estimates (diagnostics)
-    :param sampling: "prefix" shared-permutation sweeps (default) or
-        "independent" per-player permutations (diagnostics)
+
+    The diagnostic game modes are arguments of ``evaluation.diagnostic_hcdv``.
     """
 
     T: int = 256
@@ -63,9 +60,6 @@ class HcdvConfig:
     leaf_cap: int = 64
     leaf_mode: str = "exact_if_small"
     seed: int = 0
-    game_scope: str = "parent"
-    normalize: bool = True
-    sampling: str = "prefix"
 
     def __post_init__(self):
         if self.T < 1:
@@ -76,10 +70,6 @@ class HcdvConfig:
             raise ValueError("leaf_cap must be positive")
         if self.leaf_mode not in LEAF_MODES:
             raise ValueError(f"unknown leaf_mode {self.leaf_mode!r}")
-        if self.game_scope not in GAME_SCOPES:
-            raise ValueError(f"unknown game_scope {self.game_scope!r}")
-        if self.sampling not in SAMPLING_MODES:
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
 
 @dataclass
@@ -194,8 +184,7 @@ def propagate(
             if residual < 0.0 and clean_kids:
                 warnings.warn(f"negative residual mass {residual} under node {pid}")
             ests = np.asarray([raw[c] for c in dirty_kids], dtype=np.float64)
-            shares = _split_mass(residual, ests) if cfg.normalize else ests
-            masses.update(zip(dirty_kids, shares.tolist()))
+            masses.update(zip(dirty_kids, _split_mass(residual, ests).tolist()))
             marks = evals()
             singles = [cf.evaluate(tree.node(c).members) for c in kids]
             phase["singletons"] += evals() - marks
@@ -214,10 +203,8 @@ def propagate(
     return phase
 
 
-def run_hcdv(
-    data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig
-) -> ValueVector:
-    """Value every train point by hierarchical Shapley mass propagation."""
+def _check_run_inputs(data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig) -> None:
+    """Reject a run whose embedding, tree or payoff disagree with the data or config."""
     vectors = getattr(emb, "vectors", emb)
     if vectors.shape[0] != data.n:
         raise ValueError("embedding rows must align with the train split")
@@ -228,6 +215,12 @@ def run_hcdv(
     if tree.leaf_cap != cfg.leaf_cap:
         raise ValueError("tree leaf capacity differs from the run config")
 
+
+def run_hcdv(
+    data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig
+) -> ValueVector:
+    """Value every train point by hierarchical Shapley mass propagation."""
+    _check_run_inputs(data, emb, tree, cf, cfg)
     start = time.perf_counter()
     before = getattr(cf, "evaluations", 0)
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
@@ -237,19 +230,17 @@ def run_hcdv(
 
     level_player_counts: List[int] = []
     eval_bound = 2
-    per_player = 2 * cfg.T if cfg.sampling == "independent" else cfg.T + 1
     for level in range(1, len(tree.levels)):
-        players = sum(len(kids) for _, kids in tree.families(level) if len(kids) > 1 or cfg.game_scope == "global")
+        players = sum(len(kids) for _, kids in tree.families(level) if len(kids) > 1)
         level_player_counts.append(players)
-        eval_bound += players * per_player + players
+        # a prefix sweep scores T + 1 coalitions per player, plus its singleton
+        eval_bound += players * (cfg.T + 1) + players
     for lid in tree.leaf_ids():
         g = len(tree.node(lid).members)
         if _plays_exact_leaf(cfg, g):
             eval_bound += 1 << g
 
     def level_games(level: int, families: Families) -> Dict[int, Optional[float]]:
-        if cfg.game_scope == "global":
-            return _estimate_level_global(tree, [c for _, kids in families for c in kids], level, cf, cfg)
         estimates: Dict[int, Optional[float]] = {}
         for pid, kids in families:
             if len(kids) == 1:
@@ -257,7 +248,7 @@ def run_hcdv(
                 continue
             game = CoalitionGame([tree.node(c).members for c in kids], cf)
             stream = RngStream(cfg.seed, "level-game", tree.family_token(pid))
-            est = monte_carlo_shapley(game, cfg.T, stream, sampling=cfg.sampling)
+            est = monte_carlo_shapley(game, cfg.T, stream)
             estimates.update(zip(kids, est.values.tolist()))
         return estimates
 
@@ -282,10 +273,9 @@ def run_hcdv(
     global _LAST_REPORT
     _LAST_REPORT = report
 
-    if cfg.normalize:
-        drift = abs(math.fsum(values.tolist()) - surplus)
-        if not drift <= 1e-6 * max(1.0, abs(surplus)):
-            raise AssertionError(f"value mass escaped during propagation: drift {drift}")
+    drift = abs(math.fsum(values.tolist()) - surplus)
+    if not drift <= 1e-6 * max(1.0, abs(surplus)):
+        raise AssertionError(f"value mass escaped during propagation: drift {drift}")
 
     return ValueVector(
         values=values,
@@ -294,17 +284,6 @@ def run_hcdv(
         permutations_T=cfg.T,
         wallclock_ms=report.wallclock_ms,
     )
-
-
-def _estimate_level_global(tree: HierarchyTree, node_ids: List[int], level: int, cf, cfg: HcdvConfig):
-    """One game over every node of a level (diagnostic game scope)."""
-    players = [tree.node(c).members for c in node_ids]
-    token_parts: list = [level]
-    for c in node_ids:
-        token_parts.append(tree.node(c).members.indices)
-    stream = RngStream(cfg.seed, "level-game-global", content_token(*token_parts))
-    est = monte_carlo_shapley(CoalitionGame(players, cf), cfg.T, stream, sampling=cfg.sampling)
-    return {c: v for c, v in zip(node_ids, est.values.tolist())}
 
 
 def evaluation_counter() -> int:

@@ -36,15 +36,15 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, content_token
+from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, class_codes, content_token
 from .encoder import EmbeddingMatrix
 from .hcdv import HcdvConfig, propagate, run_hcdv
-from .hierarchy import HierarchyTree, balanced_split, build_tree
+from .hierarchy import HierarchyTree, balanced_split, build_tree, capacity_window
 from .shapley import CoalitionGame, independent_player_estimate, monte_carlo_shapley
 from .utility import CharacteristicFn
 
@@ -110,8 +110,6 @@ def init_stream(
         raise ValueError("rebalance period must be positive")
     if assign_threshold < 0:
         raise ValueError("assignment threshold must be non-negative")
-    if cfg.game_scope != "parent" or not cfg.normalize or cfg.sampling != "prefix":
-        raise ValueError("streaming supports only the default pipeline (parent games, normalised, prefix sweeps)")
     tree = tree.copy()
     vec = run_hcdv(data, emb, tree, cf, cfg)
     report = last_run_report()
@@ -144,9 +142,9 @@ def _cosine_to_prototypes(z: np.ndarray, protos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_membership(tree: HierarchyTree, leaf_id: int, point: int, z: np.ndarray) -> None:
-    """Append a (strictly larger) point index to a leaf and all its ancestors."""
-    nid = leaf_id
+def _grow_membership(tree: HierarchyTree, node_id: int, point: int, z: np.ndarray) -> None:
+    """Append a (strictly larger) point index to a node and all its ancestors."""
+    nid = node_id
     while nid is not None:
         node = tree.node(nid)
         node.members = PointSet._from_sorted(np.append(node.members.indices, point))
@@ -170,7 +168,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     """
     t_start = time.perf_counter()
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = class_codes(labels)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("batch features and labels must align")
     if features.shape[0] == 0:
@@ -199,26 +197,9 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     n_old = old.n
     batch_ids = np.arange(n_old, n_old + features.shape[0], dtype=np.int64)
 
-    new_features = np.vstack([old.features, Xb])
-    new_labels = np.concatenate([old.labels, labels])
     new_vectors = np.vstack([state.embedding.vectors, Zb])
-    data = LabeledDataset(
-        features=new_features,
-        labels=new_labels,
-        val_features=old.val_features,
-        val_labels=old.val_labels,
-        num_classes=old.num_classes,
-        feature_mean=old.feature_mean,
-        feature_std=old.feature_std,
-        feature_low=old.feature_low,
-        feature_high=old.feature_high,
-    )
-    embedding = EmbeddingMatrix(
-        vectors=new_vectors,
-        source=state.embedding.source,
-        transform=state.embedding.transform,
-        training_trace=state.embedding.training_trace,
-    )
+    data = replace(old, features=np.vstack([old.features, Xb]), labels=np.concatenate([old.labels, labels]))
+    embedding = replace(state.embedding, vectors=new_vectors)
     cf = CharacteristicFn(data, embedding, lam=state.cf.lam, metric=state.cf.metric, learner=state.cf.learner)
     cf._cache = state.cf._cache  # old keys stay valid: indices are append-only
     evals_at_start = cf.evaluations
@@ -238,13 +219,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
             pbest = parent_ids[int(np.argmin(_cosine_to_prototypes(z, pprotos)))]
             leaf = tree._new_node(depth, pbest, PointSet._from_sorted(np.asarray([i], dtype=np.int64)), z)
             tree.levels[depth].append(leaf.id)
-            # the new point also joins every ancestor of the spawn parent
-            nid = pbest
-            while nid is not None:
-                node = tree.node(nid)
-                node.members = PointSet._from_sorted(np.append(node.members.indices, i))
-                node.prototype = node.prototype + (z - node.prototype) / len(node.members)
-                nid = node.parent
+            _grow_membership(tree, pbest, i, z)  # the spawn parent and its ancestors
             spawned += 1
             _mark_dirty(tree, leaf.id, dirty)
         else:
@@ -260,7 +235,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
             g = len(leaf.members)
             # smallest split count whose capacity window fits under the leaf cap
             K_split = max(2, -(-g // tree.leaf_cap))
-            while int(np.ceil((1.0 + tree.gamma) * (-(-g // K_split)))) > tree.leaf_cap and K_split < g:
+            while capacity_window(g, K_split, tree.gamma)[1] > tree.leaf_cap and K_split < g:
                 K_split += 1
             parts = balanced_split(
                 new_vectors,

@@ -24,6 +24,7 @@ from hcdval import (
     concentration_check,
     content_token,
     dataset_from_arrays,
+    diagnostic_hcdv,
     efficiency_check,
     exact_shapley,
     flat_mcds,
@@ -140,10 +141,11 @@ def test_criterion_3_efficiency_and_error_budget():
                         leaf_cap=8,
                         leaf_mode=leaf_mode,
                         seed=13,
-                        game_scope=scope,
-                        sampling=sampling,
                     )
-                    phi = run_hcdv(data, emb, tree, cf, cfg)
+                    if (scope, sampling) == ("parent", "prefix"):
+                        phi = run_hcdv(data, emb, tree, cf, cfg)
+                    else:
+                        phi = diagnostic_hcdv(data, emb, tree, cf, cfg, scope, sampling)
                     gap = efficiency_check(phi, cf)
                     assert gap <= 1e-6, (
                         f"scope={scope} sampling={sampling} leaf_mode={leaf_mode} "

@@ -88,6 +88,17 @@ def test_unknown_config_key_is_rejected(tmp_path):
     assert "branching_factor" in err["message"]
 
 
+@pytest.mark.parametrize("key", ["workers: 2", "game_scope: global", "normalize: false", "sampling: independent"])
+def test_removed_diagnostic_keys_are_rejected(tmp_path, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 1\n{key}\n")
+    out = tmp_path / "run"
+    rc = main(["value", "--config", str(cfg), "--out", str(out), "--data-format", "synthetic"])
+    assert rc == 2
+    err = json.loads((out / "error.json").read_text())
+    assert key.split(":")[0] in err["message"]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("seed: 3\ndata_format: synthetic\nsynthetic_n: 60\npermutations: 16\nbranching: [3]\nleaf_cap: 12\n")

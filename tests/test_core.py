@@ -170,6 +170,22 @@ def test_dataset_requires_two_classes_per_split():
         dataset_from_arrays(feats, np.zeros(10, dtype=int), seed=0)
 
 
+def test_dataset_rejects_non_integer_labels():
+    feats = np.random.default_rng(0).normal(size=(30, 2))
+    labels = np.array([0, 1] * 15, dtype=np.float64)
+    labels[3] = 0.6  # used to truncate silently to class 0
+    with pytest.raises(ValueError, match="row 3 is 0.6"):
+        dataset_from_arrays(feats, labels, seed=0)
+    labels[3] = np.nan
+    with pytest.raises(ValueError, match="row 3 is nan"):
+        dataset_from_arrays(feats, labels, seed=0)
+    labels[3] = 1.0  # integral floats are class codes
+    data = dataset_from_arrays(feats, labels, seed=0)
+    assert data.labels.dtype == np.int64
+    with pytest.raises(ValueError, match="row 1 is 0.6"):
+        LabeledDataset(feats[:2], np.array([1.0, 0.6]), feats[2:4], np.array([0, 1]), num_classes=2)
+
+
 def test_value_vector_total_and_validation():
     vv = ValueVector(
         values=np.array([0.1, 0.2, 0.3]),

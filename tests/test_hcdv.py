@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
-from hcdval.evaluation import make_synthetic
+from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic
 from hcdval.hcdv import (
     HcdvConfig,
     evaluation_counter,
@@ -155,19 +155,10 @@ def test_seed_changes_values():
 # ------------------------------------------------------------ bookkeeping
 
 
-@pytest.mark.parametrize("scope", ["parent", "global"])
-@pytest.mark.parametrize("sampling", ["prefix", "independent"])
 @pytest.mark.parametrize("leaf_mode", ["exact_if_small", "always_uniform"])
-def test_counter_matches_phases_and_bound(scope, sampling, leaf_mode):
+def test_counter_matches_phases_and_bound(leaf_mode):
     data, emb, tree, cf = small_pipeline(n=36, branching=(3,), leaf_cap=8, seed=6)
-    cfg = HcdvConfig(
-        T=6,
-        leaf_cap=8,
-        seed=8,
-        game_scope=scope,
-        sampling=sampling,
-        leaf_mode=leaf_mode,
-    )
+    cfg = HcdvConfig(T=6, leaf_cap=8, seed=8, leaf_mode=leaf_mode)
     before = cf.evaluations
     run_hcdv(data, emb, tree, cf, cfg)
     report = last_run_report()
@@ -215,10 +206,6 @@ def test_config_validation():
         HcdvConfig(leaf_cap=0)
     with pytest.raises(ValueError):
         HcdvConfig(leaf_mode="sometimes")
-    with pytest.raises(ValueError):
-        HcdvConfig(game_scope="local")
-    with pytest.raises(ValueError):
-        HcdvConfig(sampling="antithetic")
 
 
 def test_run_rejects_mismatched_inputs():
@@ -264,16 +251,33 @@ def test_negative_surplus_warns_and_still_conserves():
     assert math.fsum(phi.values.tolist()) == pytest.approx(surplus, abs=1e-9)
 
 
-# ------------------------------------------------------------ global scope
+# ------------------------------------------------------- diagnostic modes
+
+
+@pytest.mark.parametrize("leaf_mode", ["exact_if_small", "always_uniform"])
+def test_diagnostic_parent_prefix_equals_run_hcdv_bit_for_bit(leaf_mode):
+    data, emb, tree, cf = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=21)
+    cfg = HcdvConfig(T=12, leaf_cap=6, seed=3, leaf_mode=leaf_mode)
+    production = run_hcdv(data, emb, tree, cf, cfg)
+    cf2 = CharacteristicFn(data, emb, lam=0.5)
+    diagnostic = diagnostic_hcdv(data, emb, tree, cf2, cfg, "parent", "prefix")
+    assert diagnostic.values.tobytes() == production.values.tobytes()
+
+
+def test_diagnostic_rejects_unknown_modes():
+    data, emb, tree, cf = small_pipeline()
+    cfg = HcdvConfig(T=4, leaf_cap=8)
+    with pytest.raises(ValueError, match="game_scope"):
+        diagnostic_hcdv(data, emb, tree, cf, cfg, "local", "prefix")
+    with pytest.raises(ValueError, match="sampling"):
+        diagnostic_hcdv(data, emb, tree, cf, cfg, "parent", "antithetic")
 
 
 def test_global_scope_conserves_and_differs_from_parent_scope():
     data, emb, tree, cf = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=21)
-    base = HcdvConfig(T=12, leaf_cap=6, seed=3)
-    parent_phi = run_hcdv(data, emb, tree, cf, base)
-    global_phi = run_hcdv(
-        data, emb, tree, cf, HcdvConfig(T=12, leaf_cap=6, seed=3, game_scope="global")
-    )
+    cfg = HcdvConfig(T=12, leaf_cap=6, seed=3)
+    parent_phi = run_hcdv(data, emb, tree, cf, cfg)
+    global_phi = diagnostic_hcdv(data, emb, tree, cf, cfg, "global", "prefix")
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     for phi in (parent_phi, global_phi):
         assert math.fsum(phi.values.tolist()) == pytest.approx(surplus, abs=1e-6)
@@ -281,12 +285,10 @@ def test_global_scope_conserves_and_differs_from_parent_scope():
 
 
 def test_no_normalize_drops_conservation_guarantee_but_runs():
-    data, emb, tree, cf = small_pipeline(n=40, branching=(2,), leaf_cap=12, seed=17)
-    cfg = HcdvConfig(T=8, leaf_cap=12, seed=5, normalize=False)
-    phi = run_hcdv(data, emb, tree, cf, cfg)
-    report = last_run_report()
-    assert len(phi.values) == data.n
-    assert set(report.raw_estimates) == set(tree.nodes)
+    data, emb, tree, cf = small_pipeline(n=40, branching=(2, 3), leaf_cap=6, seed=17)
+    rep = hierarchical_error_budget(data, emb, tree, cf, HcdvConfig(T=8, leaf_cap=6, seed=5))
+    assert rep.total_value != rep.surplus  # raw estimates do not telescope
+    assert rep.deviation == abs(rep.total_value - rep.surplus)
 
 
 def test_value_vector_metadata():

@@ -69,13 +69,6 @@ def test_init_rejects_non_default_pipelines():
     emb = identity_embeddings(data)
     tree = build_tree(emb, branching=(2,), leaf_cap=12, gamma=0.25)
     cf = CharacteristicFn(data, emb, lam=0.5)
-    for bad in (
-        HcdvConfig(T=4, leaf_cap=12, game_scope="global"),
-        HcdvConfig(T=4, leaf_cap=12, normalize=False),
-        HcdvConfig(T=4, leaf_cap=12, sampling="independent"),
-    ):
-        with pytest.raises(ValueError, match="default pipeline"):
-            init_stream(data, emb, tree, cf, bad)
     good = HcdvConfig(T=4, leaf_cap=12)
     with pytest.raises(ValueError, match="rebalance"):
         init_stream(data, emb, tree, cf, good, rebalance_period=0)
@@ -233,6 +226,17 @@ def test_bad_batches_are_rejected():
         ingest_batch(state, np.zeros((1, 3)), np.array([0], dtype=np.int64))
     with pytest.raises(ValueError, match="align"):
         ingest_batch(state, np.zeros((2, 2)), np.array([0], dtype=np.int64))
+
+
+def test_non_integer_batch_labels_are_rejected():
+    state = blob_stream_state(n_per=10, seed=12)
+    # used to truncate silently to classes [0, 1]
+    with pytest.raises(ValueError, match="row 0 is 0.9"):
+        ingest_batch(state, np.zeros((2, 2)), np.array([0.9, 1.2]))
+    with pytest.raises(ValueError, match="row 1 is inf"):
+        ingest_batch(state, np.zeros((2, 2)), np.array([1.0, np.inf]))
+    new = ingest_batch(state, np.full((2, 2), 6.0), np.array([0.0, 1.0]))
+    assert new.data.labels[-2:].tolist() == [0, 1]
 
 
 def test_full_recompute_conserves_on_current_corpus():
