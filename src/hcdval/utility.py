@@ -16,6 +16,15 @@ embedding rows and counts of nonzero-norm rows. ``_nearest_centroid_utility``
 and ``_dispersion_from_stats`` score coalitions from those statistics, one row
 per coalition; the one-coalition functions below call them with a single row,
 and ``CharacteristicFn.evaluate_coalitions`` with many.
+
+The nearest-centroid prediction takes every squared distance from one GEMM,
+|x|^2 - 2 x.mu + |mu|^2, and recomputes with the direct sum_k (x_k - mu_k)^2
+the (row, validation point) pairs whose top-two gap is within a proven
+rounding bound, so the argmin is certified equal to the direct formula's.
+Apart from that GEMM, whose rounding the certificate absorbs, each row is
+scored by elementwise arithmetic, and batched coalition statistics add block
+statistics in a fixed order, so a coalition's payoff does not depend on which
+other coalitions share its call.
 """
 
 from __future__ import annotations
@@ -33,8 +42,10 @@ LEARNERS = ("nearest_centroid", "ridge_logistic")
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
 
 # Batched scoring works in chunks: the (rows, points) membership matrix, the
-# (groups, points) one-hot matrix and the (rows, n_val, C, D) distance
-# temporary stay within these element counts, whatever the number of players.
+# (groups, points) one-hot matrix and the (rows, n_val, C) distance array
+# stay within these element counts, whatever the number of players. The auc
+# metric keeps the direct (rows, n_val, C, D) difference temporary, so its
+# chunks hold D times fewer rows. Payoffs do not depend on the chunking.
 _MEMBER_BUDGET = 1 << 20
 _ONEHOT_BUDGET = 1 << 17
 _DISTANCE_BUDGET = 1 << 15
@@ -131,20 +142,103 @@ def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return unit, nonzero
 
 
-def _pairwise_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """binary_auc of every row of ``scores``.
+def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """binary_auc of every row of ``scores``, from one sort per row.
 
-    Counts positive-over-negative wins plus half the ties, which is the same
-    half-integer as binary_auc's rank sum, over the same product, so the two
-    agree exactly.
+    Each row's tie-averaged ranks are the mean of the first and last sorted
+    position of their run of equal scores, as in binary_auc. The rank sum of
+    the positives is a sum of half-integers, exact in any order, so the two
+    agree bit for bit. Memory is O(rows * n_val), not O(rows * n_pos * n_neg).
     """
-    pos = scores[:, labels == 1][:, :, None]
-    neg = scores[:, labels != 1][:, None, :]
-    n_pairs = pos.shape[1] * neg.shape[2]
-    if n_pairs == 0:
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
         return np.full(scores.shape[0], 0.5)
-    wins = (pos > neg).sum(axis=(1, 2)) + 0.5 * (pos == neg).sum(axis=(1, 2))
-    return wins / n_pairs
+    order = np.argsort(scores, axis=1, kind="mergesort")
+    ranked = np.take_along_axis(scores, order, axis=1)
+    n = labels.size
+    at = np.arange(n)
+    starts = np.ones(ranked.shape, dtype=bool)
+    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    ends = np.ones(ranked.shape, dtype=bool)
+    ends[:, :-1] = starts[:, 1:]
+    first = np.maximum.accumulate(np.where(starts, at, 0), axis=1)
+    last = np.minimum.accumulate(np.where(ends, at, n)[:, ::-1], axis=1)[:, ::-1]
+    ranks = 0.5 * (first + last) + 1.0
+    rank_sum = np.where(pos[order], ranks, 0.0).sum(axis=1)
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _direct_sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """sum_k (x_k - mu_ck)^2 for x (..., D) against centroids (..., C, D): (..., C)."""
+    return ((x[..., None, :] - centroids) ** 2).sum(axis=-1)
+
+
+# Certified argmin. Both formulas score the same (computed) centroids mu, so
+# let d_c = |x - mu_c|^2 exactly, u = 2^-53 and gamma_n = n u / (1 - n u).
+# A dot product of D terms errs by at most gamma_D * sum_k |a_k b_k| in any
+# summation order, with or without FMA (Higham, "Accuracy and Stability of
+# Numerical Algorithms", 2nd ed., sec. 3.1), so with no overflow or underflow:
+# - direct, sum_k (x_k - mu_ck)^2: one rounded difference, one rounded square
+#   and D - 1 additions of non-negative terms per class, so
+#   |direct_c - d_c| <= gamma_{D+2} d_c <= gamma_{D+2} (|x| + |mu_c|)^2;
+# - expanded, (|x|^2 - 2 x.mu_c) + |mu_c|^2: three dot products (doubling is
+#   exact) and two additions, so |expanded_c - d_c| <= gamma_{D+2} (|x| + |mu_c|)^2.
+# If the expanded values of classes a and b differ by more than these four
+# errors together, the direct values order a and b the same way, strictly.
+# With (|x| + |mu|)^2 <= 2 (|x|^2 + |mu|^2) and M = max_c |mu_c|^2 the four
+# are at most 8 gamma_{D+2} (|x|^2 + M). The bound takes 9 (D + 2) u times
+# the computed |x|^2 + M, which also covers the rounding of the norms, the gap
+# and the bound while (D + 2) u < 1e-3. Underflow adds at most half a
+# subnormal spacing per product (twice that for the doubled x.mu), 5 D
+# spacings over the four values, so 8 D spacings cover them. While
+# |x|^2 + M < 2^1019 no step of either formula overflows (each is at most
+# about 2 (|x|^2 + M)); above that, or for a NaN, the bound is infinite. A
+# pair whose gap is not above the bound (NaN gaps included) is scored by the
+# direct formula.
+_GAP_ULPS = 9.0 * (np.finfo(np.float64).eps / 2.0)
+_GAP_SPACINGS = 8.0 * np.finfo(np.float64).smallest_subnormal
+_GAP_SCALE_LIMIT = 2.0**1019
+
+
+def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.ndarray) -> np.ndarray:
+    """(R, n_val) class of the present centroid nearest to each validation point.
+
+    :param centroids: (R, C, D) class centroids of each row; every row has at
+        least two present classes
+    :param present: (R, C) which classes the row holds
+
+    Equals the argmin of the direct squared distances (absent classes at
+    infinity, ties to the lowest class) bit for bit: one GEMM gives every
+    expanded distance, and the pairs whose top-two gap is within the
+    rounding bound above are recomputed with the direct formula.
+    """
+    R, C, D = centroids.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing pairs take the direct formula
+        xx = np.einsum("vk,vk->v", val_X, val_X)
+        mm = np.einsum("rck,rck->rc", centroids, centroids)
+        xm = (centroids.reshape(R * C, D) @ val_X.T).reshape(R, C, -1)
+        d2 = (xx - 2.0 * xm) + mm[:, :, None]
+        if C == 2:  # both classes present: the gap is one subtraction
+            diff = d2[:, 1] - d2[:, 0]
+            pred = (diff < 0.0).astype(np.intp)
+            gap = np.abs(diff)
+        else:
+            if not present.all():
+                d2 = np.where(present[:, :, None], d2, np.inf)
+            pred = d2.argmin(axis=1)
+            two = np.partition(d2, 1, axis=1)
+            gap = two[:, 1] - two[:, 0]
+        scale = xx + mm.max(axis=1)[:, None]
+        bound = np.where(scale < _GAP_SCALE_LIMIT, ((D + 2) * _GAP_ULPS) * scale + D * _GAP_SPACINGS, np.inf)
+    r, v = np.nonzero(~(gap > bound))
+    if r.size:
+        direct = _direct_sq_distances(val_X[v], centroids[r])
+        if not present.all():
+            direct = np.where(present[r], direct, np.inf)
+        pred[r, v] = direct.argmin(axis=1)
+    return pred
 
 
 def _nearest_centroid_utility(
@@ -164,8 +258,9 @@ def _nearest_centroid_utility(
 
     A class absent from a row has no centroid (an infinite distance), so the
     argmin picks the lowest present class on ties, as a model fitted on the
-    present classes alone does. The binary AUC score is the margin of the
-    class-1 centroid over the class-0 centroid.
+    present classes alone does. The argmin is certified (``_nearest_centroids``).
+    The binary AUC score is the margin of the class-1 centroid over the
+    class-0 centroid, from the direct (R, n_val, C, D) distance temporary.
     """
     present = counts > 0
     ok = present.sum(axis=1) >= 2
@@ -175,13 +270,13 @@ def _nearest_centroid_utility(
             out[ok] = _nearest_centroid_utility(counts[ok], sums[ok], val_X, val_y, metric, chance)
         return out
     centroids = sums / np.maximum(counts, 1.0)[:, :, None]
-    d2 = ((val_X[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
-    if not present.all():
-        d2 = np.where(present[:, None, :], d2, np.inf)
     if metric == "auc":
-        scores = _pairwise_auc(np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
+        d2 = _direct_sq_distances(val_X[None], centroids[:, None])
+        if not present.all():
+            d2 = np.where(present[:, None, :], d2, np.inf)
+        scores = _rank_auc(np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
     else:
-        pred = d2.argmin(axis=2)
+        pred = _nearest_centroids(centroids, present, val_X)
         if metric == "accuracy":
             scores = (pred == val_y).sum(axis=1) / val_y.size
         else:
@@ -311,7 +406,10 @@ class CharacteristicFn:
 
     With the nearest-centroid learner (``batched``), ``evaluate_coalitions``
     scores whole batches of coalitions over disjoint point blocks from
-    per-block class statistics, through the same cache and checks.
+    per-block class statistics, through the same cache and checks. A batched
+    payoff is batch-invariant: a coalition scored alone, inside any batch or
+    in any chunk gives the same bytes. Its nearest-centroid argmin is
+    certified to equal the direct distance formula's.
     """
 
     def __init__(
@@ -399,10 +497,9 @@ class CharacteristicFn:
         coalition is looked up in, and its payoff stored into, the cache that
         ``evaluate`` uses, with the same bound check; a coalition repeated
         within the batch counts as one miss. The misses are scored together:
-        per-(block, class) counts and sums are formed once, one matmul of the
-        miss rows against them gives every coalition's class statistics, and
-        the whole validation split is predicted in one array pass per chunk
-        of rows.
+        per-(block, class) counts and sums are formed once, each coalition's
+        class statistics add its blocks' in block order, and the whole
+        validation split is predicted in one array pass per chunk of rows.
         """
         if not self.batched:
             raise ValueError(f"no batched payoff for learner {self.learner!r}")
@@ -443,9 +540,16 @@ class CharacteristicFn:
         D = val_X.shape[1]
         chance = chance_level(self.metric, C)
         out = np.empty(rows.shape[0])
-        step = max(1, _DISTANCE_BUDGET // (val_y.size * C * D))
+        per_row = val_y.size * C * (D if self.metric == "auc" else 1)
+        step = max(1, _DISTANCE_BUDGET // per_row)
         for start in range(0, rows.shape[0], step):
-            coalition = (rows[start : start + step].astype(np.float64) @ stats).reshape(-1, C, stats.shape[1] // C)
+            chunk = rows[start : start + step]
+            # selected blocks added in block order: no BLAS reduction whose
+            # rounding depends on how many rows share the call
+            coalition = np.zeros((chunk.shape[0], stats.shape[1]))
+            for j in range(n_blocks):
+                np.add(coalition, stats[j], out=coalition, where=chunk[:, j, None])
+            coalition = coalition.reshape(-1, C, stats.shape[1] // C)
             counts = coalition[:, :, 0]
             value = _nearest_centroid_utility(counts, coalition[:, :, 1 : 1 + D], val_X, val_y, self.metric, chance)
             if self.lam:

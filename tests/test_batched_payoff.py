@@ -2,7 +2,8 @@
 
 ``CharacteristicFn.evaluate_coalitions`` scores many coalitions over disjoint
 point blocks from per-block class statistics. These tests hold it to
-``evaluate`` on the same coalitions (values, cache keys, miss counts), and the
+``evaluate`` on the same coalitions (values, cache keys, miss counts), its
+certified nearest-centroid argmin to the direct distance formula, and the
 Shapley solvers that use it to the generic per-coalition path.
 """
 
@@ -29,6 +30,7 @@ from hcdval import (
     monte_carlo_shapley,
     union,
 )
+from hcdval import utility
 
 TOL = 1e-12
 
@@ -72,11 +74,18 @@ def test_cache_key_is_a_16_byte_digest():
     metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
     lam=st.sampled_from([0.0, 0.5]),
     on_grid=st.booleans(),
+    D=st.sampled_from([1, 2, 8]),
 )
-def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_grid):
+def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_grid, D):
     if metric == "auc" and C != 2:
         C = 2
-    data, emb = random_dataset(seed, C, D=2, on_grid=on_grid)
+    if metric == "auc" and D == 1:
+        # with one feature every validation point outside the centroid
+        # segment has the same margin in exact arithmetic, so off the grid
+        # the auc ranks those ties by rounding noise, and the two paths'
+        # centroids, whose last bits differ, rank them differently
+        D = 2
+    data, emb = random_dataset(seed, C, D=D, on_grid=on_grid)
     gen = np.random.default_rng(seed + 1)
     blocks = random_blocks(gen, data.n)
     K = len(blocks)
@@ -97,21 +106,87 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
     assert batched.evaluations == single.evaluations
 
 
+# Offsets of the tie case: around 1.23e8 the squared norms carry more than
+# 53 bits, and at this one the expanded distances put validation point 0
+# nearer class 1; near 1e160 they overflow. Both must take the direct formula.
+TIE_OFFSETS = [(0.0, 1.0), (123000001.5, 1.0), (1e160, 4.0 * np.spacing(1e160))]
+
+
 @pytest.mark.parametrize("metric", ["accuracy", "balanced_accuracy", "auc"])
 def test_equidistant_validation_point_breaks_the_tie_the_same_way(metric):
-    # class-0 centroid at -1, class-1 centroid at +1; validation point 0 is
-    # equidistant and goes to the lower class on both paths
-    feats = np.array([[-1.0], [-1.0], [1.0], [1.0]])
-    labels = np.array([0, 0, 1, 1])
-    val = np.array([[0.0], [-2.0], [2.0]])
-    data = LabeledDataset(feats, labels, val, np.array([1, 0, 1]), 2)
-    blocks = [PointSet([i]) for i in range(4)]
-    rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=bool)
-    got = CharacteristicFn(data, feats, lam=0.0, metric=metric).evaluate_coalitions(blocks, rows)
-    single = CharacteristicFn(data, feats, lam=0.0, metric=metric)
-    want = [single.evaluate(PointSet(np.flatnonzero(row))) for row in rows]
+    # class-0 centroid at -1, class-1 centroid at +1 (in units, around the
+    # offset); validation point 0 is equidistant and goes to the lower class
+    # on both paths
     expected = {"accuracy": 2.0 / 3.0, "balanced_accuracy": 0.75, "auc": 1.0}[metric]
-    assert got.tolist() == want == [expected] * 3
+    for offset, unit in TIE_OFFSETS:
+        feats = offset + unit * np.array([[-1.0], [-1.0], [1.0], [1.0]])
+        labels = np.array([0, 0, 1, 1])
+        val = offset + unit * np.array([[0.0], [-2.0], [2.0]])
+        data = LabeledDataset(feats, labels, val, np.array([1, 0, 1]), 2)
+        blocks = [PointSet([i]) for i in range(4)]
+        rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=bool)
+        got = CharacteristicFn(data, feats, lam=0.0, metric=metric).evaluate_coalitions(blocks, rows)
+        single = CharacteristicFn(data, feats, lam=0.0, metric=metric)
+        want = [single.evaluate(PointSet(np.flatnonzero(row))) for row in rows]
+        assert got.tolist() == want == [expected] * 3, offset
+
+
+def direct_nearest_centroids(centroids, present, val_X):
+    """Argmin of the direct squared distances, absent classes at infinity: the reference."""
+    d2 = ((val_X[None, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
+    return np.where(present[:, None, :], d2, np.inf).argmin(axis=2)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 10_000),
+    C=st.sampled_from([2, 3, 4]),
+    D=st.sampled_from([1, 2, 8]),
+    offset=st.sampled_from(TIE_OFFSETS),
+    on_grid=st.booleans(),
+)
+def test_certified_argmin_equals_the_direct_formula(seed, C, D, offset, on_grid):
+    gen = np.random.default_rng(seed)
+    base, unit = offset
+    R, n_val = 6, 12
+    if on_grid:  # half-integer grids: many exact ties
+        centroids = 0.5 * gen.integers(-3, 4, size=(R, C, D))
+        val_X = 0.5 * gen.integers(-3, 4, size=(n_val, D))
+    else:
+        centroids, val_X = gen.normal(size=(R, C, D)), gen.normal(size=(n_val, D))
+    centroids, val_X = base + unit * centroids, base + unit * val_X
+    present = np.ones((R, C), dtype=bool)
+    if C > 2:  # drop up to C - 2 classes per row
+        present[gen.random((R, C)) < 0.3] = False
+        present[:, :2] = True
+        present = np.take_along_axis(present, gen.permutation(np.tile(np.arange(C), (R, 1)), axis=1), axis=1)
+    got = utility._nearest_centroids(centroids, present, val_X)
+    assert np.array_equal(got, direct_nearest_centroids(centroids, present, val_X))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    seed=st.integers(0, 1_000),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+    lam=st.sampled_from([0.0, 0.5]),
+)
+def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
+    data = make_synthetic(200, overlap=0.4, seed=seed)
+    gen = np.random.default_rng(seed)
+    blocks = [PointSet(part) for part in np.split(gen.permutation(data.n)[:120], 8)]
+    rows = gen.random((40, 8)) < 0.5
+    subset = gen.permutation(rows.shape[0])[: int(gen.integers(2, rows.shape[0]))]
+
+    def score(batch):
+        return CharacteristicFn(data, data.features, lam=lam, metric=metric).evaluate_coalitions(blocks, batch)
+
+    together = score(rows)
+    alone = np.concatenate([score(row[None]) for row in rows])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(utility, "_DISTANCE_BUDGET", 1)  # one-row chunks
+        chunked = score(rows)
+    assert together.tobytes() == alone.tobytes() == chunked.tobytes()
+    assert score(rows[subset]).tobytes() == together[subset].tobytes()
 
 
 def test_blocks_must_be_disjoint_and_learner_batchable():
@@ -235,8 +310,7 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
 
     together = _games(seed, lam, metric, sizes)
     alone = _games(seed, lam, metric, sizes)
-    # a coalition can round differently in another batch, so the batched
-    # payoff must see exactly the calls that one-player estimates make
+    # the batched payoff sees exactly the calls that one-player estimates make
     batches = {"together": [], "alone": []}
     for name, games in (("together", together), ("alone", alone)):
         games[0]._batch = _recording(games[0]._batch, batches[name])
@@ -290,8 +364,8 @@ def test_batched_permutation_log_replays_bit_for_bit():
 CHECKS_UNDER_O = """
 import numpy as np
 from hcdval import (
-    CharacteristicFn, CoalitionGame, PointSet, RngStream, independent_player_estimate, make_synthetic,
-    monte_carlo_shapley,
+    CharacteristicFn, CoalitionGame, LabeledDataset, PointSet, RngStream, independent_player_estimate,
+    make_synthetic, monte_carlo_shapley,
 )
 
 assert False, "asserts are stripped under -O"
@@ -318,6 +392,12 @@ class Tight(CharacteristicFn):
 
 print(raises(lambda: Tight(data, data.features).evaluate(PointSet(range(data.n)))))
 print(raises(lambda: Tight(data, data.features).evaluate_coalitions(players, np.ones((1, 4), bool))))
+
+# the offset tie case: the expanded distances put point 0 nearer class 1
+feats = 123000001.5 + np.array([[-1.0], [-1.0], [1.0], [1.0]])
+tie = LabeledDataset(feats, np.array([0, 0, 1, 1]), 123000001.5 + np.array([[0.0], [-2.0], [2.0]]), np.array([1, 0, 1]), 2)
+rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1]], bool)
+print("tie", CharacteristicFn(tie, feats, lam=0.0).evaluate_coalitions([PointSet([i]) for i in range(4)], rows).tolist())
 """
 
 
@@ -326,7 +406,8 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(line.startswith("marginal contribution") for line in lines[:5])
     assert lines[5].startswith("payoff") and lines[6].startswith("payoff")
+    assert lines[7] == f"tie {[2.0 / 3.0] * 2}"
 

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcdval import CharacteristicFn, EMPTY_SET, PointSet, make_synthetic, normalized_dispersion
-from hcdval.utility import D_MAX, binary_auc, chance_level, coalition_utility
+from hcdval import CharacteristicFn, EMPTY_SET, LabeledDataset, PointSet, make_synthetic, normalized_dispersion
+from hcdval.utility import D_MAX, _rank_auc, binary_auc, chance_level, coalition_utility
 
 
 def brute_force_dispersion(vectors, labels, idx):
@@ -81,6 +83,36 @@ def test_binary_auc_hand_cases():
     assert binary_auc(np.array([0.4, 0.3, 0.2, 0.1]), y) == 0.0
     # all-tied scores average to chance
     assert binary_auc(np.zeros(4), y) == pytest.approx(0.5)
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 30), levels=st.integers(1, 6))
+def test_rank_auc_equals_binary_auc_on_tied_grids(seed, n, levels):
+    gen = np.random.default_rng(seed)
+    scores = 0.25 * gen.integers(-levels, levels, size=(5, n), endpoint=True)
+    scores[0] = -scores[0] * 0.0  # signed zeros tie with each other
+    labels = gen.integers(0, 2, size=n)
+    want = np.array([binary_auc(row, labels) for row in scores])
+    assert _rank_auc(scores, labels).tobytes() == want.tobytes()
+
+
+def test_auc_payoff_memory_grows_with_the_validation_split_not_its_pairs():
+    gen = np.random.default_rng(0)
+    n_val = 4000
+    data = LabeledDataset(
+        gen.normal(size=(40, 2)), np.arange(40) % 2, gen.normal(size=(n_val, 2)), np.arange(n_val) % 2, 2
+    )
+    cf = CharacteristicFn(data, data.features, lam=0.0, metric="auc")
+    blocks = [PointSet(range(i, 40, 4)) for i in range(4)]
+    rows = np.array([[1, 1, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0]], dtype=bool)
+    tracemalloc.start()
+    try:
+        cf.evaluate_coalitions(blocks, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # (rows, n_pos, n_neg) comparison temporaries took 8.4 MB here
+    assert peak < 2_000_000
 
 
 def _two_blob_data(n=40, seed=0):
