@@ -345,9 +345,11 @@ def _write_json(path, payload) -> None:
 
 
 def _git_revision() -> Optional[str]:
+    """HEAD of the git checkout holding this package, or None outside one."""
     try:
         res = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10
+            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10,
+            cwd=Path(__file__).resolve().parent,
         )
     except OSError:
         return None

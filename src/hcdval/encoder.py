@@ -265,16 +265,15 @@ def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions):
     return objective
 
 
-def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4, *, stacked: bool = False) -> np.ndarray:
+def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
     """Central-difference gradient of a function over a parameter matrix.
 
     Entry k moves by h_k = rel_step * (1 + |W_k|) up and down, and its
     derivative is (f(W + h_k e_k) - f(W - h_k e_k)) / (2 h_k). The 2 * W.size
     perturbed matrices (up then down, entry by entry) are built in chunks of
     at most ``_STACK_BUDGET`` elements, or one entry's pair if a matrix is
-    larger. With ``stacked``, ``fn`` maps a (P, *W.shape) stack to P values
-    and receives each chunk in one call; otherwise ``fn`` maps one matrix to a
-    scalar and is called on the perturbed matrices in order. W is not modified.
+    larger. ``fn`` maps a (P, *W.shape) stack to P values and receives each
+    chunk in one call. W is not modified.
     """
     W = np.asarray(W, dtype=np.float64)
     flat = W.ravel()
@@ -288,7 +287,7 @@ def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4, *, stacked: bool = Fa
         stack[at, entries] = flat[entries] + h[entries]
         stack[at + 1, entries] = flat[entries] - h[entries]
         stack = stack.reshape(-1, *W.shape)
-        values[2 * start : 2 * start + len(stack)] = fn(stack) if stacked else [fn(M) for M in stack]
+        values[2 * start : 2 * start + len(stack)] = fn(stack)
     return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(W.shape)
 
 
@@ -337,7 +336,7 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     snapshots = [W]
     for epoch in range(1, cfg.epochs + 1):
         for objective in batch_objectives(epoch):
-            W = W + cfg.lr * fd_gradient(objective, W, stacked=True)
+            W = W + cfg.lr * fd_gradient(objective, W)
         snapshots.append(W)
 
     stack = np.stack(snapshots)

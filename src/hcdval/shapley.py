@@ -16,17 +16,18 @@ state from the hashed words, and lets one PCG64 set to each state in turn run
 numpy's own shuffle. That skips building a generator per permutation and
 gives the same rows bit for bit.
 
-Payoffs with a batched form (``CharacteristicFn`` with the nearest-centroid
-learner, flagged by its ``batched`` property) are scored a whole coalition
-matrix at a time: ``exact_shapley`` makes one ``evaluate_coalitions`` call for
-all 2^K coalitions, and prefix sweeps turn their permutations into prefix rows,
-drop duplicate rows and score the distinct ones together, and independent
+Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
+coalition, through ``_distinct_row_values``, which drops duplicate rows and
+hands the distinct ones to ``CoalitionGame.values_of_rows`` in one call:
+``exact_shapley`` asks for all 2^K coalitions at once, prefix sweeps turn
+their permutations into prefix rows (a chunk at a time), and independent
 sampling (``independent_player_estimate`` and ``sampling="independent"``)
-turns each player's T permutations into 2T rows, predecessors without and
-with the player, and scores each player's distinct rows in one call. Plain
-callables and the ridge-logistic learner are called once per coalition, in
-the same order as always. Either way every coalition goes through the
-payoff's cache, so evaluation counts do not depend on the path.
+turns each listed player's T permutations into 2T rows, predecessors without
+and with the player, and asks for all players' rows together. A payoff with
+an ``evaluate_coalitions`` method (``CharacteristicFn``) scores the whole
+matrix in one call through its cache, and its payoffs do not depend on the
+batch, so the estimates equal one-coalition-at-a-time play bit for bit; a
+plain callable is called once per distinct row.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ class CoalitionGame:
     """Players (disjoint point sets) plus a payoff over unions of players.
 
     :param players: disjoint PointSets, one per player
-    :param payoff: a CharacteristicFn-like object (``evaluate(PointSet)``) or a
-        plain callable PointSet -> float
+    :param payoff: a CharacteristicFn-like object (``evaluate(PointSet)`` and
+        ``evaluate_coalitions(blocks, rows)``) or a plain callable
+        PointSet -> float
     :param bound: payoff bound B such that marginal contributions lie in
         [-2B, 2B]; taken from ``payoff.B`` when present
     """
@@ -63,13 +65,11 @@ class CoalitionGame:
         if sum(len(p) for p in self.players) != len(merged):
             raise ValueError("player point sets must be disjoint")
         self._eval: Callable[[PointSet], float] = getattr(payoff, "evaluate", payoff)
-        self._batch = payoff.evaluate_coalitions if getattr(payoff, "batched", False) else None
+        self._batch = getattr(payoff, "evaluate_coalitions", self._call_per_row)
         self.payoff = payoff
         if bound is None:
             bound = getattr(payoff, "B", None)
         self.bound = None if bound is None else float(bound)
-        size = int(merged.indices[-1]) + 1 if len(merged) else 1
-        self._mask_size = size
 
     @property
     def K(self) -> int:
@@ -90,11 +90,12 @@ class CoalitionGame:
     def values_of_rows(self, rows: np.ndarray) -> np.ndarray:
         """Payoffs of the coalitions flagged by the rows of an (R, K) 0/1 player matrix.
 
-        A batched payoff scores all rows in one call; any other payoff is
-        called once per row, in row order.
+        The payoff's ``evaluate_coalitions(players, rows)`` scores all rows in
+        one call; a plain callable is called once per row, in row order.
         """
-        if self._batch is not None:
-            return self._batch(self.players, rows)
+        return self._batch(self.players, rows)
+
+    def _call_per_row(self, players: Sequence[PointSet], rows: np.ndarray) -> np.ndarray:
         return np.array([self.value_of_ids(np.flatnonzero(row)) for row in rows], dtype=np.float64)
 
 
@@ -230,18 +231,13 @@ def _resolve_generator(rng) -> tuple[np.random.Generator, int]:
     raise TypeError(f"rng must be an RngStream, Generator or int, got {type(rng)!r}")
 
 
-def _check_marginal(gain: float, bound: Optional[float]) -> None:
-    if bound is not None and not abs(gain) <= 2.0 * bound + 1e-9:
-        raise AssertionError(f"marginal contribution {gain} escapes [-2B, 2B] with B={bound}")
-
-
 def _check_gains(gains: np.ndarray, bound: Optional[float]) -> None:
-    """``_check_marginal`` over an array of gains, raising for the first bad one in C order."""
+    """Raise for the first gain, in C order, outside [-2B, 2B] (NaN included)."""
     if bound is None:
         return
     bad = ~(np.abs(gains) <= 2.0 * bound + 1e-9)
     if bad.any():
-        _check_marginal(float(gains[bad][0]), bound)
+        raise AssertionError(f"marginal contribution {float(gains[bad][0])} escapes [-2B, 2B] with B={bound}")
 
 
 def _sums_in_order(gains: np.ndarray) -> np.ndarray:
@@ -256,8 +252,7 @@ def _prefix_values(game: CoalitionGame, perms: np.ndarray) -> np.ndarray:
     """Payoffs of every prefix of every permutation, empty prefix first: (T, K + 1).
 
     Prefix rows are built a chunk at a time (so memory stays bounded for
-    any K), duplicate rows are dropped, and each chunk's distinct rows are
-    scored in one call.
+    any K), and each chunk's distinct rows are scored in one call.
     """
     T, K = perms.shape
     position = np.argsort(perms, axis=1)  # position[t, j]: where player j sits in permutation t
@@ -283,13 +278,10 @@ def _player_gains(game: CoalitionGame, players: np.ndarray, seeds: np.ndarray) -
     permutations; all P·T permutations are drawn in one call. Permutation t
     of player k contributes two coalitions, the player's predecessors and the
     predecessors plus the player, as rows 2(kT + t) and 2(kT + t) + 1 of one
-    0/1 player matrix. A batched payoff scores each player's distinct rows in
-    one call, player by player, exactly as P one-player calls would: a
-    coalition scored in a different batch can round differently in its last
-    bit (BLAS takes another kernel for a one-row product), so scoring all
-    players' rows together would not reproduce the one-player estimates. Any
-    other payoff is called once per row, in row order. Every gain is checked
-    against the payoff bound, player by player and in permutation order.
+    0/1 player matrix, whose distinct rows are scored in one call. Payoffs
+    do not depend on their batch, so the gains equal P one-player calls' bit
+    for bit. Every gain is checked against the payoff bound, player by
+    player and in permutation order.
     """
     P, T = seeds.shape
     who = np.repeat(players, T)
@@ -297,10 +289,7 @@ def _player_gains(game: CoalitionGame, players: np.ndarray, seeds: np.ndarray) -
     position = np.argsort(_permutations(seeds, game.K), axis=1)
     rows = np.repeat(position < position[draw, who][:, None], 2, axis=0)
     rows[2 * draw + 1, who] = True
-    if game._batch is not None:
-        v = np.concatenate([_distinct_row_values(game, part) for part in np.split(rows, P)])
-    else:
-        v = game.values_of_rows(rows)
+    v = _distinct_row_values(game, rows)
     gains = (v[1::2] - v[0::2]).reshape(P, T)
     _check_gains(gains, game.bound)
     return gains
@@ -355,25 +344,11 @@ def monte_carlo_shapley(
         totals = _sums_in_order(_player_gains(game, np.arange(K), seeds))
         return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=None)
     perms = _permutations(seeds, K)
+    gains = np.diff(_prefix_values(game, perms), axis=1)
+    _check_gains(gains, game.bound)
     totals = np.zeros(K)
-    if game._batch is not None:
-        gains = np.diff(_prefix_values(game, perms), axis=1)
-        _check_gains(gains, game.bound)
-        for perm, gain in zip(perms, gains):
-            totals[perm] += gain
-    else:
-        mask = np.zeros(game._mask_size, dtype=bool)
-        v_empty = game.value_of_mask(mask)
-        for perm in perms:
-            mask[:] = False
-            prev = v_empty
-            for player in perm:
-                mask[game.players[player].indices] = True
-                cur = game.value_of_mask(mask)
-                gain = cur - prev
-                _check_marginal(gain, game.bound)
-                totals[player] += gain
-                prev = cur
+    for perm, gain in zip(perms, gains):
+        totals[perm] += gain
     return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=seeds.tolist())
 
 

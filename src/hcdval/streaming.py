@@ -13,9 +13,9 @@ prototype is close enough), and only the touched leaves plus their ancestors
   - a family whose children are all dirty re-runs one shared prefix sweep;
   - a family with a mix refreshes just the dirty children, each with its
     own independent permutation draws, in one ``independent_player_estimate``
-    call (the permutations of all dirty children are drawn together; with a
-    batched payoff each child's 2T coalitions are scored in one call),
-    keeping clean siblings' estimates bit-exact;
+    call (the permutations of all dirty children are drawn together, and
+    the distinct ones of their 2T coalitions each are scored in one payoff
+    call), keeping clean siblings' estimates bit-exact;
   - clean children keep their cached masses unchanged and the dirty children
     split the residual (parent mass minus the clean children's share), so
     value drift stays confined to the dirty subtree while the point values

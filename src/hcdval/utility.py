@@ -14,8 +14,10 @@ With the nearest-centroid learner both terms depend on S only through
 per-class sufficient statistics: counts, feature sums, sums of unit
 embedding rows and counts of nonzero-norm rows. ``_nearest_centroid_utility``
 and ``_dispersion_from_stats`` score coalitions from those statistics, one row
-per coalition; the one-coalition functions below call them with a single row,
-and ``CharacteristicFn.evaluate_coalitions`` with many.
+per coalition. The per-point reference functions ``coalition_utility`` and
+``normalized_dispersion`` call them with a single row; ``CharacteristicFn``
+scores every coalition it caches in ``_score_rows``, whether ``evaluate`` asks
+for one coalition or ``evaluate_coalitions`` for many.
 
 The nearest-centroid prediction takes every squared distance from one GEMM,
 |x|^2 - 2 x.mu + |mu|^2, and recomputes with the direct sum_k (x_k - mu_k)^2
@@ -404,12 +406,16 @@ class CharacteristicFn:
     misses only. Evaluation is deterministic: both learners are closed-form
     or fixed-step full-batch, so no RNG is consumed.
 
-    With the nearest-centroid learner (``batched``), ``evaluate_coalitions``
-    scores whole batches of coalitions over disjoint point blocks from
-    per-block class statistics, through the same cache and checks. A batched
-    payoff is batch-invariant: a coalition scored alone, inside any batch or
-    in any chunk gives the same bytes. Its nearest-centroid argmin is
-    certified to equal the direct distance formula's.
+    ``evaluate`` scores one coalition, ``evaluate_coalitions`` a batch of
+    coalitions over disjoint point blocks; both go through one cache, one
+    bound check and one scorer, ``_score_rows``, which ``evaluate`` calls
+    with one row of one block. The nearest-centroid learner is scored from
+    per-block class statistics and is batch-invariant: a coalition scored
+    alone, inside any batch or in any chunk gives the same bytes, and its
+    argmin is certified to equal the direct distance formula's. A payoff's
+    last bits can still depend on how its coalition is split into blocks,
+    which orders the statistics' sums; the cache keeps the first scoring.
+    The ridge-logistic learner is fitted once per coalition.
     """
 
     def __init__(
@@ -440,7 +446,7 @@ class CharacteristicFn:
         self._cache: dict[bytes, float] = {}
         self.evaluations = 0  # cache misses: actual payoff computations
         self.lookups = 0
-        if self.batched:
+        if learner == "nearest_centroid":
             # per-point columns of the sufficient statistics: count, features
             # and, for the dispersion term, unit embedding and nonzero flag
             columns = [np.ones(dataset.n), dataset.features]
@@ -448,11 +454,6 @@ class CharacteristicFn:
                 unit, nonzero = _unit_rows(vectors)
                 columns += [unit, nonzero]
             self._point_stats = np.column_stack(columns)
-
-    @property
-    def batched(self) -> bool:
-        """Whether ``evaluate_coalitions`` is available (nearest-centroid learner)."""
-        return self.learner == "nearest_centroid"
 
     @property
     def d_max(self) -> float:
@@ -478,9 +479,7 @@ class CharacteristicFn:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        value = self.base_utility(points)
-        if self.lam:
-            value = value + self.lam * self.normalized_dispersion(points).value
+        value = float(self._score_rows(points.indices, np.zeros(len(points), np.intp), 1, np.ones((1, 1), bool))[0])
         self._store(key, value)
         return value
 
@@ -496,13 +495,12 @@ class CharacteristicFn:
         Row r is the union of the blocks j with ``rows[r, j]`` set. Every
         coalition is looked up in, and its payoff stored into, the cache that
         ``evaluate`` uses, with the same bound check; a coalition repeated
-        within the batch counts as one miss. The misses are scored together:
-        per-(block, class) counts and sums are formed once, each coalition's
-        class statistics add its blocks' in block order, and the whole
-        validation split is predicted in one array pass per chunk of rows.
+        within the batch counts as one miss. The misses are scored together
+        by ``_score_rows``: for the nearest-centroid learner, per-(block,
+        class) counts and sums are formed once, each coalition's class
+        statistics add its blocks' in block order, and the whole validation
+        split is predicted in one array pass per chunk of rows.
         """
-        if not self.batched:
-            raise ValueError(f"no batched payoff for learner {self.learner!r}")
         rows = np.asarray(rows, dtype=bool)
         points = np.concatenate([b.indices for b in blocks])
         owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
@@ -532,6 +530,16 @@ class CharacteristicFn:
         return values
 
     def _score_rows(self, points: np.ndarray, owner: np.ndarray, n_blocks: int, rows: np.ndarray) -> np.ndarray:
+        """Payoffs of the rows of a 0/1 block matrix, blocks given by sorted ``points`` and their ``owner``."""
+        if self.learner == "ridge_logistic":  # no sufficient statistics: one fit per row
+            out = []
+            for row in rows:
+                coalition = PointSet._from_sorted(points[row[owner]])
+                value = self.base_utility(coalition)
+                if self.lam:
+                    value = value + self.lam * self.normalized_dispersion(coalition).value
+                out.append(value)
+            return np.array(out, dtype=np.float64)
         data = self.dataset
         C = data.num_classes
         stats = _group_sums(self._point_stats[points], owner * C + data.labels[points], n_blocks * C)

@@ -1,10 +1,11 @@
-"""The batched nearest-centroid payoff against the one-coalition-at-a-time path.
+"""The batched payoff against the per-point reference and the generic path.
 
 ``CharacteristicFn.evaluate_coalitions`` scores many coalitions over disjoint
-point blocks from per-block class statistics. These tests hold it to
-``evaluate`` on the same coalitions (values, cache keys, miss counts), its
-certified nearest-centroid argmin to the direct distance formula, and the
-Shapley solvers that use it to the generic per-coalition path.
+point blocks, and ``evaluate`` one, both through ``_score_rows``. These tests
+hold it to the per-point reference ``coalition_utility`` +
+lambda * ``normalized_dispersion`` (values) and to ``evaluate`` (bytes, cache
+keys, miss counts), its certified nearest-centroid argmin to the direct
+distance formula, and the Shapley solvers that use it to a plain callable.
 """
 
 import math
@@ -24,10 +25,12 @@ from hcdval import (
     LabeledDataset,
     PointSet,
     RngStream,
+    coalition_utility,
     exact_shapley,
     independent_player_estimate,
     make_synthetic,
     monte_carlo_shapley,
+    normalized_dispersion,
     union,
 )
 from hcdval import utility
@@ -62,6 +65,14 @@ def random_blocks(gen: np.random.Generator, n: int) -> list:
     return [PointSet(part) for part in np.split(order, cuts) if part.size]
 
 
+def reference_payoff(data, emb, lam, metric, learner, points) -> float:
+    """The per-point payoff: the learner fitted on the coalition's rows, plus the dispersion bonus."""
+    value = coalition_utility(data, points, metric, learner)
+    if lam:
+        value = value + lam * normalized_dispersion(emb, data.labels, points).value
+    return value
+
+
 def test_cache_key_is_a_16_byte_digest():
     assert len(PointSet(range(1000)).key()) == 16
     assert PointSet([1, 2]).key() != PointSet([1, 3]).key()
@@ -82,8 +93,9 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
     if metric == "auc" and D == 1:
         # with one feature every validation point outside the centroid
         # segment has the same margin in exact arithmetic, so off the grid
-        # the auc ranks those ties by rounding noise, and the two paths'
-        # centroids, whose last bits differ, rank them differently
+        # the auc ranks those ties by rounding noise, and the per-point
+        # centroids, whose last bits differ from the per-block ones, rank
+        # them differently
         D = 2
     data, emb = random_dataset(seed, C, D=D, on_grid=on_grid)
     gen = np.random.default_rng(seed + 1)
@@ -95,8 +107,11 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
     batched = CharacteristicFn(data, emb, lam=lam, metric=metric)
     single = CharacteristicFn(data, emb, lam=lam, metric=metric)
     got = batched.evaluate_coalitions(blocks, rows)
-    want = np.array([single.evaluate(union([b for b, on in zip(blocks, row) if on])) for row in rows])
+    coalitions = [union([b for b, on in zip(blocks, row) if on]) for row in rows]
+    want = np.array([reference_payoff(data, emb, lam, metric, "nearest_centroid", S) for S in coalitions])
     assert np.abs(got - want).max() <= TOL
+    for S in coalitions:
+        single.evaluate(S)
     assert batched.evaluations == single.evaluations
     assert set(batched._cache) == set(single._cache)
     # a second pass, batched or not, is served from the cache
@@ -189,16 +204,56 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     assert score(rows[subset]).tobytes() == together[subset].tobytes()
 
 
-def test_blocks_must_be_disjoint_and_learner_batchable():
+def ridge_case(lam: float):
     data = make_synthetic(30, seed=2)
-    cf = CharacteristicFn(data, data.features)
-    with pytest.raises(ValueError, match="disjoint"):
-        cf.evaluate_coalitions([PointSet([0, 1]), PointSet([1, 2])], np.ones((1, 2), bool))
-    ridge = CharacteristicFn(data, data.features, learner="ridge_logistic")
-    assert not ridge.batched
-    assert CoalitionGame([PointSet([0]), PointSet([1])], ridge)._batch is None
-    with pytest.raises(ValueError, match="ridge_logistic"):
-        ridge.evaluate_coalitions([PointSet([0])], np.ones((1, 1), bool))
+    blocks = [PointSet(range(i, data.n, 3)) for i in range(3)]
+    return data, blocks, CharacteristicFn(data, data.features, lam=lam, learner="ridge_logistic")
+
+
+def test_blocks_must_be_disjoint_and_learner_batchable():
+    rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+    for lam in (0.0, 0.5):
+        data, blocks, ridge = ridge_case(lam)
+        for cf in (CharacteristicFn(data, data.features, lam=lam), ridge):
+            with pytest.raises(ValueError, match="disjoint"):
+                cf.evaluate_coalitions([PointSet([0, 1]), PointSet([1, 2])], np.ones((1, 2), bool))
+        # the ridge learner is fitted once per coalition, as the per-point reference fits it
+        got = ridge.evaluate_coalitions(blocks, rows)
+        for row, value in zip(rows, got.tolist()):
+            S = union([b for b, on in zip(blocks, row) if on])
+            assert value == reference_payoff(data, data.features, lam, "accuracy", "ridge_logistic", S)
+
+
+def test_ridge_misses_count_distinct_coalitions():
+    data, blocks, ridge = ridge_case(0.5)
+    rows = np.array([[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
+    got = ridge.evaluate_coalitions(blocks, rows)
+    assert ridge.evaluations == 3 and ridge.lookups == 5
+    assert got[0] == got[2] and got[1] == got[3]
+    # a later lookup of a scored coalition, one at a time or batched, is a hit
+    assert ridge.evaluate(union(blocks)) == got[4]
+    assert ridge.evaluate_coalitions(blocks, rows[:2]).tobytes() == got[:2].tobytes()
+    assert ridge.evaluations == 3 and ridge.lookups == 8
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(0, 10_000),
+    C=st.sampled_from([2, 3]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+    lam=st.sampled_from([0.0, 0.5]),
+    learner=st.sampled_from(["nearest_centroid", "nearest_centroid", "nearest_centroid", "ridge_logistic"]),
+    D=st.sampled_from([1, 2, 8]),
+)
+def test_evaluate_is_a_one_block_batch(seed, C, metric, lam, learner, D):
+    if metric == "auc":
+        C = 2
+    data, emb = random_dataset(seed, C, D=D, on_grid=bool(seed % 2))
+    gen = np.random.default_rng(seed + 1)
+    S = PointSet(np.flatnonzero(gen.random(data.n) < gen.random()))
+    one = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate(S)
+    batch = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate_coalitions([S], [[True]])
+    assert np.float64(one).tobytes() == batch.tobytes()
 
 
 def _games(seed: int, lam: float, metric: str, sizes) -> tuple:
@@ -266,6 +321,12 @@ def _old_independent_sequence(players, player, seeds) -> list:
     return seen
 
 
+def asked_once(seen: list, sequence: list) -> None:
+    """A plain payoff was asked for each distinct coalition of ``sequence`` exactly once."""
+    assert len(seen) == len(set(seen))
+    assert set(seen) == set(sequence)
+
+
 def test_plain_payoffs_see_the_same_coalition_sequence():
     players = [PointSet([0, 1]), PointSet([2]), PointSet([3, 4, 5]), PointSet([6]), PointSet([7, 8])]
     seen = []
@@ -277,16 +338,16 @@ def test_plain_payoffs_see_the_same_coalition_sequence():
     game = CoalitionGame(players, recording)
     independent_player_estimate(game, 2, 9, RngStream(4, "record"))
     seeds = RngStream(4, "record").generator().integers(0, 2**63, size=9, dtype=np.uint64)
-    assert seen == _old_independent_sequence(players, 2, seeds)
+    asked_once(seen, _old_independent_sequence(players, 2, seeds))
 
     seen.clear()
     monte_carlo_shapley(game, 3, RngStream(5, "record"), sampling="independent")
     seeds = RngStream(5, "record").generator().integers(0, 2**63, size=(5, 3), dtype=np.uint64)
-    assert seen == [ps for i in range(5) for ps in _old_independent_sequence(players, i, seeds[i])]
+    asked_once(seen, [ps for i in range(5) for ps in _old_independent_sequence(players, i, seeds[i])])
 
 
 def _recording(score, seen: list):
-    """A batched payoff that also keeps every row matrix it is asked to score."""
+    """A game's row scorer that also keeps every row matrix it is asked to score."""
 
     def record(blocks, rows):
         seen.append(rows.copy())
@@ -310,16 +371,15 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
 
     together = _games(seed, lam, metric, sizes)
     alone = _games(seed, lam, metric, sizes)
-    # the batched payoff sees exactly the calls that one-player estimates make
-    batches = {"together": [], "alone": []}
-    for name, games in (("together", together), ("alone", alone)):
-        games[0]._batch = _recording(games[0]._batch, batches[name])
-    for g in (0, 1):  # batched, then plain callable
+    for g in (0, 1):  # CharacteristicFn payoff, then plain callable
+        calls = []
+        together[g]._batch = _recording(together[g]._batch, calls)
         est = independent_player_estimate(together[g], players, 16, streams())
         ref = [independent_player_estimate(alone[g], p, 16, r) for p, r in zip(players, streams())]
         assert est.tobytes() == np.array(ref).tobytes()
-    assert len(batches["together"]) == len(players)
-    assert all(np.array_equal(a, b) for a, b in zip(batches["together"], batches["alone"], strict=True))
+        # all players' distinct rows in one call
+        assert len(calls) == 1
+        assert len(np.unique(calls[0], axis=0)) == len(calls[0])
     for k in (2, 3):  # the batched payoff's cache, then the plain callable's
         assert together[k].evaluations == alone[k].evaluations
         assert set(together[k]._cache) == set(alone[k]._cache)
@@ -348,7 +408,7 @@ def test_plain_payoffs_see_each_players_sequence_in_player_order():
         for without, with_p in zip(coalitions[0::2], coalitions[1::2]):
             total += payoff(with_p) - payoff(without)
         means.append(total / 24)
-    assert seen == want
+    asked_once(seen, want)
     assert est.tobytes() == np.array(means).tobytes()
 
 
@@ -392,6 +452,8 @@ class Tight(CharacteristicFn):
 
 print(raises(lambda: Tight(data, data.features).evaluate(PointSet(range(data.n)))))
 print(raises(lambda: Tight(data, data.features).evaluate_coalitions(players, np.ones((1, 4), bool))))
+tight_ridge = Tight(data, data.features, learner="ridge_logistic")
+print(raises(lambda: tight_ridge.evaluate_coalitions(players, np.ones((1, 4), bool))))
 
 # the offset tie case: the expanded distances put point 0 nearer class 1
 feats = 123000001.5 + np.array([[-1.0], [-1.0], [1.0], [1.0]])
@@ -406,8 +468,8 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 8
+    assert len(lines) == 9
     assert all(line.startswith("marginal contribution") for line in lines[:5])
-    assert lines[5].startswith("payoff") and lines[6].startswith("payoff")
-    assert lines[7] == f"tie {[2.0 / 3.0] * 2}"
+    assert all(line.startswith("payoff") for line in lines[5:8])
+    assert lines[8] == f"tie {[2.0 / 3.0] * 2}"
 

@@ -2,10 +2,12 @@
 
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hcdval
 from hcdval.cli import main
 from hcdval.core import write_dataset_csv, write_matrix_binary
 from hcdval.evaluation import synthetic_rows
@@ -114,14 +116,15 @@ def test_flags_override_config_file(tmp_path):
     assert man_a["config_sha256"] != man_b["config_sha256"]
 
 
-def test_manifest_records_git_revision(tmp_path):
+def test_manifest_records_git_revision(tmp_path, monkeypatch):
+    # the revision is the package's own checkout's, whatever the working directory
+    monkeypatch.chdir(tmp_path)
     out = tmp_path / "run"
     assert run_cli(*value_args(out)) == 0
     man = json.loads((out / "manifest.json").read_text())
-    head = subprocess.run(
-        ["git", "rev-parse", "HEAD"], capture_output=True, text=True, check=True
-    ).stdout.strip()
-    assert man["git_revision"] == head
+    package = Path(hcdval.__file__).resolve().parent
+    res = subprocess.run(["git", "-C", str(package), "rev-parse", "HEAD"], capture_output=True, text=True)
+    assert man["git_revision"] == (res.stdout.strip() if res.returncode == 0 else None)
     assert man["config"]["subcommand"] == "value"
 
 

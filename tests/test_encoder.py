@@ -109,7 +109,7 @@ def test_fd_gradient_matches_analytic_gradient():
     def f(M):
         return float(np.sin(M.sum()))
 
-    got = fd_gradient(f, W.copy())
+    got = fd_gradient(lambda S: np.array([f(M) for M in S]), W.copy())
     want = np.cos(W.sum()) * np.ones_like(W)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -121,7 +121,7 @@ def test_fd_gradient_is_exact_on_quadratics():
     def f(M):
         return float((a * M * M).sum())
 
-    got = fd_gradient(f, W.copy())
+    got = fd_gradient(lambda S: np.array([f(M) for M in S]), W.copy())
     assert got == pytest.approx(2.0 * a * W, rel=1e-6)
 
 
@@ -287,8 +287,8 @@ def test_stacked_and_scalar_fd_gradient_agree_bit_for_bit():
     def f(M):
         return float((a * M * M).sum())
 
-    scalar = fd_gradient(f, W)
-    stacked = fd_gradient(lambda S: (a * S * S).sum(axis=(1, 2)), W, stacked=True)
+    scalar = fd_gradient(lambda S: np.array([f(M) for M in S]), W)
+    stacked = fd_gradient(lambda S: (a * S * S).sum(axis=(1, 2)), W)
     assert np.array_equal(scalar, _reference_fd_gradient(f, W.copy()))
     assert np.array_equal(stacked, scalar)
 
@@ -296,10 +296,10 @@ def test_stacked_and_scalar_fd_gradient_agree_bit_for_bit():
 def test_tiny_chunk_budget_gives_the_same_gradient(monkeypatch):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(4, 3, 3, False, 0.05)
     objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)
-    whole = fd_gradient(objective, Ws[2], stacked=True)
+    whole = fd_gradient(objective, Ws[2])
     sizes = []
     monkeypatch.setattr(encoder, "_STACK_BUDGET", 1)
-    chunked = fd_gradient(lambda S: sizes.append(len(S)) or objective(S), Ws[2], stacked=True)
+    chunked = fd_gradient(lambda S: sizes.append(len(S)) or objective(S), Ws[2])
     assert sizes == [2] * Ws[2].size
     assert np.array_equal(chunked, whole)
     reference = _reference_fd_gradient(
@@ -314,14 +314,14 @@ def test_training_calls_fd_gradient_once_per_batch(monkeypatch):
     inner = encoder.fd_gradient
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("stacked"))
+        calls.append(kwargs)
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(encoder, "fd_gradient", counting)
     cfg = EncoderConfig(d=2, epochs=2, batch_size=16, seed=10)
     train_linear_encoder(data, cfg)
     batches_per_epoch = -(-data.n // cfg.batch_size) - (data.n % cfg.batch_size == 1)
-    assert calls == [True] * (cfg.epochs * batches_per_epoch)
+    assert calls == [{}] * (cfg.epochs * batches_per_epoch)
 
 
 def test_stacked_gradient_step_memory_is_bounded():
@@ -343,7 +343,7 @@ def test_stacked_gradient_step_memory_is_bounded():
     W = gen.normal(size=(d, D)) / np.sqrt(D)
     tracemalloc.start()
     try:
-        grad = fd_gradient(objective, W, stacked=True)
+        grad = fd_gradient(objective, W)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

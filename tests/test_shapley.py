@@ -212,32 +212,47 @@ def test_marginal_range_assertion_fires_on_wrong_bound():
         monte_carlo_shapley(game, 4, RngStream(0, "bound"))
 
 
-def test_prefix_sweep_evaluation_count():
-    calls = 0
+def _recording_payoff(seen: list):
+    """A plain payoff that keeps every coalition it is asked for, as a frozenset of points."""
 
     def payoff(points):
-        nonlocal calls
-        calls += 1
+        seen.append(frozenset(points.indices.tolist()))
         return 0.1 * len(points)
 
-    game = make_game(4, payoff)
+    return payoff
+
+
+def test_prefix_sweep_evaluation_count():
+    seen = []
+    game = make_game(4, _recording_payoff(seen))
     monte_carlo_shapley(game, 7, RngStream(0, "count"))
-    assert calls == 7 * 4 + 1  # K per sweep plus one empty evaluation
+    distinct = set()
+    for seed in RngStream(0, "count").seeds(7):
+        perm = np.random.default_rng(int(seed)).permutation(4).tolist()
+        distinct |= {frozenset(perm[:j]) for j in range(5)}
+    # each distinct prefix is asked for once, at most K per sweep plus the empty one
+    assert len(seen) == len(set(seen))
+    assert set(seen) == distinct
+    assert len(distinct) <= 7 * 4 + 1
 
 
 def test_independent_sampling_costs_two_evals_per_draw():
-    calls = 0
-
-    def payoff(points):
-        nonlocal calls
-        calls += 1
-        return 0.1 * len(points)
-
-    game = make_game(4, payoff)
+    seen = []
+    game = make_game(4, _recording_payoff(seen))
     est = monte_carlo_shapley(game, 6, RngStream(0, "ind"), sampling="independent")
     assert est.permutation_log is None
     assert est.mode == "independent"
-    assert calls == 2 * 6 * 4
+    seeds = RngStream(0, "ind").generator().integers(0, 2**63, size=(4, 6), dtype=np.uint64)
+    distinct = set()
+    for player in range(4):
+        for seed in seeds[player]:
+            perm = np.random.default_rng(int(seed)).permutation(4).tolist()
+            before = perm[: perm.index(player)]
+            distinct |= {frozenset(before), frozenset(before + [player])}
+    # each distinct coalition is asked for once, at most two per draw
+    assert len(seen) == len(set(seen))
+    assert set(seen) == distinct
+    assert len(distinct) <= 2 * 6 * 4
 
 
 def test_independent_sampling_converges_too():
