@@ -435,6 +435,7 @@ def cmd_value(cfg: RunConfig, out: Path) -> int:
             "permutations": report.T,
             "evaluation_count": report.eval_count,
             "phase_counts": dict(report.phase_counts),
+            "phase_ms": dict(report.phase_ms),
             "eval_bound": report.eval_bound,
             "surplus": report.surplus,
         },

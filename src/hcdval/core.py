@@ -9,22 +9,52 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-def coalition_key(indices: np.ndarray) -> bytes:
-    """16-byte BLAKE2b digest of a sorted, contiguous int64 index array.
+# splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
+# generators", OOPSLA 2014), seeded with 0: output k mixes the state
+# (k + 1) * gamma mod 2^64, so point i's two words mix the states
+# i * 2 gamma + gamma and i * 2 gamma + 2 gamma.
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_WORD_STRIDE = np.uint64(2 * _SPLITMIX_GAMMA % 2**64)
+_WORD_STATES = np.array([_SPLITMIX_GAMMA, 2 * _SPLITMIX_GAMMA % 2**64], dtype=np.uint64)
+_SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
 
-    Payoff caches key coalitions by this digest: 16 bytes per coalition
-    instead of 8 bytes per member, on the assumption that no two distinct
-    coalitions collide in 128 bits.
+
+def point_words(indices: np.ndarray) -> np.ndarray:
+    """The two 64-bit set-hash words of each point index: (m, 2) uint64.
+
+    Point i gets splitmix64 outputs 2i and 2i + 1. The words depend on the
+    index alone, so keys stay valid while a corpus grows by appending points.
     """
-    return hashlib.blake2b(indices, digest_size=16).digest()
+    z = np.asarray(indices, dtype=np.int64).view(np.uint64)[:, None] * _WORD_STRIDE + _WORD_STATES
+    z ^= z >> np.uint64(30)
+    z *= _SPLITMIX_MIX[0]
+    z ^= z >> np.uint64(27)
+    z *= _SPLITMIX_MIX[1]
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def coalition_key(indices: np.ndarray) -> bytes:
+    """16-byte set hash of a coalition: the XOR of its points' two words each.
+
+    Payoff caches key coalitions by this hash (Zobrist hashing), 16 bytes per
+    coalition. XOR makes the key of a union of disjoint blocks the XOR of the
+    blocks' keys, so a batch is keyed block by block, and any split of one set
+    gets one key; the empty set's key is all zeros. Since h(A) XOR h(B) =
+    h(A symmetric-difference B), two distinct coalitions collide only when a
+    non-empty set of points has words XOR-ing to zero: probability 2^-128 per
+    pair, on the assumption that the splitmix64 words of distinct points
+    behave as independent uniform words.
+    """
+    return np.bitwise_xor.reduce(point_words(indices), axis=0).tobytes()
 
 
 class PointSet:
     """An immutable, sorted, duplicate-free set of dataset point indices.
 
-    ``key()`` digests the underlying int64 array into the 16-byte
-    memoisation key of payoff caches (see ``coalition_key``), so two
-    PointSets holding the same indices always produce the same key.
+    ``key()`` is the 16-byte set hash that payoff caches memoise by (see
+    ``coalition_key``), so two PointSets holding the same indices always
+    produce the same key.
     """
 
     __slots__ = ("indices",)

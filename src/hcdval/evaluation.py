@@ -27,7 +27,7 @@ from .core import (
     content_token,
     dataset_from_arrays,
 )
-from .hcdv import Families, HcdvConfig, _check_run_inputs, _distribute_leaf, _split_mass, propagate
+from .hcdv import Families, HcdvConfig, _check_run_inputs, _distribute_leaves, _leaf_game, _split_mass, propagate
 from .hierarchy import HierarchyTree
 from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
 
@@ -365,8 +365,7 @@ def hierarchical_error_budget(
             raise ValueError(f"level {level} has {n_nodes} coalitions; exact oracle capped at {EXACT_PLAYER_LIMIT}")
         raw.update(level_estimates(level, tree.families(level)))
     values = np.zeros(data.n)
-    for lid in tree.leaf_ids():
-        _distribute_leaf(values, tree.node(lid).members, raw[lid], cfg, cf)
+    _distribute_leaves(values, [(tree.node(lid).members, raw[lid]) for lid in tree.leaf_ids()], cfg, cf)
 
     eps_mc: List[float] = []
     for level in range(1, len(tree.levels)):
@@ -376,18 +375,18 @@ def hierarchical_error_budget(
         errs = [abs(raw[c] - e) for c, e in zip(node_ids, exact.tolist())]
         eps_mc.append(max(errs))
 
-    eps_leaf = 0.0
+    oversize = []
     for lid in tree.leaf_ids():
-        leaf = tree.node(lid)
-        g = len(leaf.members)
+        g = len(tree.node(lid).members)
         if g <= tree.leaf_cap:
             continue
         if g > EXACT_PLAYER_LIMIT:
             raise ValueError(f"oversize leaf of {g} points exceeds the exact-game cap")
-        mass = raw[lid]
-        players = [PointSet._from_sorted(leaf.members.indices[i : i + 1]) for i in range(g)]
-        exact_leaf = exact_shapley(CoalitionGame(players, cf)).values
-        exact_alloc = _split_mass(mass, exact_leaf)
+        oversize.append(lid)
+    eps_leaf = 0.0
+    for lid, est in zip(oversize, exact_shapley([_leaf_game(tree.node(lid).members, cf) for lid in oversize])):
+        g, mass = est.values.size, raw[lid]
+        exact_alloc = _split_mass(mass, est.values)
         uniform = np.full(g, mass / g)
         eps_leaf += float(np.abs(exact_alloc - uniform).sum())
 

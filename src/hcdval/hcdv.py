@@ -13,7 +13,9 @@ point values sum to the root surplus by construction.
 streaming ingest alike; each caller brings its own level estimator. Given a
 ``dirty`` set (the nodes whose members changed), it re-splits only families
 under dirty parents and redistributes only dirty leaves; ``dirty=None``
-marks every node dirty, which is the batch run.
+marks every node dirty, which is the batch run. The exact within-leaf games
+of all the leaves it redistributes are played in one ``exact_shapley`` call,
+so their coalitions are scored in one payoff call.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
 handed down normalised. The diagnostic game modes live in ``evaluation.py``.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
@@ -74,11 +77,17 @@ class HcdvConfig:
 
 @dataclass
 class HcdvReport:
-    """Bookkeeping from one valuation run (also backs evaluation_counter)."""
+    """Bookkeeping from one valuation run (also backs evaluation_counter).
+
+    ``phase_counts`` and ``phase_ms`` hold the payoff evaluations and the
+    wall-clock milliseconds of each phase: root surplus, family sweeps,
+    singleton payoffs and leaf games.
+    """
 
     surplus: float
     eval_count: int
     phase_counts: Dict[str, int]
+    phase_ms: Dict[str, float]
     eval_bound: int
     masses: Dict[int, float]
     raw_estimates: Dict[int, Optional[float]]
@@ -119,15 +128,25 @@ def _plays_exact_leaf(cfg: HcdvConfig, g: int) -> bool:
     return cfg.leaf_mode == "exact_if_small" and 2 <= g <= min(cfg.leaf_cap, EXACT_PLAYER_LIMIT)
 
 
-def _distribute_leaf(values: np.ndarray, leaf_members: PointSet, mass: float, cfg: HcdvConfig, cf) -> None:
-    """Spread one leaf's mass over its points."""
-    g = len(leaf_members)
-    if _plays_exact_leaf(cfg, g):
-        players = [PointSet._from_sorted(leaf_members.indices[i : i + 1]) for i in range(g)]
-        est = exact_shapley(CoalitionGame(players, cf))
-        values[leaf_members.indices] = _split_mass(mass, est.values)
-    else:
-        values[leaf_members.indices] = mass / g
+def _leaf_game(members: PointSet, cf) -> CoalitionGame:
+    """A leaf's within-leaf game: every point is a player."""
+    return CoalitionGame([PointSet._from_sorted(members.indices[i : i + 1]) for i in range(len(members))], cf)
+
+
+def _distribute_leaves(values: np.ndarray, leaves: List[Tuple[PointSet, float]], cfg: HcdvConfig, cf) -> None:
+    """Spread each (members, mass) leaf's mass over its points.
+
+    The leaves that play exact within-leaf games play them in one
+    ``exact_shapley`` call, so their coalitions are scored in one payoff call;
+    the others split their mass evenly.
+    """
+    exact = [(members, mass) for members, mass in leaves if _plays_exact_leaf(cfg, len(members))]
+    estimates = exact_shapley([_leaf_game(members, cf) for members, _ in exact])
+    for (members, mass), est in zip(exact, estimates):
+        values[members.indices] = _split_mass(mass, est.values)
+    for members, mass in leaves:
+        if not _plays_exact_leaf(cfg, len(members)):
+            values[members.indices] = mass / len(members)
 
 
 Families = List[Tuple[int, List[int]]]
@@ -144,7 +163,7 @@ def propagate(
     budget: Dict[int, float],
     level_estimates: Callable[[int, Families], Dict[int, Optional[float]]],
     dirty: Optional[Set[int]] = None,
-) -> Dict[str, int]:
+) -> Tuple[Dict[str, int], Dict[str, float]]:
     """Hand the root surplus down the tree into ``values``, family by family.
 
     Level by level from the root, ``level_estimates(level, families)`` gets
@@ -153,26 +172,32 @@ def propagate(
     its parent's whole mass. Clean children keep their masses; dirty ones
     split the residual, the parent's mass minus the clean children's, by
     their clipped estimates. Singleton payoffs set the audit budgets. Then
-    every dirty leaf spreads its mass over its points, and every node is
-    annotated. ``dirty=None`` marks every node dirty: the batch run. The
-    maps and ``values`` are updated in place; returns the payoff evaluations
-    of the estimates ("sweeps"), the singletons and the leaf games.
+    every dirty leaf spreads its mass over its points, the exact leaves'
+    games all in one payoff call, and every node is annotated.
+    ``dirty=None`` marks every node dirty: the batch run. The maps and
+    ``values`` are updated in place. Returns the payoff evaluations and the
+    wall-clock milliseconds of each phase: the estimates ("sweeps"), the
+    singletons and the leaf games.
     """
+    counts = {"sweeps": 0, "singletons": 0, "leaves": 0}
+    ms = dict.fromkeys(counts, 0.0)
 
-    def evals() -> int:
-        return getattr(cf, "evaluations", 0)
+    @contextmanager
+    def phase(name: str):
+        marks, start = getattr(cf, "evaluations", 0), time.perf_counter()
+        yield
+        ms[name] += (time.perf_counter() - start) * 1000.0
+        counts[name] += getattr(cf, "evaluations", 0) - marks
 
     if dirty is None:
         dirty = set(tree.nodes)
-    phase = {"sweeps": 0, "singletons": 0, "leaves": 0}
     root = tree.root_id
     masses[root] = raw[root] = budget[root] = surplus
 
     for level in range(1, len(tree.levels)):
         families = [(pid, kids) for pid, kids in tree.families(level) if pid in dirty]
-        marks = evals()
-        raw.update(level_estimates(level, families))
-        phase["sweeps"] += evals() - marks
+        with phase("sweeps"):
+            raw.update(level_estimates(level, families))
         for pid, kids in families:
             pot = masses[pid]
             if len(kids) == 1 and raw[kids[0]] is None:
@@ -185,22 +210,19 @@ def propagate(
                 warnings.warn(f"negative residual mass {residual} under node {pid}")
             ests = np.asarray([raw[c] for c in dirty_kids], dtype=np.float64)
             masses.update(zip(dirty_kids, _split_mass(residual, ests).tolist()))
-            marks = evals()
-            singles = [cf.evaluate(tree.node(c).members) for c in kids]
-            phase["singletons"] += evals() - marks
+            with phase("singletons"):
+                singles = [cf.evaluate(tree.node(c).members) for c in kids]
             for c, w in zip(kids, propagation_weights(singles).tolist()):
                 budget[c] = w * pot
 
-    marks = evals()
-    for lid in tree.leaf_ids():
-        if lid in dirty:
-            _distribute_leaf(values, tree.node(lid).members, masses[lid], cfg, cf)
-    phase["leaves"] = evals() - marks
+    with phase("leaves"):
+        leaves = [(tree.node(lid).members, masses[lid]) for lid in tree.leaf_ids() if lid in dirty]
+        _distribute_leaves(values, leaves, cfg, cf)
 
     for nid, node in tree.nodes.items():
         node.cached_shapley = masses.get(nid)
         node.budget = budget.get(nid)
-    return phase
+    return counts, ms
 
 
 def _check_run_inputs(data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig) -> None:
@@ -225,6 +247,7 @@ def run_hcdv(
     before = getattr(cf, "evaluations", 0)
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     evals_root = getattr(cf, "evaluations", 0) - before
+    root_ms = (time.perf_counter() - start) * 1000.0
     if surplus < 0.0:
         warnings.warn(f"total surplus is negative ({surplus}); value mass will be negative")
 
@@ -256,12 +279,13 @@ def run_hcdv(
     raw: Dict[int, Optional[float]] = {}
     budget: Dict[int, float] = {}
     values = np.zeros(data.n)
-    phase = {"root": evals_root, **propagate(tree, cf, cfg, surplus, values, masses, raw, budget, level_games)}
+    counts, ms = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, level_games)
 
     report = HcdvReport(
         surplus=surplus,
         eval_count=getattr(cf, "evaluations", 0) - before,
-        phase_counts=phase,
+        phase_counts={"root": evals_root, **counts},
+        phase_ms={"root": root_ms, **ms},
         eval_bound=eval_bound,
         masses=masses,
         raw_estimates=raw,

@@ -19,7 +19,8 @@ gives the same rows bit for bit.
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
 coalition, through ``_distinct_row_values``, which drops duplicate rows and
 hands the distinct ones to ``CoalitionGame.values_of_rows`` in one call:
-``exact_shapley`` asks for all 2^K coalitions at once, prefix sweeps turn
+``exact_shapley`` asks for all 2^K coalitions at once (for several games
+that share a payoff, for all their coalitions in one call), prefix sweeps turn
 their permutations into prefix rows (a chunk at a time), and independent
 sampling (``independent_player_estimate`` and ``sampling="independent"``)
 turns each listed player's T permutations into 2T rows, predecessors without
@@ -116,7 +117,23 @@ class ShapleyEstimate:
             raise ValueError(f"unknown estimate mode {self.mode!r}")
 
 
-def exact_shapley(game: CoalitionGame) -> ShapleyEstimate:
+def _values_of_games(games: Sequence[CoalitionGame], rows: Sequence[np.ndarray]) -> list:
+    """Payoffs of each game's player rows, all games in one call to their shared payoff.
+
+    A payoff with an ``evaluate_games`` method (``CharacteristicFn``) scores
+    every game's rows in that one call; any other payoff is asked game by
+    game through ``values_of_rows``.
+    """
+    payoff = games[0].payoff
+    if any(game.payoff is not payoff for game in games):
+        raise ValueError("games played together must share one payoff")
+    evaluate_games = getattr(payoff, "evaluate_games", None)
+    if evaluate_games is None:
+        return [game.values_of_rows(r) for game, r in zip(games, rows)]
+    return evaluate_games([(game.players, r) for game, r in zip(games, rows)])
+
+
+def exact_shapley(game):
     """Exact Shapley values by subset enumeration.
 
     phi_i = sum over coalitions S not containing i of
@@ -124,27 +141,50 @@ def exact_shapley(game: CoalitionGame) -> ShapleyEstimate:
 
     Guarded to K <= 12 players (2^K payoff evaluations); larger games belong
     to monte_carlo_shapley.
+
+    ``game`` may also be a sequence of games that share one payoff. Their
+    coalitions are then all scored in one payoff call and the result is a
+    list of estimates, bit for bit those of playing the games one at a time
+    in order, since payoffs do not depend on their batch.
     """
-    K = game.K
-    if K > EXACT_PLAYER_LIMIT:
-        raise ValueError(
-            f"exact_shapley enumerates 2^K coalitions and is capped at K={EXACT_PLAYER_LIMIT}; "
-            f"got K={K} — use monte_carlo_shapley"
-        )
-    n_masks = 1 << K
-    masks = np.arange(n_masks, dtype=np.int64)
-    rows = (masks[:, None] >> np.arange(K)) & 1
-    v = game.values_of_rows(rows)
+    single = isinstance(game, CoalitionGame)
+    games = [game] if single else list(game)
+    if not games:
+        return []
+    for g in games:
+        if g.K > EXACT_PLAYER_LIMIT:
+            raise ValueError(
+                f"exact_shapley enumerates 2^K coalitions and is capped at K={EXACT_PLAYER_LIMIT}; "
+                f"got K={g.K} — use monte_carlo_shapley"
+            )
+    plans = {K: _exact_plan(K) for K in {g.K for g in games}}
+    payoffs = _values_of_games(games, [plans[g.K][0] for g in games])
+    estimates = [_exact_values(plans[g.K][1], v) for g, v in zip(games, payoffs)]
+    return estimates[0] if single else estimates
+
+
+def _exact_plan(K: int) -> tuple:
+    """The 2^K coalition rows of a K-player game, in mask order, and per player
+    the masks without it, the same masks with it, and their Shapley weights."""
+    masks = np.arange(1 << K, dtype=np.int64)
+    rows = ((masks[:, None] >> np.arange(K)) & 1).astype(bool)
     popcount = rows.sum(axis=1)
     fact = [math.factorial(s) for s in range(K + 1)]
     weight = np.array([fact[s] * fact[K - 1 - s] / fact[K] for s in range(K)])
-    values = np.empty(K)
+    terms = []
     for i in range(K):
         without = masks[(masks >> i) & 1 == 0]
-        gains = v[without | (1 << i)] - v[without]
-        values[i] = float(gains @ weight[popcount[without]])
+        terms.append((without, without | (1 << i), weight[popcount[without]]))
+    return rows, terms
+
+
+def _exact_values(terms: list, v: np.ndarray) -> ShapleyEstimate:
+    """Exact Shapley values from the payoffs ``v`` of all 2^K coalitions, in mask order."""
+    values = np.empty(len(terms))
+    for i, (without, with_i, weight) in enumerate(terms):
+        values[i] = float((v[with_i] - v[without]) @ weight)
     total = math.fsum(values.tolist())
-    surplus = v[n_masks - 1] - v[0]
+    surplus = v[-1] - v[0]
     if not abs(total - surplus) <= 1e-9:
         raise AssertionError(f"exact Shapley must satisfy efficiency: sum {total} vs surplus {surplus}")
     return ShapleyEstimate(values=values, T=0, mode="exact", permutation_log=None)

@@ -284,7 +284,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         return estimates
 
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    phase = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, refresh, dirty)
+    phase, _ = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, refresh, dirty)
 
     metrics = StepMetrics(
         epoch=epoch,

@@ -17,7 +17,16 @@ and ``_dispersion_from_stats`` score coalitions from those statistics, one row
 per coalition. The per-point reference functions ``coalition_utility`` and
 ``normalized_dispersion`` call them with a single row; ``CharacteristicFn``
 scores every coalition it caches in ``_score_rows``, whether ``evaluate`` asks
-for one coalition or ``evaluate_coalitions`` for many.
+for one coalition, ``evaluate_coalitions`` for the rows of one game or
+``evaluate_games`` for those of several games at once.
+
+The cache keys a coalition by a set hash (Zobrist hashing): each point index
+has two fixed 64-bit splitmix64 words, and a coalition's 16-byte key is the
+XOR of its points' words. A batch is keyed without listing its members, as
+the XOR of its selected blocks' keys, in one array pass over all rows. Two
+distinct coalitions share a key only when the words of their symmetric
+difference XOR to zero, with probability 2^-128 per pair on the assumption
+that distinct points' words behave as independent uniform words.
 
 The nearest-centroid prediction takes every squared distance from one GEMM,
 |x|^2 - 2 x.mu + |mu|^2, and recomputes with the direct sum_k (x_k - mu_k)^2
@@ -36,21 +45,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, coalition_key
+from .core import EMPTY_SET, LabeledDataset, PointSet, point_words, union
 
 METRICS = ("accuracy", "balanced_accuracy", "auc")
 LEARNERS = ("nearest_centroid", "ridge_logistic")
 
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
 
-# Batched scoring works in chunks: the (rows, points) membership matrix, the
-# (groups, points) one-hot matrix and the (rows, n_val, C) distance array
-# stay within these element counts, whatever the number of players. The auc
-# metric keeps the direct (rows, n_val, C, D) difference temporary, so its
-# chunks hold D times fewer rows. Payoffs do not depend on the chunking.
-_MEMBER_BUDGET = 1 << 20
+# Batched scoring works in chunks: the (groups, points) one-hot matrix and
+# the (rows, n_val, C) distance array stay within these element counts,
+# whatever the number of players. The auc metric keeps the direct
+# (rows, n_val, C, D) difference temporary, so its chunks hold D times fewer
+# rows. Payoffs do not depend on the chunking.
 _ONEHOT_BUDGET = 1 << 17
 _DISTANCE_BUDGET = 1 << 15
+
+_KEY = np.dtype((np.void, 16))  # a coalition_key as one array element
 
 
 def chance_level(metric: str, num_classes: int) -> float:
@@ -91,22 +101,7 @@ def _predict_ridge_logistic(model, val_X: np.ndarray):
 
 def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Rank-based AUC with tie-averaged ranks; labels must be 0/1."""
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(_rank_auc(scores[None], labels)[0])
 
 
 def _score(metric: str, pred, score, val_y: np.ndarray, num_classes: int) -> float:
@@ -145,12 +140,12 @@ def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """binary_auc of every row of ``scores``, from one sort per row.
+    """Rank-based AUC of every row of ``scores`` against 0/1 labels, from one sort per row.
 
     Each row's tie-averaged ranks are the mean of the first and last sorted
-    position of their run of equal scores, as in binary_auc. The rank sum of
-    the positives is a sum of half-integers, exact in any order, so the two
-    agree bit for bit. Memory is O(rows * n_val), not O(rows * n_pos * n_neg).
+    position of their run of equal scores (NaN scores sort last, each in a
+    run of its own). The rank sum of the positives is a sum of half-integers,
+    exact in any order. Memory is O(rows * n_val), not O(rows * n_pos * n_neg).
     """
     pos = labels == 1
     n_pos = int(pos.sum())
@@ -220,20 +215,28 @@ def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.nda
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing pairs take the direct formula
         xx = np.einsum("vk,vk->v", val_X, val_X)
         mm = np.einsum("rck,rck->rc", centroids, centroids)
-        xm = (centroids.reshape(R * C, D) @ val_X.T).reshape(R, C, -1)
-        d2 = (xx - 2.0 * xm) + mm[:, :, None]
+        # (|x|^2 - 2 x.mu) + |mu|^2, formed in place: negating and doubling
+        # are exact and IEEE addition commutes, so the bits are the same
+        d2 = (centroids.reshape(R * C, D) @ val_X.T).reshape(R, C, -1)
+        d2 *= -2.0
+        d2 += xx
+        d2 += mm[:, :, None]
         if C == 2:  # both classes present: the gap is one subtraction
-            diff = d2[:, 1] - d2[:, 0]
-            pred = (diff < 0.0).astype(np.intp)
-            gap = np.abs(diff)
+            gap = d2[:, 1] - d2[:, 0]
+            del d2
+            pred = (gap < 0.0).astype(np.intp)
+            np.abs(gap, out=gap)
         else:
             if not present.all():
                 d2 = np.where(present[:, :, None], d2, np.inf)
             pred = d2.argmin(axis=1)
             two = np.partition(d2, 1, axis=1)
             gap = two[:, 1] - two[:, 0]
-        scale = xx + mm.max(axis=1)[:, None]
-        bound = np.where(scale < _GAP_SCALE_LIMIT, ((D + 2) * _GAP_ULPS) * scale + D * _GAP_SPACINGS, np.inf)
+        bound = xx + mm.max(axis=1)[:, None]
+        overflows = ~(bound < _GAP_SCALE_LIMIT)
+        bound *= (D + 2) * _GAP_ULPS
+        bound += D * _GAP_SPACINGS
+        bound[overflows] = np.inf
     r, v = np.nonzero(~(gap > bound))
     if r.size:
         direct = _direct_sq_distances(val_X[v], centroids[r])
@@ -390,6 +393,52 @@ def normalized_dispersion(
     return DispersionResult(float(values[0]), int(pairs[0]))
 
 
+def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
+    """(games, width, 2) uint64 set-hash keys of every game's blocks, zero past its last block.
+
+    A block's key is the XOR of its points' words (``coalition_key``).
+    Raises ValueError when two blocks of one game share a point.
+    """
+    counts = [len(game_blocks) for game_blocks in blocks]
+    block_game = np.repeat(np.arange(len(blocks)), counts)
+    sizes = np.array([len(b) for game_blocks in blocks for b in game_blocks], dtype=np.intp)
+    points = np.concatenate([b.indices for game_blocks in blocks for b in game_blocks])
+    point_game = np.repeat(block_game, sizes)
+    order = np.lexsort((points, point_game))
+    if np.any((points[order][1:] == points[order][:-1]) & (point_game[order][1:] == point_game[order][:-1])):
+        raise ValueError("coalition blocks must be disjoint")
+    block_keys = np.zeros((sizes.size, 2), np.uint64)
+    filled = sizes > 0
+    if filled.any():
+        block_keys[filled] = np.bitwise_xor.reduceat(point_words(points), (np.cumsum(sizes) - sizes)[filled], axis=0)
+    table = np.zeros((len(blocks), width, 2), np.uint64)
+    table[block_game, np.concatenate([np.arange(c) for c in counts])] = block_keys
+    return table
+
+
+def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarray]) -> tuple:
+    """The distinct coalitions among the 0/1 block rows of several games.
+
+    Returns their 16-byte keys (``bytes``), the game and the block row
+    (padded with zeros to the widest game) of the first row that holds each,
+    and for every row, games in order, the index of its coalition. A row's
+    key is the XOR of its selected blocks' keys, built column by column, so
+    no (rows, blocks, 2) temporary is formed.
+    """
+    width = max(len(game_blocks) for game_blocks in blocks)
+    n_rows = [game_rows.shape[0] for game_rows in rows]
+    row_game = np.repeat(np.arange(len(blocks)), n_rows)
+    member = np.zeros((row_game.size, width), bool)
+    for start, game_rows in zip(np.cumsum(n_rows) - n_rows, rows):
+        member[start : start + game_rows.shape[0], : game_rows.shape[1]] = game_rows
+    table = _block_key_table(blocks, width)
+    keys = np.zeros((row_game.size, 2), np.uint64)
+    for j in range(width):
+        np.bitwise_xor(keys, table[row_game, j], out=keys, where=member[:, j, None])
+    distinct, first, inverse = np.unique(keys.view(_KEY).ravel(), return_index=True, return_inverse=True)
+    return distinct.tolist(), row_game[first], member[first], inverse
+
+
 class CharacteristicFn:
     """Memoised bounded payoff v(S) = utility(S) + lambda * dispersion(S).
 
@@ -400,21 +449,25 @@ class CharacteristicFn:
     :param metric: "accuracy" | "balanced_accuracy" | "auc" (binary only)
     :param learner: "nearest_centroid" | "ridge_logistic"
 
-    Payoffs are cached by ``coalition_key``, a 16-byte BLAKE2b digest of
-    the sorted index array (16 bytes per coalition, on the assumption that
-    no two coalitions collide in 128 bits); ``evaluations`` counts cache
-    misses only. Evaluation is deterministic: both learners are closed-form
-    or fixed-step full-batch, so no RNG is consumed.
+    Payoffs are cached by ``coalition_key``, a 16-byte XOR set hash of the
+    coalition's points (16 bytes per coalition, on the assumption that the
+    points' splitmix64 words behave as independent uniform words, so two
+    distinct coalitions collide with probability 2^-128);
+    ``evaluations`` counts cache misses only. Evaluation is deterministic:
+    both learners are closed-form or fixed-step full-batch, so no RNG is
+    consumed.
 
-    ``evaluate`` scores one coalition, ``evaluate_coalitions`` a batch of
-    coalitions over disjoint point blocks; both go through one cache, one
+    ``evaluate`` scores one coalition, ``evaluate_games`` the coalition rows
+    of several games over disjoint point blocks, and
+    ``evaluate_coalitions`` those of one game; all go through one cache, one
     bound check and one scorer, ``_score_rows``, which ``evaluate`` calls
     with one row of one block. The nearest-centroid learner is scored from
     per-block class statistics and is batch-invariant: a coalition scored
-    alone, inside any batch or in any chunk gives the same bytes, and its
-    argmin is certified to equal the direct distance formula's. A payoff's
-    last bits can still depend on how its coalition is split into blocks,
-    which orders the statistics' sums; the cache keeps the first scoring.
+    alone, inside any batch or game, or in any chunk gives the same bytes,
+    and its argmin is certified to equal the direct distance formula's. A
+    payoff's last bits can still depend on how its coalition is split into
+    blocks, which orders the statistics' sums; the cache keeps the first
+    scoring.
     The ridge-logistic learner is fitted once per coalition.
     """
 
@@ -479,62 +532,100 @@ class CharacteristicFn:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        value = float(self._score_rows(points.indices, np.zeros(len(points), np.intp), 1, np.ones((1, 1), bool))[0])
-        self._store(key, value)
-        return value
+        value = self._score_rows([[points]], np.zeros(1, np.intp), np.ones((1, 1), bool))
+        self._store([key], value)
+        return float(value[0])
 
-    def _store(self, key: bytes, value: float) -> None:
-        if not abs(value) <= self.B + 1e-12:
-            raise AssertionError(f"payoff {value} escapes the bound B={self.B}")
-        self._cache[key] = value
-        self.evaluations += 1
+    def _store(self, keys: list, values: np.ndarray) -> None:
+        """Cache freshly scored payoffs once every one of them is within the bound."""
+        bad = ~(np.abs(values) <= self.B + 1e-12)
+        if bad.any():
+            raise AssertionError(f"payoff {float(values[bad][0])} escapes the bound B={self.B}")
+        self._cache.update(zip(keys, values.tolist()))
+        self.evaluations += len(keys)
 
     def evaluate_coalitions(self, blocks: Sequence[PointSet], rows: np.ndarray) -> np.ndarray:
         """Payoffs of coalitions given as 0/1 rows over disjoint point blocks.
 
-        Row r is the union of the blocks j with ``rows[r, j]`` set. Every
-        coalition is looked up in, and its payoff stored into, the cache that
-        ``evaluate`` uses, with the same bound check; a coalition repeated
-        within the batch counts as one miss. The misses are scored together
-        by ``_score_rows``: for the nearest-centroid learner, per-(block,
-        class) counts and sums are formed once, each coalition's class
-        statistics add its blocks' in block order, and the whole validation
-        split is predicted in one array pass per chunk of rows.
+        Row r is the union of the blocks j with ``rows[r, j]`` set. This is
+        the one-game case of ``evaluate_games``.
         """
-        rows = np.asarray(rows, dtype=bool)
-        points = np.concatenate([b.indices for b in blocks])
-        owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-        order = np.argsort(points)
-        points, owner = points[order], owner[order]
-        if np.any(points[1:] == points[:-1]):
-            raise ValueError("coalition blocks must be disjoint")
-        values = np.empty(rows.shape[0])
-        misses: dict[bytes, list] = {}
-        step = max(1, _MEMBER_BUDGET // max(1, points.size))
-        for start in range(0, rows.shape[0], step):
-            members = rows[start : start + step][:, owner]
-            for r, selected in enumerate(members, start):
-                key = coalition_key(points[selected])
-                hit = self._cache.get(key)
-                if hit is None:
-                    misses.setdefault(key, []).append(r)
-                else:
-                    values[r] = hit
-        self.lookups += rows.shape[0]
-        if misses:
-            first = [at[0] for at in misses.values()]
-            scored = self._score_rows(points, owner, len(blocks), rows[first])
-            for (key, at), value in zip(misses.items(), scored.tolist()):
-                self._store(key, value)
-                values[at] = value
-        return values
+        return self.evaluate_games([(blocks, rows)])[0]
 
-    def _score_rows(self, points: np.ndarray, owner: np.ndarray, n_blocks: int, rows: np.ndarray) -> np.ndarray:
-        """Payoffs of the rows of a 0/1 block matrix, blocks given by sorted ``points`` and their ``owner``."""
+    def evaluate_games(self, games: Sequence[tuple]) -> list:
+        """Payoffs of several coalition games' rows in one call: one (R_g,) array per game.
+
+        Game g is a pair (blocks, rows): disjoint point blocks, and an
+        (R_g, K_g) 0/1 matrix whose row r is the union of the blocks j with
+        ``rows[r, j]`` set; the blocks of different games may overlap. All
+        rows are keyed in one pass: a block's key is the XOR of its points'
+        words and a row's the XOR of its selected blocks' keys, which is the
+        ``coalition_key`` of its union however a game splits it. Each
+        distinct key is looked up once in the cache that ``evaluate`` uses,
+        so a coalition repeated within the call, in one game or in several,
+        counts as one miss and is scored with the blocks of the first game
+        and row that hold it. The misses are scored together by
+        ``_score_rows``, bound-checked, and stored. Each coalition adds its
+        own game's blocks in block order, so every payoff equals a one-game
+        call's bit for bit.
+        """
+        if not games:
+            return []
+        blocks = [list(b) for b, _ in games]
+        rows = [np.asarray(r, dtype=bool) for _, r in games]
+        for game_blocks, game_rows in zip(blocks, rows):
+            if game_rows.ndim != 2 or game_rows.shape[1] != len(game_blocks):
+                raise ValueError(f"{len(game_blocks)} blocks need an (R, {len(game_blocks)}) row matrix, got {game_rows.shape}")
+        keys, game, member, inverse = _distinct_rows(blocks, rows)
+        cached = self._cache.get
+        values = np.array([cached(key, np.nan) for key in keys])  # stored payoffs are never NaN
+        self.lookups += inverse.size
+        missed = np.flatnonzero(np.isnan(values))
+        if missed.size:
+            used, game = np.unique(game[missed], return_inverse=True)
+            scored = self._score_rows([blocks[g] for g in used.tolist()], game, member[missed])
+            self._store([keys[k] for k in missed.tolist()], scored)
+            values[missed] = scored
+        return np.split(values[inverse], np.cumsum([game_rows.shape[0] for game_rows in rows])[:-1])
+
+    def _block_stats(self, games: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
+        """(games, width, C * F) per-class statistics of each game's blocks, zero past its last block.
+
+        A game of one-point blocks takes each point's ``_point_stats`` row in
+        its class slot. That is what summing the game's points gives, exactly:
+        the other terms are zeros, and their signs cannot reach a coalition's
+        statistics, which add blocks onto +0.0. Any other game's blocks are
+        summed by one ``_group_sums`` call over that game's sorted points, the
+        call a one-game batch makes, so they round the same way.
+        """
+        labels = self.dataset.labels
+        C = self.dataset.num_classes
+        F = self._point_stats.shape[1]
+        stats = np.zeros((len(games), width, C, F))
+        single = []
+        for g, blocks in enumerate(games):
+            if all(len(b) == 1 for b in blocks):
+                single.append(g)
+                continue
+            points = np.concatenate([b.indices for b in blocks])
+            owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+            order = np.argsort(points)
+            points, owner = points[order], owner[order]
+            sums = _group_sums(self._point_stats[points], owner * C + labels[points], len(blocks) * C)
+            stats[g, : len(blocks)] = sums.reshape(len(blocks), C, F)
+        if single:
+            g = np.repeat(single, [len(games[g]) for g in single])
+            j = np.concatenate([np.arange(len(games[g])) for g in single])
+            p = np.concatenate([b.indices for g in single for b in games[g]])
+            stats[g, j, labels[p]] = self._point_stats[p]
+        return stats.reshape(len(games), width, C * F)
+
+    def _score_rows(self, games: Sequence[Sequence[PointSet]], game: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Payoffs of the rows of a 0/1 block matrix; row r selects blocks of ``games[game[r]]``."""
         if self.learner == "ridge_logistic":  # no sufficient statistics: one fit per row
             out = []
-            for row in rows:
-                coalition = PointSet._from_sorted(points[row[owner]])
+            for g, row in zip(game.tolist(), rows):
+                coalition = union(games[g][j] for j in np.flatnonzero(row).tolist())
                 value = self.base_utility(coalition)
                 if self.lam:
                     value = value + self.lam * self.normalized_dispersion(coalition).value
@@ -542,8 +633,7 @@ class CharacteristicFn:
             return np.array(out, dtype=np.float64)
         data = self.dataset
         C = data.num_classes
-        stats = _group_sums(self._point_stats[points], owner * C + data.labels[points], n_blocks * C)
-        stats = stats.reshape(n_blocks, -1)
+        stats = self._block_stats(games, rows.shape[1])
         val_X, val_y = data.val_features, data.val_labels
         D = val_X.shape[1]
         chance = chance_level(self.metric, C)
@@ -552,12 +642,13 @@ class CharacteristicFn:
         step = max(1, _DISTANCE_BUDGET // per_row)
         for start in range(0, rows.shape[0], step):
             chunk = rows[start : start + step]
+            chunk_game = game[start : start + step]
             # selected blocks added in block order: no BLAS reduction whose
             # rounding depends on how many rows share the call
-            coalition = np.zeros((chunk.shape[0], stats.shape[1]))
-            for j in range(n_blocks):
-                np.add(coalition, stats[j], out=coalition, where=chunk[:, j, None])
-            coalition = coalition.reshape(-1, C, stats.shape[1] // C)
+            coalition = np.zeros((chunk.shape[0], stats.shape[2]))
+            for j in range(rows.shape[1]):
+                np.add(coalition, stats[chunk_game, j], out=coalition, where=chunk[:, j, None])
+            coalition = coalition.reshape(-1, C, stats.shape[2] // C)
             counts = coalition[:, :, 0]
             value = _nearest_centroid_utility(counts, coalition[:, :, 1 : 1 + D], val_X, val_y, self.metric, chance)
             if self.lam:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdval import (
+    EMPTY_SET,
     CharacteristicFn,
     CoalitionGame,
     LabeledDataset,
@@ -34,6 +35,7 @@ from hcdval import (
     union,
 )
 from hcdval import utility
+from hcdval.core import point_words
 
 TOL = 1e-12
 
@@ -76,6 +78,32 @@ def reference_payoff(data, emb, lam, metric, learner, points) -> float:
 def test_cache_key_is_a_16_byte_digest():
     assert len(PointSet(range(1000)).key()) == 16
     assert PointSet([1, 2]).key() != PointSet([1, 3]).key()
+
+
+def splitmix64(k: int) -> int:
+    """Output k of the splitmix64 generator seeded with 0, in Python integers: the reference."""
+    z = (k + 1) * 0x9E3779B97F4A7C15 % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def test_cache_key_is_the_xor_of_splitmix64_point_words():
+    points = [0, 1, 7, 4095, 2**40 + 3]
+    assert point_words(points).tolist() == [[splitmix64(2 * i), splitmix64(2 * i + 1)] for i in points]
+    words = [0, 0]
+    for i in points:
+        words = [words[0] ^ splitmix64(2 * i), words[1] ^ splitmix64(2 * i + 1)]
+    assert PointSet(points).key() == b"".join(w.to_bytes(8, sys.byteorder) for w in words)
+
+
+def test_the_empty_set_key_is_all_zeros():
+    assert EMPTY_SET.key() == PointSet([]).key() == bytes(16)
+    data = make_synthetic(30, seed=2)
+    cf = CharacteristicFn(data, data.features)
+    got = cf.evaluate_games([([PointSet([0, 1]), PointSet([2])], np.zeros((2, 2), bool))])
+    assert list(cf._cache) == [bytes(16)] and cf.evaluations == 1
+    assert got[0].tolist() == [cf.evaluate(EMPTY_SET)] * 2
 
 
 @settings(deadline=None, max_examples=60)
@@ -254,6 +282,78 @@ def test_evaluate_is_a_one_block_batch(seed, C, metric, lam, learner, D):
     one = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate(S)
     batch = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate_coalitions([S], [[True]])
     assert np.float64(one).tobytes() == batch.tobytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    seed=st.integers(0, 10_000),
+    C=st.sampled_from([2, 3]),
+    metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
+    lam=st.sampled_from([0.0, 0.5]),
+    learner=st.sampled_from(["nearest_centroid", "nearest_centroid", "nearest_centroid", "ridge_logistic"]),
+    D=st.sampled_from([1, 2, 8]),
+    n_games=st.integers(1, 4),
+)
+def test_several_games_in_one_call_match_one_game_calls(seed, C, metric, lam, learner, D, n_games):
+    if metric == "auc":
+        C = 2
+    data, emb = random_dataset(seed, C, D=D, on_grid=bool(seed % 2))
+    gen = np.random.default_rng(seed + 1)
+    games = []
+    for _ in range(n_games):  # blocks of one to three points; games overlap
+        blocks = random_blocks(gen, data.n)
+        games.append((blocks, gen.random((int(gen.integers(1, 8)), len(blocks))) < 0.5))
+    blocks, rows = games[0]
+    games[0] = (blocks, np.vstack([np.ones(len(blocks), bool), rows]))
+    # the first game's full set again, as one-point blocks
+    points = union(blocks).indices
+    games.append(([PointSet([i]) for i in points], np.ones((1, points.size), bool)))
+    together = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner)
+    apart = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner)
+    got = together.evaluate_games(games)
+    want = [apart.evaluate_coalitions(blocks, rows) for blocks, rows in games]
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert got[-1][0] == got[0][0]
+    assert together._cache == apart._cache
+    assert together.lookups == apart.lookups == sum(rows.shape[0] for _, rows in games)
+    # one miss per distinct coalition across all the games
+    coalitions = {union([b for b, on in zip(blocks, row) if on]) for blocks, rows in games for row in rows}
+    assert together.evaluations == apart.evaluations == len(coalitions)
+    assert set(together._cache) == {S.key() for S in coalitions}
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 10_000), size=st.integers(1, 12))
+def test_one_set_split_two_ways_is_one_coalition(seed, size):
+    data = make_synthetic(40, seed=seed % 5)
+    gen = np.random.default_rng(seed)
+    S = PointSet(gen.permutation(data.n)[:size])
+
+    def split():
+        order = gen.permutation(S.indices)
+        cuts = np.sort(gen.choice(np.arange(1, size + 1), size=int(gen.integers(0, size)), replace=False))
+        return [PointSet(part) for part in np.split(order, cuts) if part.size]
+
+    a, b = split(), split()
+    cf = CharacteristicFn(data, data.features)
+    got = cf.evaluate_games([(a, np.ones((1, len(a)), bool)), (b, np.ones((1, len(b)), bool))])
+    assert cf.evaluations == 1 and list(cf._cache) == [S.key()]
+    assert got[0].tobytes() == got[1].tobytes()
+
+
+@settings(deadline=None, max_examples=20)
+@given(seed=st.integers(0, 10_000), C=st.sampled_from([2, 3]), lam=st.sampled_from([0.0, 0.5]))
+def test_one_point_blocks_take_the_group_sums_exactly(seed, C, lam):
+    # a game of one-point blocks reads each point's statistics row instead of
+    # summing the game's points, and must get the sums' values
+    data, emb = random_dataset(seed, C, D=3, on_grid=False)
+    points = np.random.default_rng(seed).permutation(data.n)[: int(seed % data.n) + 1]
+    cf = CharacteristicFn(data, emb, lam=lam)
+    got = cf._block_stats([[PointSet([i]) for i in points]], points.size + 2)
+    order = np.argsort(points)
+    sums = utility._group_sums(cf._point_stats[points[order]], order * C + data.labels[points[order]], points.size * C)
+    assert np.array_equal(got[0, : points.size], sums.reshape(points.size, -1))
+    assert not got[0, points.size :].any()
 
 
 def _games(seed: int, lam: float, metric: str, sizes) -> tuple:
@@ -454,6 +554,8 @@ print(raises(lambda: Tight(data, data.features).evaluate(PointSet(range(data.n))
 print(raises(lambda: Tight(data, data.features).evaluate_coalitions(players, np.ones((1, 4), bool))))
 tight_ridge = Tight(data, data.features, learner="ridge_logistic")
 print(raises(lambda: tight_ridge.evaluate_coalitions(players, np.ones((1, 4), bool))))
+games = [(players, np.eye(4, dtype=bool)), (players[:2], np.ones((1, 2), bool))]
+print(raises(lambda: Tight(data, data.features).evaluate_games(games)))
 
 # the offset tie case: the expanded distances put point 0 nearer class 1
 feats = 123000001.5 + np.array([[-1.0], [-1.0], [1.0], [1.0]])
@@ -468,8 +570,8 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(line.startswith("marginal contribution") for line in lines[:5])
-    assert all(line.startswith("payoff") for line in lines[5:8])
-    assert lines[8] == f"tie {[2.0 / 3.0] * 2}"
+    assert all(line.startswith("payoff") for line in lines[5:9])
+    assert lines[9] == f"tie {[2.0 / 3.0] * 2}"
 

@@ -44,18 +44,24 @@ def test_value_outputs_are_byte_identical_across_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(*value_args(a)) == 0
     assert run_cli(*value_args(b)) == 0
-    for name in ("valuation.csv", "budget.json", "metrics.json"):
+    for name in ("valuation.csv", "budget.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+    # metrics.json equal but for the wall-clock phase times
+    metrics_a, metrics_b = (json.loads((out / "metrics.json").read_text()) for out in (a, b))
+    assert metrics_a.pop("phase_ms").keys() == metrics_b.pop("phase_ms").keys()
+    assert metrics_a == metrics_b
 
 
 def test_value_metrics_schema(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*value_args(out)) == 0
     metrics = json.loads((out / "metrics.json").read_text())
-    for key in ("n", "method", "permutations", "evaluation_count", "phase_counts", "eval_bound", "surplus"):
+    for key in ("n", "method", "permutations", "evaluation_count", "phase_counts", "phase_ms", "eval_bound", "surplus"):
         assert key in metrics
     assert metrics["method"] == "hcdv"
     assert metrics["evaluation_count"] == sum(metrics["phase_counts"].values())
+    assert set(metrics["phase_ms"]) == set(metrics["phase_counts"]) == {"root", "sweeps", "singletons", "leaves"}
+    assert all(ms >= 0.0 for ms in metrics["phase_ms"].values())
     assert metrics["evaluation_count"] <= metrics["eval_bound"]
     budget = json.loads((out / "budget.json").read_text())
     assert set(budget) == {"surplus", "masses", "budgets"}

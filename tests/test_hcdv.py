@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from hcdval import hcdv, shapley
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
-from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic
+from hcdval.encoder import identity_embeddings
+from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic, synthetic_rows
 from hcdval.hcdv import (
     HcdvConfig,
     evaluation_counter,
@@ -15,6 +17,7 @@ from hcdval.hcdv import (
     run_hcdv,
 )
 from hcdval.hierarchy import build_tree
+from hcdval.streaming import ingest_batch, init_stream
 from hcdval.utility import CharacteristicFn
 
 
@@ -165,6 +168,9 @@ def test_counter_matches_phases_and_bound(leaf_mode):
     assert report.eval_count == cf.evaluations - before
     assert report.eval_count == sum(report.phase_counts.values())
     assert report.eval_count <= report.eval_bound
+    # the phases are disjoint spans of the run
+    assert report.phase_ms.keys() == report.phase_counts.keys()
+    assert 0.0 <= sum(report.phase_ms.values()) <= report.wallclock_ms
 
 
 def test_bound_formula_matches_report():
@@ -298,3 +304,61 @@ def test_value_vector_metadata():
     assert phi.method_tag == "hcdv"
     assert phi.seed == 42
     assert len(phi.values) == data.n
+
+
+# ------------------------------------------------------------- leaf games
+
+
+class LeafGameSpy:
+    """Wraps propagate's ``exact_shapley``: per call, the leaf games and the payoff calls made inside it.
+
+    With ``per_leaf`` it plays every leaf game in its own call instead, the
+    reference.
+    """
+
+    def __init__(self, monkeypatch, per_leaf: bool):
+        self.calls = []
+        self.payoff_calls = 0
+        evaluate_games = CharacteristicFn.evaluate_games
+
+        def counted(cf, games):
+            self.payoff_calls += 1
+            return evaluate_games(cf, games)
+
+        def spy(games):
+            before = self.payoff_calls
+            out = [shapley.exact_shapley(g) for g in games] if per_leaf else shapley.exact_shapley(games)
+            self.calls.append((len(games), self.payoff_calls - before))
+            return out
+
+        monkeypatch.setattr(CharacteristicFn, "evaluate_games", counted)
+        monkeypatch.setattr(hcdv, "exact_shapley", spy)
+
+
+def batch_and_stream_run() -> list:
+    """Value bytes and evaluation counts of a batch run and a three-step stream, with leaf_cap 8."""
+    data = make_synthetic(n=80, subclusters=2, overlap=0.2, seed=4)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, branching=(2, 3), leaf_cap=8, gamma=0.25, seed=4)
+    cfg = HcdvConfig(T=6, leaf_cap=8, seed=4)
+    cf = CharacteristicFn(data, emb, lam=0.5)
+    out = [run_hcdv(data, emb, tree, cf, cfg).values.tobytes(), cf.evaluations]
+    state = init_stream(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg, rebalance_period=2)
+    for step in range(3):
+        X, y = synthetic_rows(6, subclusters=2, overlap=0.2, seed=40 + step, purpose="stream")
+        state = ingest_batch(state, X, y)
+        out += [state.values.tobytes(), state.metrics[-1].eval_count, state.metrics[-1].evals_leaves]
+    return out
+
+
+def test_propagate_plays_all_dirty_exact_leaves_in_one_payoff_call(monkeypatch):
+    with monkeypatch.context() as m:
+        reference = LeafGameSpy(m, per_leaf=True)
+        want = batch_and_stream_run()
+    spy = LeafGameSpy(monkeypatch, per_leaf=False)
+    assert batch_and_stream_run() == want
+    # one exact_shapley call per propagate: the batch run, init_stream's run, three steps
+    assert [n for n, _ in spy.calls] == [n for n, _ in reference.calls]
+    assert len(spy.calls) == 5 and all(n > 0 for n, _ in spy.calls)
+    assert [calls for _, calls in spy.calls] == [1] * 5
+    assert [calls for _, calls in reference.calls] == [n for n, _ in reference.calls]

@@ -85,15 +85,37 @@ def test_binary_auc_hand_cases():
     assert binary_auc(np.zeros(4), y) == pytest.approx(0.5)
 
 
+def loop_auc(scores: np.ndarray, labels: np.ndarray) -> float:
+    """Rank AUC with tie-averaged ranks, one run of equal scores at a time: the reference."""
+    pos = labels == 1
+    n_pos = int(pos.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 30), levels=st.integers(1, 6))
 def test_rank_auc_equals_binary_auc_on_tied_grids(seed, n, levels):
     gen = np.random.default_rng(seed)
     scores = 0.25 * gen.integers(-levels, levels, size=(5, n), endpoint=True)
     scores[0] = -scores[0] * 0.0  # signed zeros tie with each other
+    scores[1, gen.random(n) < 0.3] = np.nan  # NaN ranks last, each in a run of its own
     labels = gen.integers(0, 2, size=n)
-    want = np.array([binary_auc(row, labels) for row in scores])
+    want = np.array([loop_auc(row, labels) for row in scores])
     assert _rank_auc(scores, labels).tobytes() == want.tobytes()
+    assert np.array([binary_auc(row, labels) for row in scores]).tobytes() == want.tobytes()
 
 
 def test_auc_payoff_memory_grows_with_the_validation_split_not_its_pairs():
