@@ -41,6 +41,7 @@ other coalitions share its call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 import numpy as np
@@ -396,23 +397,26 @@ def normalized_dispersion(
 def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
     """(games, width, 2) uint64 set-hash keys of every game's blocks, zero past its last block.
 
-    A block's key is the XOR of its points' words (``coalition_key``).
-    Raises ValueError when two blocks of one game share a point.
+    A block's key is the XOR of its points' words (``coalition_key``), read
+    off a running XOR over all blocks' points. Raises ValueError when two
+    blocks of one game share a point.
     """
     counts = [len(game_blocks) for game_blocks in blocks]
+    flat = [b for game_blocks in blocks for b in game_blocks]
+    sizes = np.array([len(b) for b in flat], dtype=np.intp)
+    points = np.concatenate([b.indices for b in flat])
     block_game = np.repeat(np.arange(len(blocks)), counts)
-    sizes = np.array([len(b) for game_blocks in blocks for b in game_blocks], dtype=np.intp)
-    points = np.concatenate([b.indices for game_blocks in blocks for b in game_blocks])
-    point_game = np.repeat(block_game, sizes)
-    order = np.lexsort((points, point_game))
-    if np.any((points[order][1:] == points[order][:-1]) & (point_game[order][1:] == point_game[order][:-1])):
+    # points offset by their game: one sort puts a point repeated within a game next to itself
+    in_game = np.repeat(block_game, sizes) * (int(points.max(initial=0)) + 1) + points
+    in_game.sort()
+    if (in_game[1:] == in_game[:-1]).any():
         raise ValueError("coalition blocks must be disjoint")
-    block_keys = np.zeros((sizes.size, 2), np.uint64)
-    filled = sizes > 0
-    if filled.any():
-        block_keys[filled] = np.bitwise_xor.reduceat(point_words(points), (np.cumsum(sizes) - sizes)[filled], axis=0)
+    running = np.zeros((points.size + 1, 2), np.uint64)
+    np.bitwise_xor.accumulate(point_words(points), axis=0, out=running[1:])
+    ends = sizes.cumsum()
+    slot = np.arange(sizes.size) - np.repeat(list(accumulate(counts[:-1], initial=0)), counts)  # within its game
     table = np.zeros((len(blocks), width, 2), np.uint64)
-    table[block_game, np.concatenate([np.arange(c) for c in counts])] = block_keys
+    table[block_game, slot] = running[ends] ^ running[ends - sizes]
     return table
 
 
@@ -429,7 +433,7 @@ def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarr
     n_rows = [game_rows.shape[0] for game_rows in rows]
     row_game = np.repeat(np.arange(len(blocks)), n_rows)
     member = np.zeros((row_game.size, width), bool)
-    for start, game_rows in zip(np.cumsum(n_rows) - n_rows, rows):
+    for start, game_rows in zip(accumulate(n_rows, initial=0), rows):
         member[start : start + game_rows.shape[0], : game_rows.shape[1]] = game_rows
     table = _block_key_table(blocks, width)
     keys = np.zeros((row_game.size, 2), np.uint64)
@@ -582,11 +586,12 @@ class CharacteristicFn:
         self.lookups += inverse.size
         missed = np.flatnonzero(np.isnan(values))
         if missed.size:
-            used, game = np.unique(game[missed], return_inverse=True)
-            scored = self._score_rows([blocks[g] for g in used.tolist()], game, member[missed])
+            scored = self._score_rows(blocks, game[missed], member[missed])
             self._store([keys[k] for k in missed.tolist()], scored)
             values[missed] = scored
-        return np.split(values[inverse], np.cumsum([game_rows.shape[0] for game_rows in rows])[:-1])
+        values = values[inverse]
+        offsets = list(accumulate((game_rows.shape[0] for game_rows in rows), initial=0))
+        return [values[start:end] for start, end in zip(offsets, offsets[1:])]
 
     def _block_stats(self, games: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
         """(games, width, C * F) per-class statistics of each game's blocks, zero past its last block.
