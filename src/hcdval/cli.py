@@ -424,7 +424,6 @@ def cmd_value(cfg: RunConfig, out: Path) -> int:
         {
             "surplus": report.surplus,
             "masses": {str(k): v for k, v in sorted(report.masses.items())},
-            "budgets": {str(k): v for k, v in sorted(report.budget_map.items())},
         },
     )
     _write_json(
@@ -519,14 +518,14 @@ def cmd_stream(cfg: RunConfig, out: Path) -> int:
         lo, hi = b * cfg.batch_rows, min((b + 1) * cfg.batch_rows, features.shape[0])
         state = ingest_batch(state, features[lo:hi], labels[lo:hi])
     header = (
-        "epoch,latency_ms,dirty_count,eval_count,evals_refresh,evals_masses,"
+        "epoch,latency_ms,dirty_count,eval_count,evals_refresh,evals_root,"
         "evals_leaves,leaf_count,spawned,rebalanced"
     )
     lines = [header]
     for m in state.metrics:
         lines.append(
             f"{m.epoch},{m.latency_ms:.3f},{m.dirty_count},{m.eval_count},{m.evals_refresh},"
-            f"{m.evals_masses},{m.evals_leaves},{m.leaf_count},{m.spawned},{m.rebalanced}"
+            f"{m.evals_root},{m.evals_leaves},{m.leaf_count},{m.spawned},{m.rebalanced}"
         )
     (out / "stream_metrics.csv").write_text("\n".join(lines) + "\n")
     write_valuation_csv(out / "valuation.csv", state.value_vector())
@@ -604,17 +603,17 @@ def _suite_efficiency(cfg: RunConfig) -> dict:
     report = last_run_report()
     hcdv_gap = efficiency_check(vv, cf)
 
-    budget_gap = 0.0
+    mass_gap = 0.0
     for level in range(1, len(tree.levels)):
         for pid, kids in tree.families(level):
-            total = math.fsum(report.budget_map[k] for k in kids)
-            budget_gap = max(budget_gap, abs(total - report.masses[pid]))
-    passed = exact_gap <= 1e-9 and hcdv_gap <= 1e-6 and budget_gap <= 1e-9
+            total = math.fsum(report.masses[k] for k in kids)
+            mass_gap = max(mass_gap, abs(total - report.masses[pid]))
+    passed = exact_gap <= 1e-9 and hcdv_gap <= 1e-6 and mass_gap <= 1e-9
     return {
         "exact_gap": exact_gap,
         "hcdv_gap": hcdv_gap,
-        "budget_gap": budget_gap,
-        "tolerances": {"exact": 1e-9, "hcdv": 1e-6, "budget": 1e-9},
+        "mass_gap": mass_gap,
+        "tolerances": {"exact": 1e-9, "hcdv": 1e-6, "mass": 1e-9},
         "passed": passed,
     }
 

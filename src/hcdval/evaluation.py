@@ -338,7 +338,7 @@ def diagnostic_hcdv(
     level_estimates = _diagnostic_level_estimator(tree, cf, cfg, game_scope, sampling)
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     values = np.zeros(data.n)
-    propagate(tree, cf, cfg, surplus, values, {}, {}, {}, level_estimates)
+    propagate(tree, cf, cfg, surplus, values, {}, level_estimates)
     tag = f"hcdv-{game_scope}-{sampling}"
     return ValueVector(values=values, method_tag=tag, seed=cfg.seed, permutations_T=cfg.T, wallclock_ms=0.0)
 

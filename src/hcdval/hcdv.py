@@ -19,10 +19,7 @@ so their coalitions are scored in one payoff call.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
 handed down normalised. The diagnostic game modes live in ``evaluation.py``.
-
-A parallel audit map propagates budgets through the classic singleton-payoff
-weights; it satisfies the same per-family conservation invariant but does not
-feed the returned values.
+The per-node masses are the budgets the paper propagates down the tree.
 """
 
 from __future__ import annotations
@@ -77,11 +74,12 @@ class HcdvConfig:
 
 @dataclass
 class HcdvReport:
-    """Bookkeeping from one valuation run (also backs evaluation_counter).
+    """Bookkeeping from one valuation run.
 
     ``phase_counts`` and ``phase_ms`` hold the payoff evaluations and the
-    wall-clock milliseconds of each phase: root surplus, family sweeps,
-    singleton payoffs and leaf games.
+    wall-clock milliseconds of each phase: root surplus, family sweeps and
+    leaf games. A ``"singletons"`` phase stays at 0 for the benchmark's
+    reader (``perfbench/worker.py``).
     """
 
     surplus: float
@@ -90,29 +88,12 @@ class HcdvReport:
     phase_ms: Dict[str, float]
     eval_bound: int
     masses: Dict[int, float]
-    raw_estimates: Dict[int, Optional[float]]
-    budget_map: Dict[int, float]
     level_player_counts: List[int]
     T: int
     wallclock_ms: float
 
 
 _LAST_REPORT: Optional[HcdvReport] = None
-
-
-def propagation_weights(parent_payoffs) -> np.ndarray:
-    """Non-negative weights from singleton payoffs: clip at zero, normalise.
-
-    An all-non-positive family falls back to even weights, so the result
-    always sums to one.
-    """
-    w = np.clip(np.asarray(parent_payoffs, dtype=np.float64), 0.0, None)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("need a non-empty 1-d payoff vector")
-    total = w.sum()
-    if total > 0.0:
-        return w / total
-    return np.full(w.size, 1.0 / w.size)
 
 
 def _split_mass(pot: float, estimates: np.ndarray) -> np.ndarray:
@@ -159,8 +140,6 @@ def propagate(
     surplus: float,
     values: np.ndarray,
     masses: Dict[int, float],
-    raw: Dict[int, Optional[float]],
-    budget: Dict[int, float],
     level_estimates: Callable[[int, Families], Dict[int, Optional[float]]],
     dirty: Optional[Set[int]] = None,
 ) -> Tuple[Dict[str, int], Dict[str, float]]:
@@ -171,15 +150,15 @@ def propagate(
     (at least) their dirty children; a sole child mapped to None inherits
     its parent's whole mass. Clean children keep their masses; dirty ones
     split the residual, the parent's mass minus the clean children's, by
-    their clipped estimates. Singleton payoffs set the audit budgets. Then
-    every dirty leaf spreads its mass over its points, the exact leaves'
-    games all in one payoff call, and every node is annotated.
-    ``dirty=None`` marks every node dirty: the batch run. The maps and
+    their clipped estimates. Then every dirty leaf spreads its mass over its
+    points, the exact leaves' games all in one payoff call.
+    ``dirty=None`` marks every node dirty: the batch run. ``masses`` and
     ``values`` are updated in place. Returns the payoff evaluations and the
-    wall-clock milliseconds of each phase: the estimates ("sweeps"), the
-    singletons and the leaf games.
+    wall-clock milliseconds of each phase: the estimates ("sweeps") and the
+    leaf games. A ``"singletons"`` phase stays at 0 for the benchmark's
+    reader (``perfbench/worker.py``).
     """
-    counts = {"sweeps": 0, "singletons": 0, "leaves": 0}
+    counts = {"sweeps": 0, "singletons": 0, "leaves": 0}  # "singletons": 0 for perfbench/worker.py
     ms = dict.fromkeys(counts, 0.0)
 
     @contextmanager
@@ -191,17 +170,16 @@ def propagate(
 
     if dirty is None:
         dirty = set(tree.nodes)
-    root = tree.root_id
-    masses[root] = raw[root] = budget[root] = surplus
+    masses[tree.root_id] = surplus
 
     for level in range(1, len(tree.levels)):
         families = [(pid, kids) for pid, kids in tree.families(level) if pid in dirty]
         with phase("sweeps"):
-            raw.update(level_estimates(level, families))
+            raw = level_estimates(level, families)
         for pid, kids in families:
             pot = masses[pid]
             if len(kids) == 1 and raw[kids[0]] is None:
-                masses[kids[0]] = budget[kids[0]] = pot
+                masses[kids[0]] = pot
                 continue
             clean_kids = [c for c in kids if c not in dirty]
             dirty_kids = [c for c in kids if c in dirty]
@@ -210,18 +188,10 @@ def propagate(
                 warnings.warn(f"negative residual mass {residual} under node {pid}")
             ests = np.asarray([raw[c] for c in dirty_kids], dtype=np.float64)
             masses.update(zip(dirty_kids, _split_mass(residual, ests).tolist()))
-            with phase("singletons"):
-                singles = [cf.evaluate(tree.node(c).members) for c in kids]
-            for c, w in zip(kids, propagation_weights(singles).tolist()):
-                budget[c] = w * pot
 
     with phase("leaves"):
         leaves = [(tree.node(lid).members, masses[lid]) for lid in tree.leaf_ids() if lid in dirty]
         _distribute_leaves(values, leaves, cfg, cf)
-
-    for nid, node in tree.nodes.items():
-        node.cached_shapley = masses.get(nid)
-        node.budget = budget.get(nid)
     return counts, ms
 
 
@@ -256,7 +226,7 @@ def run_hcdv(
     for level in range(1, len(tree.levels)):
         players = sum(len(kids) for _, kids in tree.families(level) if len(kids) > 1)
         level_player_counts.append(players)
-        # a prefix sweep scores T + 1 coalitions per player, plus its singleton
+        # a prefix sweep scores T + 1 coalitions per player; the pinned bound adds one more
         eval_bound += players * (cfg.T + 1) + players
     for lid in tree.leaf_ids():
         g = len(tree.node(lid).members)
@@ -276,10 +246,8 @@ def run_hcdv(
         return estimates
 
     masses: Dict[int, float] = {}
-    raw: Dict[int, Optional[float]] = {}
-    budget: Dict[int, float] = {}
     values = np.zeros(data.n)
-    counts, ms = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, level_games)
+    counts, ms = propagate(tree, cf, cfg, surplus, values, masses, level_games)
 
     report = HcdvReport(
         surplus=surplus,
@@ -288,8 +256,6 @@ def run_hcdv(
         phase_ms={"root": root_ms, **ms},
         eval_bound=eval_bound,
         masses=masses,
-        raw_estimates=raw,
-        budget_map=budget,
         level_player_counts=level_player_counts,
         T=cfg.T,
         wallclock_ms=(time.perf_counter() - start) * 1000.0,
@@ -308,13 +274,6 @@ def run_hcdv(
         permutations_T=cfg.T,
         wallclock_ms=report.wallclock_ms,
     )
-
-
-def evaluation_counter() -> int:
-    """Payoff evaluations consumed by the most recent run_hcdv call."""
-    if _LAST_REPORT is None:
-        raise RuntimeError("no hierarchical valuation has run yet")
-    return _LAST_REPORT.eval_count
 
 
 def last_run_report() -> HcdvReport:

@@ -137,8 +137,6 @@ class TreeNode:
     children: List[int]
     members: PointSet
     prototype: np.ndarray
-    cached_shapley: Optional[float] = None
-    budget: Optional[float] = None
 
 
 class HierarchyTree:
@@ -264,8 +262,6 @@ class HierarchyTree:
                     "children": n.children,
                     "members": n.members.indices.tolist(),
                     "prototype": n.prototype.tolist(),
-                    "cached_shapley": n.cached_shapley,
-                    "budget": n.budget,
                 }
                 for n in sorted(self.nodes.values(), key=lambda n: n.id)
             ],
@@ -285,8 +281,6 @@ class HierarchyTree:
                 children=list(spec["children"]),
                 members=PointSet(spec["members"]),
                 prototype=np.asarray(spec["prototype"], dtype=np.float64),
-                cached_shapley=spec["cached_shapley"],
-                budget=spec["budget"],
             )
             tree.nodes[node.id] = node
         tree._next_id = 1 + max(tree.nodes) if tree.nodes else 0
@@ -309,8 +303,6 @@ class HierarchyTree:
                 children=list(n.children),
                 members=n.members,
                 prototype=n.prototype.copy(),
-                cached_shapley=None if n.cached_shapley is None else float(n.cached_shapley),
-                budget=None if n.budget is None else float(n.budget),
             )
         tree._next_id = 1 + max(tree.nodes) if tree.nodes else 0
         return tree

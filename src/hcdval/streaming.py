@@ -22,7 +22,6 @@ prototype is close enough), and only the touched leaves plus their ancestors
     still sum to the refreshed total surplus. A negative residual is split
     by the same rule, so the dirty children's shares turn negative, and a
     warning names the parent;
-  - every child's audit budget is recomputed from its singleton payoff;
 * last, only the dirty leaves spread their new mass over their points.
 
 The tree is copied node by node on every batch (member sets are shared, as
@@ -56,11 +55,16 @@ class StepMetrics:
     dirty_count: int
     eval_count: int
     evals_refresh: int
-    evals_masses: int
+    evals_root: int
     evals_leaves: int
     leaf_count: int
     spawned: int
     rebalanced: bool
+
+    @property
+    def evals_masses(self) -> int:
+        """The old name of ``evals_root``, still read by ``perfbench/worker.py``."""
+        return self.evals_root
 
 
 @dataclass
@@ -75,8 +79,6 @@ class StreamState:
     cfg: HcdvConfig
     values: np.ndarray
     masses: Dict[int, float]
-    raw_estimates: Dict[int, Optional[float]]
-    budget_map: Dict[int, float]
     surplus: float
     assign_threshold: float
     rebalance_period: int
@@ -122,8 +124,6 @@ def init_stream(
         cfg=cfg,
         values=np.array(vec.values),
         masses=dict(report.masses),
-        raw_estimates=dict(report.raw_estimates),
-        budget_map=dict(report.budget_map),
         surplus=report.surplus,
         assign_threshold=assign_threshold,
         rebalance_period=rebalance_period,
@@ -258,8 +258,6 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     # -- hand the refreshed surplus down the dirty path ---------------------
     cfg = state.cfg
     masses = {nid: m for nid, m in state.masses.items() if nid in tree.nodes}
-    raw = {nid: r for nid, r in state.raw_estimates.items() if nid in tree.nodes}
-    budget = {nid: b for nid, b in state.budget_map.items() if nid in tree.nodes}
     marks = cf.evaluations
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     evals_root = cf.evaluations - marks
@@ -284,7 +282,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         return estimates
 
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    phase, _ = propagate(tree, cf, cfg, surplus, values, masses, raw, budget, refresh, dirty)
+    phase, _ = propagate(tree, cf, cfg, surplus, values, masses, refresh, dirty)
 
     metrics = StepMetrics(
         epoch=epoch,
@@ -292,7 +290,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         dirty_count=len(dirty),
         eval_count=cf.evaluations - evals_at_start,
         evals_refresh=phase["sweeps"],
-        evals_masses=evals_root + phase["singletons"],
+        evals_root=evals_root,
         evals_leaves=phase["leaves"],
         leaf_count=len(tree.leaf_ids()),
         spawned=spawned,
@@ -307,8 +305,6 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         cfg=state.cfg,
         values=values,
         masses=masses,
-        raw_estimates=raw,
-        budget_map=budget,
         surplus=surplus,
         assign_threshold=state.assign_threshold,
         rebalance_period=state.rebalance_period,

@@ -64,7 +64,7 @@ def test_value_metrics_schema(tmp_path):
     assert all(ms >= 0.0 for ms in metrics["phase_ms"].values())
     assert metrics["evaluation_count"] <= metrics["eval_bound"]
     budget = json.loads((out / "budget.json").read_text())
-    assert set(budget) == {"surplus", "masses", "budgets"}
+    assert set(budget) == {"surplus", "masses"}
 
 
 def test_valuation_csv_shape(tmp_path):
@@ -382,20 +382,30 @@ def test_check_catches_broken_mass_splitting(tmp_path, monkeypatch):
     assert "mass" in err["message"]
 
 
-def test_check_catches_skewed_budget_weights(tmp_path, monkeypatch):
+def test_check_catches_unbalanced_family_masses(tmp_path, monkeypatch):
+    # 0.01 moves from the first family split to the second; the second family
+    # hands it down, so the point values still sum to the surplus and only the
+    # per-family mass check can see it
     import hcdval.hcdv as hmod
 
-    true_weights = hmod.propagation_weights
+    true_split = hmod._split_mass
+    shifts = [-0.01, 0.01]
 
-    def skewed(payoffs):
-        return true_weights(payoffs) + 0.1
+    def unbalanced(pot, estimates):
+        shares = true_split(pot, estimates)
+        if shifts:
+            shares[0] += shifts.pop(0)
+        return shares
 
-    monkeypatch.setattr(hmod, "propagation_weights", skewed)
+    monkeypatch.setattr(hmod, "_split_mass", unbalanced)
     out = tmp_path / "run"
     rc = main(check_args(out))
     assert rc == 1
     report = json.loads((out / "check_report.json").read_text())
-    assert report["suites"]["efficiency"]["passed"] is False
+    suite = report["suites"]["efficiency"]
+    assert suite["passed"] is False
+    assert suite["hcdv_gap"] <= suite["tolerances"]["hcdv"]
+    assert suite["mass_gap"] == pytest.approx(0.01, abs=1e-9)
 
 
 # ------------------------------------------------------------- embed/tree

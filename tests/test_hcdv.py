@@ -1,4 +1,4 @@
-"""Tests for hierarchical mass propagation: conservation, budgets, counts."""
+"""Tests for hierarchical mass propagation: conservation, counts."""
 
 import math
 
@@ -9,13 +9,7 @@ from hcdval import hcdv, shapley
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
 from hcdval.encoder import identity_embeddings
 from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic, synthetic_rows
-from hcdval.hcdv import (
-    HcdvConfig,
-    evaluation_counter,
-    last_run_report,
-    propagation_weights,
-    run_hcdv,
-)
+from hcdval.hcdv import HcdvConfig, last_run_report, run_hcdv
 from hcdval.hierarchy import build_tree
 from hcdval.streaming import ingest_batch, init_stream
 from hcdval.utility import CharacteristicFn
@@ -27,27 +21,6 @@ def small_pipeline(n=40, branching=(2, 3), leaf_cap=8, seed=3, lam=0.5):
     tree = build_tree(emb, branching=branching, leaf_cap=leaf_cap, gamma=0.25)
     cf = CharacteristicFn(data, emb, lam=lam)
     return data, emb, tree, cf
-
-
-# ---------------------------------------------------------------- weights
-
-
-def test_propagation_weights_hand_case():
-    w = propagation_weights([3.0, -1.0, 1.0])
-    assert np.allclose(w, [0.75, 0.0, 0.25])
-    assert w.sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_propagation_weights_all_nonpositive_falls_back_to_uniform():
-    w = propagation_weights([-2.0, 0.0, -0.5, 0.0])
-    assert np.allclose(w, 0.25)
-
-
-def test_propagation_weights_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        propagation_weights([])
-    with pytest.raises(ValueError):
-        propagation_weights([[1.0, 2.0]])
 
 
 # ------------------------------------------------------------ conservation
@@ -72,25 +45,6 @@ def test_family_masses_conserve_parent_mass():
             continue
         handed = math.fsum(report.masses[k] for k in kids)
         assert handed == pytest.approx(report.masses[node_id], abs=1e-9)
-
-
-def test_budget_map_conserves_and_uses_singleton_weights():
-    data, emb, tree, cf = small_pipeline(n=48, branching=(2, 2), leaf_cap=8)
-    cfg = HcdvConfig(T=8, leaf_cap=8, seed=2)
-    run_hcdv(data, emb, tree, cf, cfg)
-    report = last_run_report()
-    for node_id in tree.nodes:
-        kids = tree.node(node_id).children
-        if not kids:
-            continue
-        # Each family's budgets split the parent's *mass* pot through the
-        # classic singleton-payoff weights.
-        pot = report.masses[node_id]
-        assert math.fsum(report.budget_map[k] for k in kids) == pytest.approx(pot, abs=1e-9)
-        payoffs = [cf.evaluate(tree.node(k).members) for k in kids]
-        w = propagation_weights(payoffs)
-        for weight, k in zip(w, kids):
-            assert report.budget_map[k] == pytest.approx(weight * pot, abs=1e-9)
 
 
 def test_leaf_mass_spreads_over_members():
@@ -131,7 +85,7 @@ def test_single_leaf_tree_costs_two_evaluations():
     cf = CharacteristicFn(data, emb, lam=0.5)
     cfg = HcdvConfig(T=8, leaf_cap=16, seed=0, leaf_mode="always_uniform")
     phi = run_hcdv(data, emb, tree, cf, cfg)
-    assert evaluation_counter() == 2
+    assert last_run_report().eval_count == 2
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     assert np.allclose(phi.values, surplus / data.n)
 
@@ -167,6 +121,7 @@ def test_counter_matches_phases_and_bound(leaf_mode):
     report = last_run_report()
     assert report.eval_count == cf.evaluations - before
     assert report.eval_count == sum(report.phase_counts.values())
+    assert report.phase_counts["singletons"] == report.phase_ms["singletons"] == 0
     assert report.eval_count <= report.eval_bound
     # the phases are disjoint spans of the run
     assert report.phase_ms.keys() == report.phase_counts.keys()
@@ -194,8 +149,6 @@ def test_counter_requires_a_run(monkeypatch):
     import hcdval.hcdv as mod
 
     monkeypatch.setattr(mod, "_LAST_REPORT", None)
-    with pytest.raises(RuntimeError):
-        evaluation_counter()
     with pytest.raises(RuntimeError):
         last_run_report()
 

@@ -133,28 +133,39 @@ def test_build_tree_determinism():
     assert a.to_json() == b.to_json()
 
 
+# a tree.json in the older format, whose nodes also carried two per-node
+# annotations that from_json now ignores
+OLD_FORMAT_TREE_JSON = """{
+ "branching": [2], "leaf_cap": 2, "gamma": 0.25, "levels": [[0], [1, 2]],
+ "nodes": [
+  {"id": 0, "level": 0, "parent": null, "children": [1, 2], "members": [0, 1, 2],
+   "prototype": [0.5, 1.0], "cached_shapley": 0.3, "budget": 0.3},
+  {"id": 1, "level": 1, "parent": 0, "children": [], "members": [0, 1],
+   "prototype": [0.0, 1.5], "cached_shapley": 0.25, "budget": 0.1},
+  {"id": 2, "level": 1, "parent": 0, "children": [], "members": [2],
+   "prototype": [1.5, 0.0], "cached_shapley": null, "budget": null}
+ ]
+}"""
+
+
 def test_tree_json_roundtrip_preserves_annotations():
-    emb = _embedding(25, seed=10)
-    tree = build_tree(emb, (3,), leaf_cap=6, gamma=0.25, seed=10)
-    for i, node in enumerate(tree.nodes.values()):
-        node.cached_shapley = 0.1 * i
-        node.budget = 0.2 * i
-    clone = tree.copy()
-    assert clone.to_json() == tree.to_json()
-    for nid, node in tree.nodes.items():
-        other = clone.node(nid)
-        assert other.members == node.members
-        assert other.cached_shapley == node.cached_shapley
-        assert other.budget == node.budget
-        assert np.allclose(other.prototype, node.prototype)
+    built = build_tree(_embedding(25, seed=10), (3,), leaf_cap=6, gamma=0.25, seed=10)
+    old = HierarchyTree.from_json(OLD_FORMAT_TREE_JSON)
+    assert (old.branching, old.leaf_cap, old.gamma, old.levels) == ([2], 2, 0.25, [[0], [1, 2]])
+    assert old.node(1).members == PointSet([0, 1]) and old.node(1).prototype.tolist() == [0.0, 1.5]
+    assert old._next_id == 3
+    for tree in (built, old):
+        clone = HierarchyTree.from_json(tree.to_json())
+        assert clone.to_json() == tree.to_json()
+        for nid, node in tree.nodes.items():
+            other = clone.node(nid)
+            assert (other.level, other.parent, other.children) == (node.level, node.parent, node.children)
+            assert other.members == node.members
+            assert np.allclose(other.prototype, node.prototype)
 
 
 def test_tree_copy_equals_a_json_round_trip_and_is_independent():
     tree = build_tree(_embedding(90, seed=6), (3, 2), leaf_cap=12, gamma=0.25, seed=6)
-    for i, nid in enumerate(tree.nodes):
-        node = tree.node(nid)
-        node.cached_shapley = np.float64(0.1 * i) if i % 3 else None
-        node.budget = 0.2 * i if i % 2 else None
     gone = tree.levels[-1].pop()  # the newest node goes, as in a rebalance: ids now have a gap at the top
     tree.node(tree.node(gone).parent).children.remove(gone)
     del tree.nodes[gone]
@@ -168,15 +179,11 @@ def test_tree_copy_equals_a_json_round_trip_and_is_independent():
         assert (got.id, got.level, got.parent, got.children) == (want.id, want.level, want.parent, want.children)
         assert got.members == want.members
         assert got.prototype.tobytes() == want.prototype.tobytes()
-        for field in ("cached_shapley", "budget"):
-            value = getattr(got, field)
-            assert value == getattr(want, field) and type(value) is type(getattr(want, field))
 
     before = tree.to_json()
     for node in clone.nodes.values():
         node.prototype += 1.0
         node.children.append(-1)
-        node.cached_shapley = 7.0
         node.members = PointSet([0])
     clone.levels[0].append(-1)
     clone.levels.append([])
