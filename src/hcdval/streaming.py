@@ -202,6 +202,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     embedding = replace(state.embedding, vectors=new_vectors)
     cf = CharacteristicFn(data, embedding, lam=state.cf.lam, metric=state.cf.metric, learner=state.cf.learner)
     cf._cache = state.cf._cache  # old keys stay valid: indices are append-only
+    cf._words = state.cf._words  # and so do the point words keys are made of
     evals_at_start = cf.evaluations
 
     # -- assignment ---------------------------------------------------------

@@ -501,6 +501,7 @@ class CharacteristicFn:
         self.metric = metric
         self.learner = learner
         self._cache: dict[bytes, float] = {}
+        self._words = np.zeros((0, 2), np.uint64)  # point_words of points 0, 1, ..., filled on demand
         self.evaluations = 0  # cache misses: actual payoff computations
         self.lookups = 0
         if learner == "nearest_centroid":
@@ -530,9 +531,22 @@ class CharacteristicFn:
     def normalized_dispersion(self, points: PointSet) -> DispersionResult:
         return normalized_dispersion(self.vectors, self.dataset.labels, points)
 
+    def _key(self, points: PointSet) -> bytes:
+        """``points.key()``, read from this payoff's table of point words.
+
+        The table covers the dataset once a lookup needs it, and grows by
+        appending the words of any later index, as a stream's corpus grows.
+        """
+        indices = points.indices
+        if indices.size and indices[-1] >= self._words.shape[0]:
+            have = self._words.shape[0]
+            grown = np.arange(have, max(self.dataset.n, int(indices[-1]) + 1))
+            self._words = np.concatenate([self._words, point_words(grown)])
+        return np.bitwise_xor.reduce(self._words[indices], axis=0).tobytes()
+
     def evaluate(self, points: PointSet) -> float:
         self.lookups += 1
-        key = points.key()
+        key = self._key(points)
         hit = self._cache.get(key)
         if hit is not None:
             return hit

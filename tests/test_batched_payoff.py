@@ -97,6 +97,30 @@ def test_cache_key_is_the_xor_of_splitmix64_point_words():
     assert PointSet(points).key() == b"".join(w.to_bytes(8, sys.byteorder) for w in words)
 
 
+def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
+    data = make_synthetic(30, seed=2)
+    cf = CharacteristicFn(data, data.features)
+    assert cf._words.shape == (0, 2)  # built by the first lookup, not the constructor
+    sets = [EMPTY_SET, PointSet([0]), PointSet([3, 7, 11]), PointSet(range(data.n))]
+    for S in sets:
+        assert cf._key(S) == S.key()
+    assert cf._words.shape == (data.n, 2)
+    # a payoff over the grown corpus reuses the table and appends the new points' words
+    grown = make_synthetic(50, seed=2)
+    bigger = CharacteristicFn(grown, grown.features)
+    bigger._words = cf._words
+    assert [bigger._key(S) for S in sets + [PointSet([data.n, grown.n - 1])]] == [
+        S.key() for S in sets + [PointSet([data.n, grown.n - 1])]
+    ]
+    assert bigger._words.shape == (grown.n, 2) and cf._words.shape == (data.n, 2)
+    assert bigger._words.tolist() == point_words(np.arange(grown.n)).tolist()
+    # evaluate and evaluate_games share cache entries
+    S = PointSet([1, 4, 9])
+    value = bigger.evaluate(S)
+    got = bigger.evaluate_games([([PointSet([9]), PointSet([1, 4])], np.ones((1, 2), bool))])
+    assert got[0].tolist() == [value] and bigger.evaluations == 1 and list(bigger._cache) == [S.key()]
+
+
 def test_the_empty_set_key_is_all_zeros():
     assert EMPTY_SET.key() == PointSet([]).key() == bytes(16)
     data = make_synthetic(30, seed=2)

@@ -17,6 +17,7 @@ from hcdval import (
     monte_carlo_shapley,
     random_values,
 )
+from hcdval import shapley
 from hcdval.shapley import _permutations
 
 from conftest import permutation_average_oracle, random_table_game
@@ -96,6 +97,14 @@ def test_exact_additivity_is_linear():
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_game_players_must_be_disjoint():
+    with pytest.raises(ValueError, match="disjoint"):
+        CoalitionGame([PointSet([0, 1]), PointSet([2]), PointSet([1, 5])], lambda pts: 0.0)
+    with pytest.raises(ValueError, match="disjoint"):
+        CoalitionGame([PointSet([4]), PointSet([4])], lambda pts: 0.0)
+    assert CoalitionGame([PointSet([0, 3]), PointSet([]), PointSet([1, 2])], lambda pts: 0.0).K == 3
+
+
 def test_exact_player_limit_names_the_alternative():
     game = make_game(13, lambda pts: 0.0)
     with pytest.raises(ValueError, match="monte_carlo_shapley"):
@@ -161,6 +170,44 @@ def test_permutations_match_default_rng(seeds, K):
 def test_permutations_match_default_rng_on_edge_seeds_for_every_size():
     for K in range(41):
         assert np.array_equal(_permutations(EDGE_SEEDS, K), _default_rng_rows(EDGE_SEEDS, K))
+
+
+def test_permutations_match_default_rng_when_every_rejection_must_grow_the_window(monkeypatch):
+    # no slack: a block's first window holds one draw per position, so every
+    # seed that rejects a draw rereads a wider window, and its draws run out
+    seeds = np.random.default_rng(12).integers(0, 2**64, size=2000, dtype=np.uint64)
+    want = {K: _default_rng_rows(seeds.tolist(), K) for K in range(41)}
+    monkeypatch.setattr(shapley, "_slack", lambda mean, var: 0)
+    for K in range(41):
+        assert np.array_equal(_permutations(seeds, K), want[K]), K
+
+
+@pytest.mark.parametrize("K", [3, 5, 9, 17, 33])
+def test_permutations_match_default_rng_just_above_a_power_of_two(K):
+    # i = K - 1 = 2^b rejects almost half its draws: the longest rejection runs
+    seeds = np.random.default_rng(K).integers(0, 2**64, size=4096, dtype=np.uint64)
+    assert np.array_equal(_permutations(seeds, K), _default_rng_rows(seeds.tolist(), K))
+
+
+def test_permutations_take_player_gains_seed_arrays_and_empty_ones():
+    seeds = np.random.default_rng(4).integers(0, 2**63, size=(3, 7), dtype=np.uint64)
+    assert np.array_equal(_permutations(seeds, 6), _default_rng_rows(seeds.ravel().tolist(), 6))
+    for K in (0, 1, 5):
+        empty = _permutations(np.zeros(0, dtype=np.uint64), K)
+        assert empty.shape == (0, K) and empty.dtype == np.int64
+    assert _permutations(np.zeros((2, 0), dtype=np.uint64), 4).shape == (0, 4)
+
+
+def test_permutations_build_no_generator(monkeypatch):
+    seeds = EDGE_SEEDS + list(range(40))
+    want = _default_rng_rows(seeds, 11)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("_permutations must not build a numpy generator")
+
+    for name in ("default_rng", "Generator", "PCG64", "SeedSequence"):
+        monkeypatch.setattr(np.random, name, forbidden)
+    assert np.array_equal(_permutations(seeds, 11), want)
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, 2**64])
