@@ -363,8 +363,8 @@ class _Pcg64Draws:
     def window(self, cols: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
         """Draws ``start[c] .. start[c] + width - 1`` of each seed in ``cols``: (width, len(cols)) uint32.
 
-        ``cols`` holds sorted seed indices. Seeds that hold too few draws
-        first get the outputs they lack.
+        ``cols`` holds seed indices. Seeds that hold too few draws first get
+        the outputs they lack.
         """
         stop = start + width
         short = stop > self.have[cols]
