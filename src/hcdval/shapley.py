@@ -10,11 +10,8 @@ be replayed to reproduce an estimate bit for bit; a replayed log may hold any
 integer seed in [0, 2^64).
 
 Permutation t is ``np.random.default_rng(seed_t).permutation(K)``, drawn for
-all seeds of a call at once by ``_permutations`` as array arithmetic, with no
-generator built: numpy's SeedSequence hashing gives each seed's PCG64 state,
-every PCG64 output comes in closed form from that state in uint64 words, and
-numpy's Fisher-Yates shuffle, rejection draws included, runs one pass per
-position over all seeds. The rows are numpy's bit for bit.
+all seeds of a call at once, as array arithmetic and with no generator built,
+by ``permutations.draw_permutations``; the rows are numpy's bit for bit.
 
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
 coalition, through ``_distinct_row_values``, which drops duplicate rows and
@@ -33,8 +30,6 @@ plain callable is called once per distinct row.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import numbers
 import time
@@ -44,6 +39,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, union
+from .permutations import draw_permutations as _permutations
 
 EXACT_PLAYER_LIMIT = 12
 _PREFIX_ROW_BUDGET = 1 << 20  # (rows, K) prefix-matrix elements built at once
@@ -191,314 +187,6 @@ def _exact_values(terms: list, v: np.ndarray) -> ShapleyEstimate:
     if not abs(total - surplus) <= 1e-9:
         raise AssertionError(f"exact Shapley must satisfy efficiency: sum {total} vs surplus {surplus}")
     return ShapleyEstimate(values=values, T=0, mode="exact", permutation_log=None)
-
-
-def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
-    consts = [init]
-    for _ in range(n):
-        consts.append(consts[-1] * mult & 0xFFFFFFFF)
-    out = np.array(consts, dtype=np.uint32)[:, None]
-    out.setflags(write=False)
-    return out
-
-
-# numpy's SeedSequence (numpy/random/bit_generator.pyx): the k-th hashmix of
-# the entropy pool xors with _HASH_A[k] and multiplies by _HASH_A[k + 1];
-# generate_state does the same with _HASH_B. Then PCG64's 128-bit multiplier.
-_HASH_A = _hash_constants(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_M32 = np.uint64(_MASK32)
-
-
-def _mix_hashes(src: int) -> tuple:
-    """mix_entropy's hashmix constants for one source word, as (4, 1) xor and multiplier columns over dst.
-
-    Source word src hashes with hashmixes 4 + 3 · src + rank, rank counting
-    the other words in order; its own row gets a dummy (the first of its three).
-    """
-    ks = [4 + 3 * src + rank for rank in range(3)]
-    rows = ks[:src] + ks[:1] + ks[src:]
-    return _HASH_A[rows], _HASH_A[[k + 1 for k in rows]]
-
-
-_MIX_HASHES = [_mix_hashes(src) for src in range(4)]
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Hashmixes k .. k + n - 1 of one SeedSequence constant sequence, one per row."""
-    mixed = (values ^ consts[k : k + n]) * consts[k + 1 : k + n + 1]
-    return mixed ^ (mixed >> 16)
-
-
-def _seed_sequence_words(seeds: np.ndarray) -> np.ndarray:
-    """``SeedSequence(int(s)).generate_state(4, np.uint64)`` for every uint64 seed s: (4, T).
-
-    numpy turns s into its little-endian 32-bit words and hashes missing pool
-    words as 0, so the entropy [s & 0xFFFFFFFF, s >> 32] gives numpy's pool for
-    every s below 2^64. The arithmetic is uint32 and wraps as numpy's does.
-    """
-    pool = np.empty((4, seeds.size), dtype=np.uint32)
-    pool[0] = seeds  # the low 32 bits: assignment truncates
-    pool[1] = seeds >> 32
-    pool[2:] = 0
-    pool = _hashmix(pool, _HASH_A, 0, 4)
-    # mix_entropy: every word, hashed once per other word, is mixed into each
-    # other word; the source word stays put, so all four rows update at once
-    # (the source row against a dummy constant) and the source row is restored
-    for src, (xor, mult) in enumerate(_MIX_HASHES):
-        hashed = pool[src] ^ xor
-        hashed *= mult
-        hashed ^= hashed >> 16
-        hashed *= _MIX_R
-        mixed = pool * _MIX_L
-        mixed -= hashed
-        mixed ^= mixed >> 16
-        mixed[src] = pool[src]
-        pool = mixed
-    # generate_state: eight uint32 words cycling over the pool, joined in
-    # little-endian pairs into four uint64 words
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B, 0, 8).astype(np.uint64)
-    return words[0::2] | (words[1::2] << 32)
-
-
-@functools.lru_cache(maxsize=None)
-def _jump_table(size: int) -> np.ndarray:
-    """Constants of PCG64 outputs 1 .. size: column k - 1 serves s_k = M^(k+1)·x + A_(k+1)·inc.
-
-    ``[0]`` holds M^(k+1) and ``[1]`` holds A_(k+1) = 1 + M + ... + M^k, each
-    as high word, low word and the low word's 32-bit halves (high half first):
-    (2, 4, size) uint64, computed on first use as Python ints. Callers ask
-    for powers of two, so few tables are ever built.
-    """
-    cols, power, total = [], _PCG64_MULT, 1
-    for _ in range(size):
-        power, total = power * _PCG64_MULT & _MASK128, (total + power) & _MASK128
-        cols.append([[c >> 64, c & _MASK64, c >> 32 & _MASK32, c & _MASK32] for c in (power, total)])
-    table = np.array(cols, dtype=np.uint64).transpose(1, 2, 0).copy()
-    table.setflags(write=False)
-    return table
-
-
-def _mul128(a_hi, a_lo, b_hi, b_lo, b_lo1, b_lo0) -> tuple:
-    """(a · b) mod 2^128 as (high, low) uint64 words; the high word of a_lo · b_lo comes from 32-bit halves.
-
-    Three full-size arrays are live at once: the high word and two buffers.
-    """
-    a_lo1, a_lo0 = a_lo >> 32, a_lo & _M32
-    hi = a_lo1 * b_lo1
-    carry = a_lo0 * b_lo0
-    carry >>= 32
-    middle = a_lo1 * b_lo0
-    carry += middle
-    np.bitwise_and(carry, _M32, out=middle)
-    carry >>= 32
-    hi += carry
-    middle += np.multiply(a_lo0, b_lo1, out=carry)
-    middle >>= 32
-    hi += middle
-    hi += np.multiply(a_lo, b_hi, out=carry)
-    hi += np.multiply(a_hi, b_lo, out=carry)
-    return hi, np.multiply(a_lo, b_lo, out=carry)
-
-
-class _Pcg64Draws:
-    """numpy's ``next_uint32`` draws of ``default_rng(seed)``'s PCG64, one column per seed, produced on demand.
-
-    PCG64 seeds itself from the SeedSequence words (above) with srandom:
-    state = 0, inc = (initseq << 1) | 1, step, add initstate, step; that is
-    s_0 = x · M + inc mod 2^128 with x = inc + initstate. Its k-th output is
-    XSL-RR of s_k = M^k · s_0 + (1 + M + ... + M^(k-1)) · inc
-    = M^(k+1) · x + A_(k+1) · inc: the xor of the state's two words, rotated
-    right by its top six bits. ``next_uint32`` serves each output's low half,
-    then its high half.
-    """
-
-    def __init__(self, seeds: np.ndarray, outputs: int):
-        init_hi, init_lo, seq_hi, seq_lo = _seed_sequence_words(seeds)
-        # x and inc as (2, 1, seeds) high and low words, to multiply by both jump constants at once
-        self.hi = np.empty((2, 1, seeds.size), dtype=np.uint64)
-        self.lo = np.empty((2, 1, seeds.size), dtype=np.uint64)
-        (x_hi,), (inc_hi,) = self.hi
-        (x_lo,), (inc_lo,) = self.lo
-        np.left_shift(seq_hi, 1, out=inc_hi)
-        inc_hi |= seq_lo >> 63
-        np.left_shift(seq_lo, 1, out=inc_lo)
-        inc_lo |= 1
-        np.add(inc_lo, init_lo, out=x_lo)
-        np.add(inc_hi, init_hi, out=x_hi)
-        x_hi += x_lo < inc_lo
-        self.draws = self._outputs(slice(None), slice(0, outputs))  # (draws, seeds)
-        self.have = np.full(seeds.size, 2 * outputs)  # draws held per seed
-
-    def _outputs(self, cols, k) -> np.ndarray:
-        """Draws of outputs ``k + 1`` of the seeds ``cols``: (2 · outputs, seeds) uint32.
-
-        ``cols`` is a slice or seed indices; ``k`` is a slice shared by every
-        seed or an (outputs, seeds) index array.
-        """
-        outputs = k.stop if isinstance(k, slice) else int(k.max()) + 1
-        consts = _jump_table(max(16, 1 << (outputs - 1).bit_length()))[:, :, k]
-        if isinstance(k, slice):
-            consts = consts[..., None]
-        (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi[..., cols], self.lo[..., cols], *consts.swapaxes(0, 1))
-        s_lo += t_lo
-        s_hi += t_hi
-        s_hi += s_lo < t_lo
-        rot = s_hi >> 58
-        s_lo ^= s_hi
-        np.right_shift(s_lo, rot, out=s_hi)
-        np.subtract(64, rot, out=rot)
-        rot &= 63
-        s_lo <<= rot
-        s_hi |= s_lo  # the output: the xored words rotated right
-        draws = np.empty((s_hi.shape[0], 2, s_hi.shape[1]), dtype=np.uint32)
-        draws[:, 0] = s_hi
-        s_hi >>= 32
-        draws[:, 1] = s_hi
-        return draws.reshape(-1, s_hi.shape[1])
-
-    def window(self, cols: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
-        """Draws ``start[c] .. start[c] + width - 1`` of each seed in ``cols``: (width, len(cols)) uint32.
-
-        ``cols`` holds seed indices. Seeds that hold too few draws first get
-        the outputs they lack.
-        """
-        stop = start + width
-        short = stop > self.have[cols]
-        if short.any():
-            grow, have = cols[short], self.have[cols[short]]
-            fresh = self._outputs(grow, have // 2 + np.arange((int((stop[short] - have).max()) + 1) // 2)[:, None])
-            depth = int(have.max()) + fresh.shape[0]
-            if depth > self.draws.shape[0]:
-                self.draws = np.concatenate([self.draws, np.zeros((depth - self.draws.shape[0], self.have.size), np.uint32)])
-            self.draws[have + np.arange(fresh.shape[0])[:, None], grow] = fresh
-            self.have[grow] += fresh.shape[0]
-        return self.draws[start + np.arange(width)[:, None], cols]
-
-
-def _slack(mean: float, var: float) -> int:
-    """Draws past one per position that a block's first pass reads per seed.
-
-    The draws a block rejects have the given mean and variance; four standard
-    deviations above the mean leave few seeds to read a wider window.
-    """
-    return math.ceil(mean + 4.0 * math.sqrt(var)) + 1
-
-
-_BLOCK_ELEMENTS = 1 << 15  # about (positions)^2 · seeds: rejection-table elements built at once
-
-
-def _permutations(seeds, K: int) -> np.ndarray:
-    """The rows ``np.random.default_rng(int(s)).permutation(K)`` for the given seeds: (T, K).
-
-    Every step is array arithmetic over all seeds at once, so no generator is
-    built. ``_Pcg64Draws`` computes each seed's PCG64 draws from its
-    SeedSequence words. The shuffle is numpy's Fisher-Yates: for i = K - 1 .. 1,
-    ``random_interval(i)`` takes the next draw masked to the bit length of i,
-    rejects it while it exceeds i, and swaps positions i and the accepted j.
-    ``_accepted_draws`` finds every seed's j for a block of positions at once;
-    then one pass per position swaps it for every seed. Rows equal numpy's
-    own for any K.
-    """
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
-    T = seeds.size
-    perms = np.repeat(np.arange(K, dtype=np.int64)[:, None], T, axis=1)  # (K, T): row i is position i
-    if K < 2 or T == 0:
-        return perms.T.copy()
-    block = min(K - 1, max(4, math.isqrt(_BLOCK_ELEMENTS // T)))
-    source, used = None, np.zeros(T, dtype=np.intp)  # draws each seed has read
-    seeds_at = np.arange(T)
-    flat = perms.reshape(-1)
-    for top in range(K - 1, 0, -block):
-        size = min(block, top)
-        plan = _block_plan(top, size)
-        slack = _slack(*plan[-1])
-        if source is None:  # one draw per position, and the first block's slack
-            source = _Pcg64Draws(seeds, (K - 1 + slack + 1) // 2)
-            window = source.draws[: size + slack]
-        else:
-            window = source.window(seeds_at, used, size + slack)
-        picks, read, done = _accepted_draws(window, plan, slack)
-        while not done.all():  # seeds whose window ran short read a wider one
-            redo, slack = np.flatnonzero(~done), 2 * slack + 1
-            window = source.window(redo, used[redo], size + slack)
-            picks[:, redo], read[redo], done[redo] = _accepted_draws(window, plan, slack)
-        used += read
-        targets = picks.astype(np.intp) * T + seeds_at
-        for i, target in zip(range(top, top - size, -1), targets):
-            row = flat[target]
-            flat[target] = perms[i]
-            perms[i] = row
-    return perms.T.copy()
-
-
-def _block_plan(top: int, size: int) -> tuple:
-    """Fisher-Yates positions top, top - 1, .. top - size + 1 as the arrays ``_accepted_draws`` reads.
-
-    Returns the ``random_interval`` masks 2^bitlen(i) - 1 as a (size, 1)
-    uint32 column; the indices of the R positions that can reject a draw
-    (i below its mask); their masks and positions as (R, 1) columns of the
-    narrowest unsigned type that holds every mask; per position the
-    count of rejecting positions at or before it; and the mean and variance
-    of the draws the block rejects: position i rejects a geometric number of
-    draws with ratio (mask - i) / (i + 1). Plans are rebuilt per call, not
-    cached: arrays kept alive across a run pin heap pages and raise its peak
-    memory.
-    """
-    positions = range(top, top - size, -1)
-    masks = [(1 << i.bit_length()) - 1 for i in positions]
-    can_reject = [i != mask for i, mask in zip(positions, masks)]
-    rejecting = list(itertools.compress(range(size), can_reject))
-    narrow = np.min_scalar_type(masks[0])
-    odds = [(mask - i) / (i + 1) for i, mask in zip(positions, masks)]
-    return (
-        np.array(masks, dtype=np.uint32)[:, None],
-        np.array(rejecting, dtype=np.intp),
-        np.array([masks[p] for p in rejecting], dtype=narrow)[:, None],
-        np.array([positions[p] for p in rejecting], dtype=narrow)[:, None],
-        np.array(list(itertools.accumulate(can_reject)), dtype=np.intp),
-        (sum(odds), sum(o * (1 + o) for o in odds)),
-    )
-
-
-def _accepted_draws(window: np.ndarray, plan: tuple, slack: int) -> tuple:
-    """``random_interval`` for one block of Fisher-Yates positions over every seed's next draws.
-
-    ``plan`` is the block's ``_block_plan``; column c of ``window`` holds
-    seed c's next ``size + slack`` draws. Position p (the p-th of the block)
-    reads from draw p + z on, where z counts the draws rejected so far; only
-    the R positions below their mask can reject. ``nxt[z, r, c]`` points from
-    rejecting position r at z to rejecting position r + 1 at the first
-    z' >= z whose draw r accepts, or at z' = slack + 1 when the window holds
-    none: its value is z' · R · n + (r + 1) · n + c, an index into ``nxt``
-    itself, so following the pointers is one gather per position. Returns
-    the accepted j per position and seed, the draws each seed read, and
-    whether its window held all of them.
-    """
-    masks, rejecting, rejecting_masks, rejecting_positions, seen, _ = plan
-    size, n, R = masks.shape[0], window.shape[1], rejecting.size
-    z = np.zeros((R + 1, n), dtype=np.intp)  # draws rejected before the first rejecting position, and after each
-    if R:
-        # masks keep low bits only, so the draws' low bytes decide every comparison
-        ahead = window.astype(rejecting_masks.dtype)[np.arange(slack + 1)[:, None] + rejecting]  # (slack + 1, R, n)
-        ahead &= rejecting_masks
-        rejected = ahead > rejecting_positions
-        del ahead
-        nxt = np.arange(n, n + (slack + 2) * R * n, dtype=np.min_scalar_type(-(slack + 3) * R * n))
-        nxt = nxt.reshape(slack + 2, R, n)
-        for row in range(slack, -1, -1):
-            nxt[row] = np.where(rejected[row], nxt[row + 1], nxt[row])
-        flat, at = nxt.reshape(-1), np.arange(n)
-        for r in range(1, R + 1):
-            at = z[r] = flat[at]
-        z[1:] -= np.arange(1, R + 1)[:, None] * n
-        z[1:] //= R * n
-    z = z[seen]  # (size, n): draws rejected up to each position
-    at = np.minimum(z + np.arange(size)[:, None], window.shape[0] - 1) * n + np.arange(n)
-    return window.reshape(-1)[at] & masks, size + z[-1], z[-1] <= slack
 
 
 def _resolve_generator(rng) -> tuple[np.random.Generator, int]:

@@ -17,7 +17,7 @@ from hcdval import (
     monte_carlo_shapley,
     random_values,
 )
-from hcdval import shapley
+from hcdval import permutations as draws
 from hcdval.shapley import _permutations
 
 from conftest import permutation_average_oracle, random_table_game
@@ -177,7 +177,7 @@ def test_permutations_match_default_rng_when_every_rejection_must_grow_the_windo
     # seed that rejects a draw rereads a wider window, and its draws run out
     seeds = np.random.default_rng(12).integers(0, 2**64, size=2000, dtype=np.uint64)
     want = {K: _default_rng_rows(seeds.tolist(), K) for K in range(41)}
-    monkeypatch.setattr(shapley, "_slack", lambda mean, var: 0)
+    monkeypatch.setattr(draws, "_slack", lambda mean, var: 0)
     for K in range(41):
         assert np.array_equal(_permutations(seeds, K), want[K]), K
 
