@@ -12,8 +12,6 @@ numpy's own for any seed in [0, 2^64) and any K.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 
 import numpy as np
 
@@ -130,7 +128,7 @@ def _mul128(a_hi, a_lo, b_hi, b_lo, b_lo1, b_lo0) -> tuple:
 
 
 class _Pcg64Draws:
-    """numpy's ``next_uint32`` draws of ``default_rng(seed)``'s PCG64, one column per seed, produced on demand.
+    """numpy's ``next_uint32`` draws of ``default_rng(seed)``'s PCG64 for many seeds, computed in closed form.
 
     PCG64 seeds itself from the SeedSequence words (above) with srandom:
     state = 0, inc = (initseq << 1) | 1, step, add initstate, step; that is
@@ -138,7 +136,8 @@ class _Pcg64Draws:
     XSL-RR of s_k = M^k · s_0 + (1 + M + ... + M^(k-1)) · inc
     = M^(k+1) · x + A_(k+1) · inc: the xor of the state's two words, rotated
     right by its top six bits. ``next_uint32`` serves each output's low half,
-    then its high half.
+    then its high half. ``flat`` holds draw d of seed c at d · T + c; every
+    seed holds the same number of draws.
     """
 
     def __init__(self, seeds: np.ndarray, outputs: int):
@@ -155,20 +154,13 @@ class _Pcg64Draws:
         np.add(inc_lo, init_lo, out=x_lo)
         np.add(inc_hi, init_hi, out=x_hi)
         x_hi += x_lo < inc_lo
-        self.draws = self._outputs(slice(None), slice(0, outputs))  # (draws, seeds)
-        self.have = np.full(seeds.size, 2 * outputs)  # draws held per seed
+        self.outputs = outputs
+        self.flat = self._outputs(0, outputs)
 
-    def _outputs(self, cols, k) -> np.ndarray:
-        """Draws of outputs ``k + 1`` of the seeds ``cols``: (2 · outputs, seeds) uint32.
-
-        ``cols`` is a slice or seed indices; ``k`` is a slice shared by every
-        seed or an (outputs, seeds) index array.
-        """
-        outputs = k.stop if isinstance(k, slice) else int(k.max()) + 1
-        consts = _jump_table(max(16, 1 << (outputs - 1).bit_length()))[:, :, k]
-        if isinstance(k, slice):
-            consts = consts[..., None]
-        (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi[..., cols], self.lo[..., cols], *consts.swapaxes(0, 1))
+    def _outputs(self, start: int, stop: int) -> np.ndarray:
+        """The draws of outputs ``start + 1 .. stop`` of every seed, flat in (draw, seed) order."""
+        consts = _jump_table(max(16, 1 << (stop - 1).bit_length()))[:, :, start:stop, None]
+        (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi, self.lo, *consts.swapaxes(0, 1))
         s_lo += t_lo
         s_hi += t_hi
         s_hi += s_lo < t_lo
@@ -183,37 +175,16 @@ class _Pcg64Draws:
         draws[:, 0] = s_hi
         s_hi >>= 32
         draws[:, 1] = s_hi
-        return draws.reshape(-1, s_hi.shape[1])
+        return draws.reshape(-1)
 
-    def window(self, cols: np.ndarray, start: np.ndarray, width: int) -> np.ndarray:
-        """Draws ``start[c] .. start[c] + width - 1`` of each seed in ``cols``: (width, len(cols)) uint32.
-
-        ``cols`` holds seed indices. Seeds that hold too few draws first get
-        the outputs they lack.
-        """
-        stop = start + width
-        short = stop > self.have[cols]
-        if short.any():
-            grow, have = cols[short], self.have[cols[short]]
-            fresh = self._outputs(grow, have // 2 + np.arange((int((stop[short] - have).max()) + 1) // 2)[:, None])
-            depth = int(have.max()) + fresh.shape[0]
-            if depth > self.draws.shape[0]:
-                self.draws = np.concatenate([self.draws, np.zeros((depth - self.draws.shape[0], self.have.size), np.uint32)])
-            self.draws[have + np.arange(fresh.shape[0])[:, None], grow] = fresh
-            self.have[grow] += fresh.shape[0]
-        return self.draws[start + np.arange(width)[:, None], cols]
+    def cover(self, last: int) -> None:
+        """Doubles the outputs held until ``flat`` reaches index ``last``."""
+        while last >= self.flat.size:
+            self.flat = np.concatenate([self.flat, self._outputs(self.outputs, 2 * self.outputs)])
+            self.outputs *= 2
 
 
-def _slack(mean: float, var: float) -> int:
-    """Draws past one per position that a block's first pass reads per seed.
-
-    The draws a block rejects have the given mean and variance; four standard
-    deviations above the mean leave few seeds to read a wider window.
-    """
-    return math.ceil(mean + 4.0 * math.sqrt(var)) + 1
-
-
-_BLOCK_ELEMENTS = 1 << 15  # about (positions)^2 · seeds: rejection-table elements built at once
+_AHEAD = 8  # draws a rejection pass reads per seed; each is rejected with odds below 1/2
 
 
 def draw_permutations(seeds, K: int) -> np.ndarray:
@@ -224,103 +195,44 @@ def draw_permutations(seeds, K: int) -> np.ndarray:
     SeedSequence words. The shuffle is numpy's Fisher-Yates: for i = K - 1 .. 1,
     ``random_interval(i)`` takes the next draw masked to the bit length of i,
     rejects it while it exceeds i, and swaps positions i and the accepted j.
-    ``_accepted_draws`` finds every seed's j for a block of positions at once;
-    then one pass per position swaps it for every seed. Rows equal numpy's
-    own for any K.
+    Each position is one pass over all seeds, plus a pass per ``_AHEAD``
+    draws that some seed rejects in a row. Rows equal numpy's own for any K.
     """
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1)
     T = seeds.size
     perms = np.repeat(np.arange(K, dtype=np.int64)[:, None], T, axis=1)  # (K, T): row i is position i
     if K < 2 or T == 0:
         return perms.T.copy()
-    block = min(K - 1, max(4, math.isqrt(_BLOCK_ELEMENTS // T)))
-    source, used = None, np.zeros(T, dtype=np.intp)  # draws each seed has read
+    # before position i every seed holds i - 1 + _AHEAD unread draws: a pass
+    # and one draw for each later position
+    draws = _Pcg64Draws(seeds, (K + 1) // 2 + _AHEAD)
     seeds_at = np.arange(T)
+    at = seeds_at.copy()  # each seed's next draw, as an index into draws.flat
+    ahead = np.arange(_AHEAD)[:, None] * T
     flat = perms.reshape(-1)
-    for top in range(K - 1, 0, -block):
-        size = min(block, top)
-        plan = _block_plan(top, size)
-        slack = _slack(*plan[-1])
-        if source is None:  # one draw per position, and the first block's slack
-            source = _Pcg64Draws(seeds, (K - 1 + slack + 1) // 2)
-            window = source.draws[: size + slack]
+    for i in range(K - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        if i == mask:  # no draw is rejected
+            j = np.bitwise_and(draws.flat[at], mask, dtype=np.intp)
+            at += T
         else:
-            window = source.window(seeds_at, used, size + slack)
-        picks, read, done = _accepted_draws(window, plan, slack)
-        while not done.all():  # seeds whose window ran short read a wider one
-            redo, slack = np.flatnonzero(~done), 2 * slack + 1
-            window = source.window(redo, used[redo], size + slack)
-            picks[:, redo], read[redo], done[redo] = _accepted_draws(window, plan, slack)
-        used += read
-        targets = picks.astype(np.intp) * T + seeds_at
-        for i, target in zip(range(top, top - size, -1), targets):
-            row = flat[target]
-            flat[target] = perms[i]
-            perms[i] = row
+            j = np.empty(T, dtype=np.intp)
+            todo = seeds_at
+            while todo.size:  # the seeds that have not accepted a draw yet read their next _AHEAD
+                start = at[todo]
+                window = np.bitwise_and(draws.flat[start + ahead], mask, dtype=np.intp)
+                accepted = window <= i
+                accepted[-1] = True  # a seed that rejects every draw reads on after the last
+                first = accepted.argmax(axis=0)
+                j[todo] = pick = window[first, np.arange(todo.size)]
+                first += 1
+                start += first * T
+                at[todo] = start
+                draws.cover(int(start.max()) + (i + _AHEAD - 2) * T)
+                todo = todo[pick > i]
+        j *= T
+        j += seeds_at
+        row = flat[j]
+        flat[j] = perms[i]
+        perms[i] = row
     return perms.T.copy()
-
-
-def _block_plan(top: int, size: int) -> tuple:
-    """Fisher-Yates positions top, top - 1, .. top - size + 1 as the arrays ``_accepted_draws`` reads.
-
-    Returns the ``random_interval`` masks 2^bitlen(i) - 1 as a (size, 1)
-    uint32 column; the indices of the R positions that can reject a draw
-    (i below its mask); their masks and positions as (R, 1) columns of the
-    narrowest unsigned type that holds every mask; per position the
-    count of rejecting positions at or before it; and the mean and variance
-    of the draws the block rejects: position i rejects a geometric number of
-    draws with ratio (mask - i) / (i + 1). Plans are rebuilt per call, not
-    cached: arrays kept alive across a run pin heap pages and raise its peak
-    memory.
-    """
-    positions = range(top, top - size, -1)
-    masks = [(1 << i.bit_length()) - 1 for i in positions]
-    can_reject = [i != mask for i, mask in zip(positions, masks)]
-    rejecting = list(itertools.compress(range(size), can_reject))
-    narrow = np.min_scalar_type(masks[0])
-    odds = [(mask - i) / (i + 1) for i, mask in zip(positions, masks)]
-    return (
-        np.array(masks, dtype=np.uint32)[:, None],
-        np.array(rejecting, dtype=np.intp),
-        np.array([masks[p] for p in rejecting], dtype=narrow)[:, None],
-        np.array([positions[p] for p in rejecting], dtype=narrow)[:, None],
-        np.array(list(itertools.accumulate(can_reject)), dtype=np.intp),
-        (sum(odds), sum(o * (1 + o) for o in odds)),
-    )
-
-
-def _accepted_draws(window: np.ndarray, plan: tuple, slack: int) -> tuple:
-    """``random_interval`` for one block of Fisher-Yates positions over every seed's next draws.
-
-    ``plan`` is the block's ``_block_plan``; column c of ``window`` holds
-    seed c's next ``size + slack`` draws. Position p (the p-th of the block)
-    reads from draw p + z on, where z counts the draws rejected so far; only
-    the R positions below their mask can reject. ``nxt[z, r, c]`` points from
-    rejecting position r at z to rejecting position r + 1 at the first
-    z' >= z whose draw r accepts, or at z' = slack + 1 when the window holds
-    none: its value is z' · R · n + (r + 1) · n + c, an index into ``nxt``
-    itself, so following the pointers is one gather per position. Returns
-    the accepted j per position and seed, the draws each seed read, and
-    whether its window held all of them.
-    """
-    masks, rejecting, rejecting_masks, rejecting_positions, seen, _ = plan
-    size, n, R = masks.shape[0], window.shape[1], rejecting.size
-    z = np.zeros((R + 1, n), dtype=np.intp)  # draws rejected before the first rejecting position, and after each
-    if R:
-        # masks keep low bits only, so the draws' low bytes decide every comparison
-        ahead = window.astype(rejecting_masks.dtype)[np.arange(slack + 1)[:, None] + rejecting]  # (slack + 1, R, n)
-        ahead &= rejecting_masks
-        rejected = ahead > rejecting_positions
-        del ahead
-        nxt = np.arange(n, n + (slack + 2) * R * n, dtype=np.min_scalar_type(-(slack + 3) * R * n))
-        nxt = nxt.reshape(slack + 2, R, n)
-        for row in range(slack, -1, -1):
-            nxt[row] = np.where(rejected[row], nxt[row + 1], nxt[row])
-        flat, at = nxt.reshape(-1), np.arange(n)
-        for r in range(1, R + 1):
-            at = z[r] = flat[at]
-        z[1:] -= np.arange(1, R + 1)[:, None] * n
-        z[1:] //= R * n
-    z = z[seen]  # (size, n): draws rejected up to each position
-    at = np.minimum(z + np.arange(size)[:, None], window.shape[0] - 1) * n + np.arange(n)
-    return window.reshape(-1)[at] & masks, size + z[-1], z[-1] <= slack

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -394,12 +394,12 @@ def normalized_dispersion(
     return DispersionResult(float(values[0]), int(pairs[0]))
 
 
-def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
+def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int, words: Callable) -> np.ndarray:
     """(games, width, 2) uint64 set-hash keys of every game's blocks, zero past its last block.
 
-    A block's key is the XOR of its points' words (``coalition_key``), read
-    off a running XOR over all blocks' points. Raises ValueError when two
-    blocks of one game share a point.
+    A block's key is the XOR of its points' words (``coalition_key``; the
+    payoff's ``words(indices)`` gives them), read off a running XOR over all
+    blocks' points. Raises ValueError when two blocks of one game share a point.
     """
     counts = [len(game_blocks) for game_blocks in blocks]
     flat = [b for game_blocks in blocks for b in game_blocks]
@@ -412,7 +412,7 @@ def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int) -> np.nda
     if (in_game[1:] == in_game[:-1]).any():
         raise ValueError("coalition blocks must be disjoint")
     running = np.zeros((points.size + 1, 2), np.uint64)
-    np.bitwise_xor.accumulate(point_words(points), axis=0, out=running[1:])
+    np.bitwise_xor.accumulate(words(points), axis=0, out=running[1:])
     ends = sizes.cumsum()
     slot = np.arange(sizes.size) - np.repeat(list(accumulate(counts[:-1], initial=0)), counts)  # within its game
     table = np.zeros((len(blocks), width, 2), np.uint64)
@@ -420,7 +420,7 @@ def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int) -> np.nda
     return table
 
 
-def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarray]) -> tuple:
+def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarray], words: Callable) -> tuple:
     """The distinct coalitions among the 0/1 block rows of several games.
 
     Returns their 16-byte keys (``bytes``), the game and the block row
@@ -435,7 +435,7 @@ def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarr
     member = np.zeros((row_game.size, width), bool)
     for start, game_rows in zip(accumulate(n_rows, initial=0), rows):
         member[start : start + game_rows.shape[0], : game_rows.shape[1]] = game_rows
-    table = _block_key_table(blocks, width)
+    table = _block_key_table(blocks, width, words)
     keys = np.zeros((row_game.size, 2), np.uint64)
     for j in range(width):
         np.bitwise_xor(keys, table[row_game, j], out=keys, where=member[:, j, None])
@@ -531,18 +531,22 @@ class CharacteristicFn:
     def normalized_dispersion(self, points: PointSet) -> DispersionResult:
         return normalized_dispersion(self.vectors, self.dataset.labels, points)
 
-    def _key(self, points: PointSet) -> bytes:
-        """``points.key()``, read from this payoff's table of point words.
+    def _point_words(self, indices: np.ndarray) -> np.ndarray:
+        """``point_words(indices)``, read from this payoff's table of point words.
 
         The table covers the dataset once a lookup needs it, and grows by
         appending the words of any later index, as a stream's corpus grows.
+        Single lookups and batched ones both take their words from it.
         """
-        indices = points.indices
-        if indices.size and indices[-1] >= self._words.shape[0]:
+        if indices.size and indices.max() >= self._words.shape[0]:
             have = self._words.shape[0]
-            grown = np.arange(have, max(self.dataset.n, int(indices[-1]) + 1))
+            grown = np.arange(have, max(self.dataset.n, int(indices.max()) + 1))
             self._words = np.concatenate([self._words, point_words(grown)])
-        return np.bitwise_xor.reduce(self._words[indices], axis=0).tobytes()
+        return self._words[indices]
+
+    def _key(self, points: PointSet) -> bytes:
+        """``points.key()``: the XOR of the points' rows of the word table."""
+        return np.bitwise_xor.reduce(self._point_words(points.indices), axis=0).tobytes()
 
     def evaluate(self, points: PointSet) -> float:
         self.lookups += 1
@@ -594,7 +598,7 @@ class CharacteristicFn:
         for game_blocks, game_rows in zip(blocks, rows):
             if game_rows.ndim != 2 or game_rows.shape[1] != len(game_blocks):
                 raise ValueError(f"{len(game_blocks)} blocks need an (R, {len(game_blocks)}) row matrix, got {game_rows.shape}")
-        keys, game, member, inverse = _distinct_rows(blocks, rows)
+        keys, game, member, inverse = _distinct_rows(blocks, rows, self._point_words)
         cached = self._cache.get
         values = np.array([cached(key, np.nan) for key in keys])  # stored payoffs are never NaN
         self.lookups += inverse.size

@@ -119,6 +119,14 @@ def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
     value = bigger.evaluate(S)
     got = bigger.evaluate_games([([PointSet([9]), PointSet([1, 4])], np.ones((1, 2), bool))])
     assert got[0].tolist() == [value] and bigger.evaluations == 1 and list(bigger._cache) == [S.key()]
+    # a batched lookup builds the same table and reads its words from it
+    fresh = CharacteristicFn(data, data.features)
+    fresh.evaluate_games([([PointSet([2]), PointSet([5, 8])], np.ones((1, 2), bool))])
+    assert fresh._words.tolist() == point_words(np.arange(data.n)).tolist()
+    fresh._words = fresh._words[::-1].copy()  # reversed words: a batched key that read them differs
+    fresh._cache.clear()
+    fresh.evaluate_games([([PointSet([2]), PointSet([5, 8])], np.ones((1, 2), bool))])
+    assert list(fresh._cache) == [np.bitwise_xor.reduce(fresh._words[[2, 5, 8]], axis=0).tobytes()]
 
 
 def test_the_empty_set_key_is_all_zeros():

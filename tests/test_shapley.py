@@ -172,14 +172,24 @@ def test_permutations_match_default_rng_on_edge_seeds_for_every_size():
         assert np.array_equal(_permutations(EDGE_SEEDS, K), _default_rng_rows(EDGE_SEEDS, K))
 
 
-def test_permutations_match_default_rng_when_every_rejection_must_grow_the_window(monkeypatch):
-    # no slack: a block's first window holds one draw per position, so every
-    # seed that rejects a draw rereads a wider window, and its draws run out
+def test_permutations_match_default_rng_when_passes_read_one_draw_and_draws_run_short(monkeypatch):
+    # one draw per pass: every rejection takes another pass, and the first
+    # outputs leave room for about two rejections, so every K from 3 on grows them
     seeds = np.random.default_rng(12).integers(0, 2**64, size=2000, dtype=np.uint64)
     want = {K: _default_rng_rows(seeds.tolist(), K) for K in range(41)}
-    monkeypatch.setattr(draws, "_slack", lambda mean, var: 0)
+    grew = set()
+    outputs = draws._Pcg64Draws._outputs
+
+    def counted(self, start, stop):
+        if start:
+            grew.add(K)
+        return outputs(self, start, stop)
+
+    monkeypatch.setattr(draws, "_AHEAD", 1)
+    monkeypatch.setattr(draws._Pcg64Draws, "_outputs", counted)
     for K in range(41):
         assert np.array_equal(_permutations(seeds, K), want[K]), K
+    assert grew == set(range(3, 41))
 
 
 @pytest.mark.parametrize("K", [3, 5, 9, 17, 33])
