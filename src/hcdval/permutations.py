@@ -33,7 +33,7 @@ _HASH_B = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
-_M32 = np.uint64(_MASK32)
+_M32, _TOP = np.uint64(_MASK32), np.uint64(1 << 63)
 
 
 def _mix_hashes(src: int) -> tuple:
@@ -127,6 +127,16 @@ def _mul128(a_hi, a_lo, b_hi, b_lo, b_lo1, b_lo0) -> tuple:
     return hi, np.multiply(a_lo, b_lo, out=carry)
 
 
+def _carry(total: np.ndarray, addend: np.ndarray) -> np.ndarray:
+    """The carry out of ``total = augend + addend`` mod 2^64: whether total < addend.
+
+    The words are compared as int64 with their top bits flipped, which orders
+    them as unsigned. NumPy's uint64 comparisons would page in code that no
+    other step of a run touches, and a run's peak RSS counts those pages.
+    """
+    return (total ^ _TOP).view(np.int64) < (addend ^ _TOP).view(np.int64)
+
+
 class _Pcg64Draws:
     """numpy's ``next_uint32`` draws of ``default_rng(seed)``'s PCG64 for many seeds, computed in closed form.
 
@@ -137,7 +147,9 @@ class _Pcg64Draws:
     = M^(k+1) · x + A_(k+1) · inc: the xor of the state's two words, rotated
     right by its top six bits. ``next_uint32`` serves each output's low half,
     then its high half. ``flat`` holds draw d of seed c at d · T + c; every
-    seed holds the same number of draws.
+    seed holds the same number of draws. Draws stay uint64 words and are
+    masked as such, as ``_carry`` explains: uint32 or int64 masking would
+    page in NumPy code that nothing else in a run uses.
     """
 
     def __init__(self, seeds: np.ndarray, outputs: int):
@@ -153,9 +165,10 @@ class _Pcg64Draws:
         inc_lo |= 1
         np.add(inc_lo, init_lo, out=x_lo)
         np.add(inc_hi, init_hi, out=x_hi)
-        x_hi += x_lo < inc_lo
-        self.outputs = outputs
+        x_hi += _carry(x_lo, inc_lo)
+        self.T, self.outputs = seeds.size, outputs
         self.flat = self._outputs(0, outputs)
+        self.ahead = np.arange(_AHEAD)[:, None] * seeds.size  # offsets of a seed's next _AHEAD draws
 
     def _outputs(self, start: int, stop: int) -> np.ndarray:
         """The draws of outputs ``start + 1 .. stop`` of every seed, flat in (draw, seed) order."""
@@ -163,7 +176,7 @@ class _Pcg64Draws:
         (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi, self.lo, *consts.swapaxes(0, 1))
         s_lo += t_lo
         s_hi += t_hi
-        s_hi += s_lo < t_lo
+        s_hi += _carry(s_lo, t_lo)
         rot = s_hi >> 58
         s_lo ^= s_hi
         np.right_shift(s_lo, rot, out=s_hi)
@@ -171,17 +184,35 @@ class _Pcg64Draws:
         rot &= 63
         s_lo <<= rot
         s_hi |= s_lo  # the output: the xored words rotated right
-        draws = np.empty((s_hi.shape[0], 2, s_hi.shape[1]), dtype=np.uint32)
-        draws[:, 0] = s_hi
-        s_hi >>= 32
-        draws[:, 1] = s_hi
+        draws = np.empty((s_hi.shape[0], 2, s_hi.shape[1]), dtype=np.uint64)
+        np.bitwise_and(s_hi, _M32, out=draws[:, 0])
+        np.right_shift(s_hi, 32, out=draws[:, 1])
         return draws.reshape(-1)
 
     def cover(self, last: int) -> None:
-        """Doubles the outputs held until ``flat`` reaches index ``last``."""
+        """Doubles the outputs every seed holds until ``flat`` has an index ``last``."""
         while last >= self.flat.size:
             self.flat = np.concatenate([self.flat, self._outputs(self.outputs, 2 * self.outputs)])
             self.outputs *= 2
+
+    def interval(self, start: np.ndarray, i: int) -> tuple:
+        """One pass of numpy's ``random_interval(i)`` for the seeds whose next draws sit at ``start``.
+
+        Each seed reads its next ``_AHEAD`` draws and picks the first whose
+        value masked to the bit length of i is at most i, or the last if it
+        rejects them all. Returns the picks and the index each seed reads on
+        from, after which every seed holds i - 1 + ``_AHEAD`` unread draws.
+        """
+        window = (self.flat[start + self.ahead] & ((1 << i.bit_length()) - 1)).view(np.intp)
+        accepted = window <= i
+        accepted[-1] = True
+        first = accepted.argmax(axis=0)
+        pick = window[first, np.arange(start.size)]
+        first += 1
+        first *= self.T
+        first += start
+        self.cover(int(first.max()) + (i + _AHEAD - 2) * self.T)
+        return pick, first
 
 
 _AHEAD = 8  # draws a rejection pass reads per seed; each is rejected with odds below 1/2
@@ -208,27 +239,18 @@ def draw_permutations(seeds, K: int) -> np.ndarray:
     draws = _Pcg64Draws(seeds, (K + 1) // 2 + _AHEAD)
     seeds_at = np.arange(T)
     at = seeds_at.copy()  # each seed's next draw, as an index into draws.flat
-    ahead = np.arange(_AHEAD)[:, None] * T
     flat = perms.reshape(-1)
     for i in range(K - 1, 0, -1):
         mask = (1 << i.bit_length()) - 1
         if i == mask:  # no draw is rejected
-            j = np.bitwise_and(draws.flat[at], mask, dtype=np.intp)
+            j = (draws.flat[at] & mask).view(np.intp)
             at += T
         else:
-            j = np.empty(T, dtype=np.intp)
-            todo = seeds_at
-            while todo.size:  # the seeds that have not accepted a draw yet read their next _AHEAD
-                start = at[todo]
-                window = np.bitwise_and(draws.flat[start + ahead], mask, dtype=np.intp)
-                accepted = window <= i
-                accepted[-1] = True  # a seed that rejects every draw reads on after the last
-                first = accepted.argmax(axis=0)
-                j[todo] = pick = window[first, np.arange(todo.size)]
-                first += 1
-                start += first * T
-                at[todo] = start
-                draws.cover(int(start.max()) + (i + _AHEAD - 2) * T)
+            j, at = draws.interval(at, i)
+            todo = np.flatnonzero(j > i)
+            while todo.size:  # seeds that rejected every draw they read
+                pick, at[todo] = draws.interval(at[todo], i)
+                j[todo] = pick
                 todo = todo[pick > i]
         j *= T
         j += seeds_at

@@ -539,8 +539,7 @@ class CharacteristicFn:
         Single lookups and batched ones both take their words from it.
         """
         if indices.size and indices.max() >= self._words.shape[0]:
-            have = self._words.shape[0]
-            grown = np.arange(have, max(self.dataset.n, int(indices.max()) + 1))
+            grown = np.arange(self._words.shape[0], self.dataset.n)
             self._words = np.concatenate([self._words, point_words(grown)])
         return self._words[indices]
 
