@@ -534,9 +534,9 @@ class CharacteristicFn:
     def _point_words(self, indices: np.ndarray) -> np.ndarray:
         """``point_words(indices)``, read from this payoff's table of point words.
 
-        The table covers the dataset once a lookup needs it, and grows by
-        appending the words of any later index, as a stream's corpus grows.
-        Single lookups and batched ones both take their words from it.
+        The table covers the dataset once a lookup needs it. A payoff over a
+        grown corpus, handed the table by a stream step, appends the words of
+        the new points. Single lookups and batched ones both read it.
         """
         if indices.size and indices.max() >= self._words.shape[0]:
             grown = np.arange(self._words.shape[0], self.dataset.n)
