@@ -519,13 +519,14 @@ def cmd_stream(cfg: RunConfig, out: Path) -> int:
         state = ingest_batch(state, features[lo:hi], labels[lo:hi])
     header = (
         "epoch,latency_ms,dirty_count,eval_count,evals_refresh,evals_root,"
-        "evals_leaves,leaf_count,spawned,rebalanced"
+        "evals_leaves,leaf_count,spawned,rebalanced,refresh_ms,leaves_ms"
     )
     lines = [header]
     for m in state.metrics:
         lines.append(
             f"{m.epoch},{m.latency_ms:.3f},{m.dirty_count},{m.eval_count},{m.evals_refresh},"
-            f"{m.evals_root},{m.evals_leaves},{m.leaf_count},{m.spawned},{m.rebalanced}"
+            f"{m.evals_root},{m.evals_leaves},{m.leaf_count},{m.spawned},{m.rebalanced},"
+            f"{m.refresh_ms:.3f},{m.leaves_ms:.3f}"
         )
     (out / "stream_metrics.csv").write_text("\n".join(lines) + "\n")
     write_valuation_csv(out / "valuation.csv", state.value_vector())

@@ -13,9 +13,12 @@ point values sum to the root surplus by construction.
 streaming ingest alike; each caller brings its own level estimator. Given a
 ``dirty`` set (the nodes whose members changed), it re-splits only families
 under dirty parents and redistributes only dirty leaves; ``dirty=None``
-marks every node dirty, which is the batch run. The exact within-leaf games
-of all the leaves it redistributes are played in one ``exact_shapley`` call,
-so their coalitions are scored in one payoff call.
+marks every node dirty, which is the batch run. The caller's estimator gets
+a whole level's families at once; ``run_hcdv`` plays all of their games in one
+``monte_carlo_shapley`` call, so a level costs one draw per distinct family
+size and one payoff call. The exact within-leaf games of all the leaves it
+redistributes are played in one ``exact_shapley`` call, so their coalitions
+are scored in one payoff call.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
 handed down normalised. The diagnostic game modes live in ``evaluation.py``.
@@ -234,15 +237,13 @@ def run_hcdv(
             eval_bound += 1 << g
 
     def level_games(level: int, families: Families) -> Dict[int, Optional[float]]:
-        estimates: Dict[int, Optional[float]] = {}
-        for pid, kids in families:
-            if len(kids) == 1:
-                estimates[kids[0]] = None
-                continue
-            game = CoalitionGame([tree.node(c).members for c in kids], cf)
-            stream = RngStream(cfg.seed, "level-game", tree.family_token(pid))
-            est = monte_carlo_shapley(game, cfg.T, stream)
-            estimates.update(zip(kids, est.values.tolist()))
+        estimates: Dict[int, Optional[float]] = {kids[0]: None for _, kids in families if len(kids) == 1}
+        played = [(pid, kids) for pid, kids in families if len(kids) > 1]
+        if played:
+            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids in played]
+            streams = [RngStream(cfg.seed, "level-game", tree.family_token(pid)) for pid, _ in played]
+            for (_, kids), est in zip(played, monte_carlo_shapley(games, cfg.T, streams)):
+                estimates.update(zip(kids, est.values.tolist()))
         return estimates
 
     masses: Dict[int, float] = {}

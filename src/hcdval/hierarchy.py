@@ -16,11 +16,19 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import PointSet, RngStream, content_token, union
+from .utility import _nearest_centroids
 
 
 def _as_vectors(embedding) -> np.ndarray:
     vectors = getattr(embedding, "vectors", embedding)
     return np.ascontiguousarray(vectors, dtype=np.float64)
+
+
+def _check_finite(X: np.ndarray, rows: np.ndarray) -> None:
+    """Reject embedding rows ``X`` (row i is embedding row ``rows[i]``) holding a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ValueError(f"embedding row {int(rows[bad[0]])} is not finite")
 
 
 def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
@@ -41,20 +49,58 @@ def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarr
     return centroids
 
 
+def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
+    """(K, D) sums of each cluster's rows, added as ``X[assign == k].sum(axis=0)`` adds them.
+
+    numpy sums the rows of a matrix one after another from index 0, as
+    ``np.bincount`` adds its weights, here each entry of X into bin
+    (cluster, column); but it sums a single column pairwise, which only its
+    own sum repeats.
+    """
+    m, D = X.shape
+    if D == 1:
+        return np.array([[X[assign == k, 0].sum()] for k in range(K)])
+    bins = (assign * D)[:, None] + np.arange(D)
+    return np.bincount(bins.ravel(), weights=X.ravel(), minlength=K * D).reshape(K, D)
+
+
+def _moved_beyond(step: np.ndarray, tol: float) -> bool:
+    """Whether ``np.linalg.norm`` of some row of ``step`` exceeds ``tol``.
+
+    Any two summation orders of the D squares agree to within a relative
+    2 gamma_D (Higham, sec. 3.1), so a squared length outside a relative
+    4 (D + 2) u window around tol^2 decides alone; rows inside it are measured
+    with ``np.linalg.norm`` itself.
+    """
+    squares = np.einsum("kd,kd->k", step, step)
+    limit = tol * tol
+    slack = 4.0 * (step.shape[1] + 2) * np.finfo(np.float64).eps * limit
+    if (squares > limit + slack).any():
+        return True
+    near = np.flatnonzero(squares >= limit - slack)
+    return any(float(np.linalg.norm(step[k])) > tol for k in near.tolist())
+
+
 def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 50, tol: float = 1e-6):
+    """Lloyd iterations from the given centroids until none moves by more than ``tol``.
+
+    Each point goes to its nearest centroid by the certified GEMM kernel of
+    the payoff (``_nearest_centroids``), whose argmin equals that of the
+    direct sum_k (x_k - c_k)^2, ties to the lower centroid. A non-empty
+    cluster's centroid becomes its members' mean, rounded as
+    ``X[assign == k].mean(axis=0)``; an empty cluster keeps its centroid.
+    """
     K = centroids.shape[0]
+    every = np.ones((1, K), dtype=bool)
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        assign = np.argmin(d2, axis=1)
-        moved = 0.0
+        assign = _nearest_centroids(centroids[None], every, X)[0]
+        counts = np.bincount(assign, minlength=K)
+        filled = counts > 0
         new_centroids = centroids.copy()
-        for k in range(K):
-            mask = assign == k
-            if mask.any():
-                new_centroids[k] = X[mask].mean(axis=0)
-                moved = max(moved, float(np.linalg.norm(new_centroids[k] - centroids[k])))
+        new_centroids[filled] = _cluster_sums(X, assign, K)[filled] / counts[filled, None]
+        moved = _moved_beyond(new_centroids - centroids, tol)
         centroids = new_centroids
-        if moved <= tol:
+        if not moved:
             break
     return centroids
 
@@ -83,10 +129,10 @@ def balanced_split(embedding, members: PointSet, K: int, gamma: float = 0.25, se
         raise ValueError("K must be positive")
     if K > m:
         raise ValueError(f"cannot split {m} points into {K} non-empty parts")
+    X = _as_vectors(embedding)[members.indices]
+    _check_finite(X, members.indices)
     if K == 1:
         return [members]
-    vectors = _as_vectors(embedding)
-    X = vectors[members.indices]
     if isinstance(seed, RngStream):
         gen = seed.generator()
     else:
@@ -100,26 +146,25 @@ def balanced_split(embedding, members: PointSet, K: int, gamma: float = 0.25, se
 
     s_min, s_max, s = capacity_window(m, K, gamma)
     s_min_eff = max(1, min(s_min, m // K))
-    pref = np.argsort(dists, axis=1, kind="stable")
-    assign = np.full(m, -1, dtype=np.int64)
-    counts = np.zeros(K, dtype=np.int64)
-    for p in order:
+    pref = np.argsort(dists, axis=1, kind="stable").tolist()
+    part_of = [-1] * m
+    sizes = [0] * K
+    for p in order.tolist():
         for k in pref[p]:
-            if counts[k] < s_max:
-                assign[p] = k
-                counts[k] += 1
+            if sizes[k] < s_max:
+                part_of[p] = k
+                sizes[k] += 1
                 break
+    assign = np.array(part_of, dtype=np.int64)
+    counts = np.array(sizes, dtype=np.int64)
 
-    # repair: no part may sit below the effective minimum (and none may be empty)
+    # repair: no part may sit below the effective minimum (and none may be
+    # empty); the recipient takes the first point, by index, at the smallest
+    # distance among the points of parts above the minimum
     while counts.min() < s_min_eff:
         recipient = int(np.argmin(counts))
-        donors = np.flatnonzero(counts > s_min_eff)
-        best_point, best_dist = -1, np.inf
-        for p in range(m):
-            if assign[p] in donors:
-                d = dists[p, recipient]
-                if d < best_dist:
-                    best_point, best_dist = p, d
+        donor_held = counts[assign] > s_min_eff
+        best_point = int(np.argmin(np.where(donor_held, dists[:, recipient], np.inf)))
         counts[assign[best_point]] -= 1
         assign[best_point] = recipient
         counts[recipient] += 1
@@ -328,6 +373,7 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
         raise ValueError("branching factors must all be >= 2")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")
+    _check_finite(vectors, np.arange(n))
 
     tree = HierarchyTree(branching, leaf_cap, gamma)
     all_points = PointSet._from_sorted(np.arange(n, dtype=np.int64))

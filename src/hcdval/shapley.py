@@ -14,26 +14,31 @@ all seeds of a call at once, as array arithmetic and with no generator built,
 by ``permutations.draw_permutations``; the rows are numpy's bit for bit.
 
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
-coalition, through ``_distinct_row_values``, which drops duplicate rows and
-hands the distinct ones to ``CoalitionGame.values_of_rows`` in one call:
-``exact_shapley`` asks for all 2^K coalitions at once (for several games
-that share a payoff, for all their coalitions in one call), prefix sweeps turn
-their permutations into prefix rows (a chunk at a time), and independent
-sampling (``independent_player_estimate`` and ``sampling="independent"``)
-turns each listed player's T permutations into 2T rows, predecessors without
-and with the player, and asks for all players' rows together. A payoff with
-an ``evaluate_coalitions`` method (``CharacteristicFn``) scores the whole
-matrix in one call through its cache, and its payoffs do not depend on the
-batch, so the estimates equal one-coalition-at-a-time play bit for bit; a
-plain callable is called once per distinct row.
+coalition, and scores each matrix's distinct rows once. ``exact_shapley``
+asks for all 2^K coalitions at once, prefix sweeps turn their permutations
+into prefix rows, and independent sampling (``independent_player_estimate``
+and ``sampling="independent"``) turns each listed player's T permutations
+into 2T rows, predecessors without and with the player. All three also take
+a sequence of games that share one payoff, such as the families of one tree
+level: the Monte-Carlo estimators then draw the permutations of every game
+with the same K in one call and score the rows of all the games together
+(``_values_of_pieces``), in payoff calls of at most ``_PREFIX_ROW_BUDGET``
+matrix elements, a game's prefix rows cut into pieces of that size. A payoff
+with an ``evaluate_games`` method (``CharacteristicFn``) scores a call's
+games in one pass through its cache, and its payoffs do not depend on the
+batch, so every estimate equals one-game, one-coalition-at-a-time play bit
+for bit; any other payoff is asked game by game through
+``CoalitionGame.values_of_rows``, and a plain callable once per distinct row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -42,7 +47,7 @@ from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, union
 from .permutations import draw_permutations as _permutations
 
 EXACT_PLAYER_LIMIT = 12
-_PREFIX_ROW_BUDGET = 1 << 20  # (rows, K) prefix-matrix elements built at once
+_PREFIX_ROW_BUDGET = 1 << 20  # 0/1 player-matrix elements built for one payoff call
 
 
 class CoalitionGame:
@@ -209,59 +214,132 @@ def _check_gains(gains: np.ndarray, bound: Optional[float]) -> None:
         raise AssertionError(f"marginal contribution {float(gains[bad][0])} escapes [-2B, 2B] with B={bound}")
 
 
-def _sums_in_order(gains: np.ndarray) -> np.ndarray:
-    """Each row of a (P, T) gain array summed left to right from 0.0, as a running total: (P,)."""
-    sums = np.zeros(gains.shape[0])
-    for column in gains.T:
-        sums += column
-    return sums
+def _sums_in_order(gains: Sequence[np.ndarray]) -> list:
+    """Each row of each (P_g, T_g) gain array summed left to right from 0.0: one (P_g,) array per array.
 
-
-def _prefix_values(game: CoalitionGame, perms: np.ndarray) -> np.ndarray:
-    """Payoffs of every prefix of every permutation, empty prefix first: (T, K + 1).
-
-    Prefix rows are built a chunk at a time (so memory stays bounded for
-    any K), and each chunk's distinct rows are scored in one call.
+    All rows advance together, one column per step. Past its own last
+    column a row adds zeros, which leave a running total unchanged: one that
+    starts at +0.0 is never -0.0.
     """
-    T, K = perms.shape
-    position = np.argsort(perms, axis=1)  # position[t, j]: where player j sits in permutation t
-    flat = np.empty(T * (K + 1))
-    step = max(1, _PREFIX_ROW_BUDGET // K)
-    for start in range(0, flat.size, step):
-        r = np.arange(start, min(start + step, flat.size))
-        flat[r] = _distinct_row_values(game, position[r // (K + 1)] < (r % (K + 1))[:, None])
-    return flat.reshape(T, K + 1)
+    offsets = list(accumulate((g.shape[0] for g in gains), initial=0))
+    stacked = np.zeros((offsets[-1], max(g.shape[1] for g in gains)))
+    for g, start in zip(gains, offsets):
+        stacked[start : start + g.shape[0], : g.shape[1]] = g
+    sums = np.zeros(offsets[-1])
+    for column in stacked.T:
+        sums += column
+    return [sums[start:end] for start, end in zip(offsets, offsets[1:])]
 
 
-def _distinct_row_values(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
-    """Payoffs of the rows of a 0/1 player matrix, scoring each distinct row once."""
+def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 0/1 player matrix, and each row's index among them."""
     packed = np.packbits(rows, axis=1)
     _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
-    return game.values_of_rows(rows[first])[inverse]
+    return rows[first], inverse
 
 
-def _player_gains(game: CoalitionGame, players: np.ndarray, seeds: np.ndarray) -> np.ndarray:
-    """Each listed player's marginal contribution in each of its seeded permutations: (P, T).
+def _values_of_pieces(pieces: Sequence[tuple]) -> list:
+    """Payoffs of the rows of (game, size, rows) pieces, one array per piece.
 
-    Row k of the (P, T) ``seeds`` holds the seeds of player ``players[k]``'s
-    permutations; all P·T permutations are drawn in one call. Permutation t
-    of player k contributes two coalitions, the player's predecessors and the
-    predecessors plus the player, as rows 2(kT + t) and 2(kT + t) + 1 of one
-    0/1 player matrix, whose distinct rows are scored in one call. Payoffs
-    do not depend on their batch, so the gains equal P one-player calls' bit
-    for bit. Every gain is checked against the payoff bound, player by
-    player and in permutation order.
+    ``rows()`` builds a piece's 0/1 player matrix, of ``size`` elements, when
+    its call comes. Consecutive pieces share one ``_values_of_games`` call
+    while their sizes add up to at most ``_PREFIX_ROW_BUDGET`` (a larger piece
+    has a call of its own), and each piece's distinct rows are scored once.
     """
-    P, T = seeds.shape
-    who = np.repeat(players, T)
-    draw = np.arange(P * T)
-    position = np.argsort(_permutations(seeds, game.K), axis=1)
+    out: list = []
+    start = 0
+    while start < len(pieces):
+        stop, size = start + 1, pieces[start][1]
+        while stop < len(pieces) and size + pieces[stop][1] <= _PREFIX_ROW_BUDGET:
+            size += pieces[stop][1]
+            stop += 1
+        distinct = [_distinct(rows()) for _, _, rows in pieces[start:stop]]
+        values = _values_of_games([game for game, _, _ in pieces[start:stop]], [rows for rows, _ in distinct])
+        out += [v[inverse] for v, (_, inverse) in zip(values, distinct)]
+        start = stop
+    return out
+
+
+def _positions(seeds: Sequence[np.ndarray], Ks: Sequence[int]) -> list:
+    """Where each player sits in each seeded permutation, per game: (seeds_g.size, K_g).
+
+    The seeds of all the games with one K are drawn in one call.
+    """
+    out: list = [None] * len(seeds)
+    for K in dict.fromkeys(Ks):
+        games = [g for g, k in enumerate(Ks) if k == K]
+        position = np.argsort(_permutations(np.concatenate([seeds[g].reshape(-1) for g in games]), K), axis=1)
+        offsets = list(accumulate((seeds[g].size for g in games), initial=0))
+        for g, start, end in zip(games, offsets, offsets[1:]):
+            out[g] = position[start:end]
+    return out
+
+
+def _prefix_rows(position: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows start .. stop - 1 of the prefix matrix: row t (K + 1) + i holds the first i players of permutation t."""
+    K = position.shape[1]
+    r = np.arange(start, stop)
+    return position[r // (K + 1)] < (r % (K + 1))[:, None]
+
+
+def _independent_rows(position: np.ndarray, who: np.ndarray) -> np.ndarray:
+    """Rows 2d and 2d + 1: the predecessors of player ``who[d]`` in permutation d, without and with it."""
+    draw = np.arange(who.size)
     rows = np.repeat(position < position[draw, who][:, None], 2, axis=0)
     rows[2 * draw + 1, who] = True
-    v = _distinct_row_values(game, rows)
-    gains = (v[1::2] - v[0::2]).reshape(P, T)
-    _check_gains(gains, game.bound)
-    return gains
+    return rows
+
+
+def _prefix_totals(games: Sequence[CoalitionGame], seeds: Sequence[np.ndarray]) -> list:
+    """Each game's summed prefix-sweep gains per player over its seeded permutations: (K_g,) per game.
+
+    Every prefix of every permutation is one row, empty prefix first; a
+    game's rows are cut into pieces of at most ``_PREFIX_ROW_BUDGET``
+    elements (so memory stays bounded for any K), and the pieces of all the
+    games are scored in as few calls as that budget allows. Each game's
+    gains are checked against its bound in sweep order, game by game, and
+    added per player in permutation order.
+    """
+    positions = _positions(seeds, [game.K for game in games])
+    pieces, owner = [], []
+    for g, (game, position) in enumerate(zip(games, positions)):
+        rows = position.shape[0] * (game.K + 1)
+        step = max(1, _PREFIX_ROW_BUDGET // game.K)
+        for start in range(0, rows, step):
+            stop = min(start + step, rows)
+            pieces.append((game, (stop - start) * game.K, functools.partial(_prefix_rows, position, start, stop)))
+            owner.append(g)
+    values: list = [[] for _ in games]
+    for g, v in zip(owner, _values_of_pieces(pieces)):
+        values[g].append(v)
+    by_player = []
+    for game, position, v in zip(games, positions, values):
+        gains = np.diff(np.concatenate(v).reshape(position.shape[0], game.K + 1), axis=1)
+        _check_gains(gains, game.bound)
+        by_player.append(np.take_along_axis(gains, position, axis=1).T)
+    return _sums_in_order(by_player)
+
+
+def _player_totals(games: Sequence[CoalitionGame], players: Sequence[np.ndarray], seeds: Sequence[np.ndarray]) -> list:
+    """Each listed player's summed marginal contributions over its seeded permutations: (P_g,) per game.
+
+    Row k of game g's (P_g, T) ``seeds`` holds the seeds of player
+    ``players[g][k]``'s permutations. Permutation t of player k contributes
+    two coalitions, the player's predecessors and the predecessors plus the
+    player (``_independent_rows``); a game's rows are one piece for
+    ``_values_of_pieces``. Every gain is checked against its game's bound,
+    game by game, player by player and in permutation order.
+    """
+    positions = _positions(seeds, [game.K for game in games])
+    pieces = []
+    for game, who, s, position in zip(games, players, seeds, positions):
+        who = np.repeat(who, s.shape[1])
+        pieces.append((game, 2 * who.size * game.K, functools.partial(_independent_rows, position, who)))
+    gains = []
+    for game, s, v in zip(games, seeds, _values_of_pieces(pieces)):
+        gains.append((v[1::2] - v[0::2]).reshape(s.shape))
+        _check_gains(gains[-1], game.bound)
+    return _sums_in_order(gains)
 
 
 def _replay_seeds(permutation_log: Sequence[int]) -> np.ndarray:
@@ -273,13 +351,20 @@ def _replay_seeds(permutation_log: Sequence[int]) -> np.ndarray:
     return np.array([int(seed) for seed in seeds], dtype=np.uint64)
 
 
+def _one_per_game(items, count: int, what: str) -> list:
+    """A sequence of ``count`` items, one per game of a several-game call."""
+    if isinstance(items, (RngStream, np.random.Generator, numbers.Integral)) or len(items) != count:
+        raise ValueError(f"{count} games need a sequence of as many {what}")
+    return list(items)
+
+
 def monte_carlo_shapley(
-    game: CoalitionGame,
+    game,
     T: int,
     rng,
     sampling: str = "prefix",
     permutation_log: Optional[Sequence[int]] = None,
-) -> ShapleyEstimate:
+):
     """Monte-Carlo Shapley over T sampled permutations.
 
     In "prefix" mode each permutation is swept once and every player's
@@ -292,36 +377,49 @@ def monte_carlo_shapley(
     Passing ``permutation_log`` (prefix mode only) replays exactly those
     per-permutation seeds and reproduces the estimate bit for bit. Every
     entry must be an integer in [0, 2^64).
+
+    ``game`` may also be a sequence of games that share one payoff, with
+    ``rng`` a sequence of as many streams (or ``permutation_log`` a sequence
+    of as many logs). The result is then a list whose entry g equals
+    ``monte_carlo_shapley(game[g], T, rng[g], sampling, permutation_log[g])``
+    bit for bit: the permutations of all the games are drawn together, one
+    draw per distinct K, and their coalitions are scored together, since
+    payoffs do not depend on their batch.
     """
-    K = game.K
     if sampling not in ("prefix", "independent"):
         raise ValueError(f"unknown sampling mode {sampling!r}")
+    single = isinstance(game, CoalitionGame)
+    games = [game] if single else list(game)
     if permutation_log is not None:
         if sampling != "prefix":
             raise ValueError("permutation logs are only defined for prefix sweeps")
-        seeds = _replay_seeds(permutation_log)
-        T = seeds.size
-        if T < 1:
+        logs = [permutation_log] if single else _one_per_game(permutation_log, len(games), "permutation logs")
+        seeds = [_replay_seeds(log) for log in logs]
+        if any(s.size < 1 for s in seeds):
             raise ValueError("permutation log is empty")
     else:
         if T < 1:
             raise ValueError("need at least one permutation (T >= 1)")
-        gen, _ = _resolve_generator(rng)
-        seeds = gen.integers(0, 2**63, size=T if sampling == "prefix" else (K, T), dtype=np.uint64)
-
+        streams = [rng] if single else _one_per_game(rng, len(games), "random streams")
+        seeds = [
+            _resolve_generator(r)[0].integers(0, 2**63, size=T if sampling == "prefix" else (g.K, T), dtype=np.uint64)
+            for g, r in zip(games, streams)
+        ]
+    if not games:
+        return []
     if sampling == "independent":
-        totals = _sums_in_order(_player_gains(game, np.arange(K), seeds))
-        return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=None)
-    perms = _permutations(seeds, K)
-    gains = np.diff(_prefix_values(game, perms), axis=1)
-    _check_gains(gains, game.bound)
-    totals = np.zeros(K)
-    for perm, gain in zip(perms, gains):
-        totals[perm] += gain
-    return ShapleyEstimate(values=totals / T, T=T, mode=sampling, permutation_log=seeds.tolist())
+        totals = _player_totals(games, [np.arange(g.K) for g in games], seeds)
+        estimates = [ShapleyEstimate(values=t / T, T=T, mode=sampling, permutation_log=None) for t in totals]
+    else:
+        totals = _prefix_totals(games, seeds)
+        estimates = [
+            ShapleyEstimate(values=t / s.size, T=s.size, mode=sampling, permutation_log=s.tolist())
+            for t, s in zip(totals, seeds)
+        ]
+    return estimates[0] if single else estimates
 
 
-def independent_player_estimate(game: CoalitionGame, player, T: int, rng) -> float | np.ndarray:
+def independent_player_estimate(game, player, T: int, rng):
     """Monte-Carlo marginal estimate for one player only (2T evaluations).
 
     Samples T permutations of the player set and averages the player's
@@ -332,25 +430,45 @@ def independent_player_estimate(game: CoalitionGame, player, T: int, rng) -> flo
     ``player`` may also be a sequence of distinct players, with ``rng`` a
     sequence of as many streams. The result is then an array whose entry k
     equals ``independent_player_estimate(game, player[k], T, rng[k])`` bit for
-    bit; the permutations of all the players are drawn together.
+    bit.
+
+    ``game`` may also be a sequence of games that share one payoff, with
+    ``player`` and ``rng`` sequences of one such argument per game. The
+    result is then a list whose entry g equals
+    ``independent_player_estimate(game[g], player[g], T, rng[g])`` bit for
+    bit. The permutations of all the players are drawn together, and their
+    coalitions are scored together.
     """
     if T < 1:
         raise ValueError("need at least one permutation (T >= 1)")
-    single = isinstance(player, (int, np.integer))
-    players = [int(player)] if single else [int(p) for p in player]
-    streams = [rng] if single else rng
-    if not players:
-        raise ValueError("need at least one player")
-    if isinstance(streams, (RngStream, np.random.Generator, int, np.integer)) or len(streams) != len(players):
-        raise ValueError(f"{len(players)} players need a sequence of as many random streams")
-    if len(set(players)) != len(players):
-        raise ValueError(f"players must be distinct, got {players}")
-    for p in players:
-        if not 0 <= p < game.K:
-            raise ValueError(f"player {p} out of range for K={game.K}")
-    seeds = np.stack([_resolve_generator(r)[0].integers(0, 2**63, size=T, dtype=np.uint64) for r in streams])
-    means = _sums_in_order(_player_gains(game, np.array(players), seeds)) / T
-    return float(means[0]) if single else means
+    single_game = isinstance(game, CoalitionGame)
+    games = [game] if single_game else list(game)
+    if single_game:
+        requests = [(player, rng)]
+    else:
+        requests = list(zip(_one_per_game(player, len(games), "player arguments"), _one_per_game(rng, len(games), "random streams")))
+    singles, players, seeds = [], [], []
+    for g, (p, r) in zip(games, requests):
+        single = isinstance(p, numbers.Integral)
+        ids = [int(p)] if single else [int(k) for k in p]
+        streams = [r] if single else r
+        if not ids:
+            raise ValueError("need at least one player")
+        if isinstance(streams, (RngStream, np.random.Generator, numbers.Integral)) or len(streams) != len(ids):
+            raise ValueError(f"{len(ids)} players need a sequence of as many random streams")
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"players must be distinct, got {ids}")
+        for k in ids:
+            if not 0 <= k < g.K:
+                raise ValueError(f"player {k} out of range for K={g.K}")
+        singles.append(single)
+        players.append(np.array(ids))
+        seeds.append(np.stack([_resolve_generator(s)[0].integers(0, 2**63, size=T, dtype=np.uint64) for s in streams]))
+    if not games:
+        return []
+    means = [t / T for t in _player_totals(games, players, seeds)]
+    out = [float(m[0]) if single else m for m, single in zip(means, singles)]
+    return out[0] if single_game else out
 
 
 def _per_point_from_groups(

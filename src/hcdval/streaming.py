@@ -11,11 +11,13 @@ prototype is close enough), and only the touched leaves plus their ancestors
   dirty parents:
 
   - a family whose children are all dirty re-runs one shared prefix sweep;
+    the level's such families are played in one ``monte_carlo_shapley`` call;
   - a family with a mix refreshes just the dirty children, each with its
-    own independent permutation draws, in one ``independent_player_estimate``
-    call (the permutations of all dirty children are drawn together, and
-    the distinct ones of their 2T coalitions each are scored in one payoff
-    call), keeping clean siblings' estimates bit-exact;
+    own independent permutation draws, keeping clean siblings' estimates
+    bit-exact; the level's such families are played in one
+    ``independent_player_estimate`` call (the permutations of all their
+    dirty children are drawn together, and the distinct ones of their 2T
+    coalitions each are scored in one payoff call);
   - clean children keep their cached masses unchanged and the dirty children
     split the residual (parent mass minus the clean children's share), so
     value drift stays confined to the dirty subtree while the point values
@@ -50,6 +52,9 @@ from .utility import CharacteristicFn
 
 @dataclass
 class StepMetrics:
+    """Counters of one ingest step. ``refresh_ms`` and ``leaves_ms`` are the
+    wall-clock milliseconds of its family refreshes and of its leaf games."""
+
     epoch: int
     latency_ms: float
     dirty_count: int
@@ -60,6 +65,8 @@ class StepMetrics:
     leaf_count: int
     spawned: int
     rebalanced: bool
+    refresh_ms: float
+    leaves_ms: float
 
     @property
     def evals_masses(self) -> int:
@@ -266,24 +273,30 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         warnings.warn(f"refreshed total surplus is negative ({surplus})")
 
     def refresh(level: int, families) -> Dict[int, Optional[float]]:
-        estimates: Dict[int, Optional[float]] = {}
+        estimates: Dict[int, Optional[float]] = {kids[0]: None for _, kids in families if len(kids) == 1}
+        swept, partly = [], []
         for pid, kids in families:
-            if len(kids) == 1:
-                estimates[kids[0]] = None
-                continue
-            dirty_kids = [c for c in kids if c in dirty]
-            game = CoalitionGame([tree.node(c).members for c in kids], cf)
-            if len(dirty_kids) == len(kids):
-                stream = RngStream(cfg.seed, "refresh-family", tree.family_token(pid), epoch)
-                estimates.update(zip(kids, monte_carlo_shapley(game, cfg.T, stream).values.tolist()))
-            else:
-                streams = [RngStream(cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
-                ests = independent_player_estimate(game, [kids.index(c) for c in dirty_kids], cfg.T, streams)
+            if len(kids) > 1:
+                dirty_kids = [c for c in kids if c in dirty]
+                (swept if len(dirty_kids) == len(kids) else partly).append((pid, kids, dirty_kids))
+        if swept:
+            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids, _ in swept]
+            streams = [RngStream(cfg.seed, "refresh-family", tree.family_token(pid), epoch) for pid, _, _ in swept]
+            for (_, kids, _), est in zip(swept, monte_carlo_shapley(games, cfg.T, streams)):
+                estimates.update(zip(kids, est.values.tolist()))
+        if partly:
+            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids, _ in partly]
+            players = [[kids.index(c) for c in dirty_kids] for _, kids, dirty_kids in partly]
+            streams = [
+                [RngStream(cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
+                for _, _, dirty_kids in partly
+            ]
+            for (_, _, dirty_kids), ests in zip(partly, independent_player_estimate(games, players, cfg.T, streams)):
                 estimates.update(zip(dirty_kids, ests.tolist()))
         return estimates
 
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    phase, _ = propagate(tree, cf, cfg, surplus, values, masses, refresh, dirty)
+    phase, phase_ms = propagate(tree, cf, cfg, surplus, values, masses, refresh, dirty)
 
     metrics = StepMetrics(
         epoch=epoch,
@@ -296,6 +309,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         leaf_count=len(tree.leaf_ids()),
         spawned=spawned,
         rebalanced=rebalanced,
+        refresh_ms=phase_ms["sweeps"],
+        leaves_ms=phase_ms["leaves"],
     )
     return StreamState(
         epoch=epoch,

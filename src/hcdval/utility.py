@@ -238,8 +238,9 @@ def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.nda
         bound *= (D + 2) * _GAP_ULPS
         bound += D * _GAP_SPACINGS
         bound[overflows] = np.inf
-    r, v = np.nonzero(~(gap > bound))
-    if r.size:
+    uncertified = ~(gap > bound)
+    if uncertified.any():
+        r, v = np.nonzero(uncertified)
         direct = _direct_sq_distances(val_X[v], centroids[r])
         if not present.all():
             direct = np.where(present[r], direct, np.inf)

@@ -34,7 +34,7 @@ from hcdval import (
     normalized_dispersion,
     union,
 )
-from hcdval import utility
+from hcdval import shapley, utility
 from hcdval.core import point_words
 
 TOL = 1e-12
@@ -488,6 +488,16 @@ def _recording(score, seen: list):
     return record
 
 
+def _recording_games(evaluate_games, seen: list):
+    """A payoff's several-game scorer that also keeps, per call, the row matrices it is asked to score."""
+
+    def record(games):
+        seen.append(np.concatenate([rows for _, rows in games]))
+        return evaluate_games(games)
+
+    return record
+
+
 @settings(deadline=None, max_examples=10)
 @given(
     seed=st.integers(0, 1_000),
@@ -505,7 +515,10 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
     alone = _games(seed, lam, metric, sizes)
     for g in (0, 1):  # CharacteristicFn payoff, then plain callable
         calls = []
-        together[g]._batch = _recording(together[g]._batch, calls)
+        if g == 0:  # a CharacteristicFn scores games through its several-game call
+            together[2].evaluate_games = _recording_games(together[2].evaluate_games, calls)
+        else:
+            together[g]._batch = _recording(together[g]._batch, calls)
         est = independent_player_estimate(together[g], players, 16, streams())
         ref = [independent_player_estimate(alone[g], p, 16, r) for p, r in zip(players, streams())]
         assert est.tobytes() == np.array(ref).tobytes()
@@ -515,6 +528,86 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
     for k in (2, 3):  # the batched payoff's cache, then the plain callable's
         assert together[k].evaluations == alone[k].evaluations
         assert set(together[k]._cache) == set(alone[k]._cache)
+
+
+def _families(seed: int, lam: float, plain: bool) -> tuple:
+    """Disjoint games of different sizes over one dataset, sharing one payoff, and that payoff."""
+    data = make_synthetic(80, subclusters=3, overlap=0.3, seed=seed)
+    order = np.random.default_rng(seed).permutation(data.n)
+    cf = CharacteristicFn(data, data.features, lam=lam)
+    payoff = (lambda points: cf.evaluate(points)) if plain else cf
+    games, start = [], 0
+    for sizes in ([3, 1, 4], [2, 2], [1, 5, 2, 3], [4, 1], [2, 1, 1, 3, 2]):
+        players = [PointSet(part) for part in np.split(order[start : start + sum(sizes)], np.cumsum(sizes)[:-1])]
+        games.append(CoalitionGame(players, payoff, bound=cf.B))
+        start += sum(sizes)
+    return games, cf
+
+
+@settings(deadline=None, max_examples=8)
+@given(
+    seed=st.integers(0, 1_000),
+    lam=st.sampled_from([0.0, 0.5]),
+    plain=st.booleans(),
+    budget=st.sampled_from([7, 40, 1 << 20]),
+)
+def test_several_games_at_once_match_one_at_a_time(seed, lam, plain, budget):
+    """Level play: every game of a call equals its own one-game call, bit for bit and miss for miss.
+
+    Small row budgets cut a game's prefix rows into pieces and pack pieces
+    of several games into one payoff call.
+    """
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(shapley, "_PREFIX_ROW_BUDGET", budget)
+        together, cf = _families(seed, lam, plain)
+        alone, cf_alone = _families(seed, lam, plain)
+
+        def streams(tag):
+            return [RngStream(seed, tag, bytes([g])) for g in range(len(together))]
+
+        est = monte_carlo_shapley(together, 9, streams("prefix"))
+        ref = [monte_carlo_shapley(g, 9, r) for g, r in zip(alone, streams("prefix"))]
+        assert [e.values.tobytes() for e in est] == [r.values.tobytes() for r in ref]
+        assert [e.permutation_log for e in est] == [r.permutation_log for r in ref]
+        logs = [r.permutation_log[: 3 + g] for g, r in enumerate(ref)]  # logs of several lengths
+        replayed = monte_carlo_shapley(together, 0, None, permutation_log=logs)
+        assert [e.values.tobytes() for e in replayed] == [
+            monte_carlo_shapley(g, 0, None, permutation_log=log).values.tobytes() for g, log in zip(alone, logs)
+        ]
+        est = monte_carlo_shapley(together, 5, streams("ind"), sampling="independent")
+        ref = [monte_carlo_shapley(g, 5, r, sampling="independent") for g, r in zip(alone, streams("ind"))]
+        assert [e.values.tobytes() for e in est] == [r.values.tobytes() for r in ref]
+        players = [[2, 0], 1, [1, 3, 0], [1], 4]
+        rngs = [[RngStream(seed, "one", bytes([g, k])) for k in range(len(p))] if isinstance(p, list) else RngStream(seed, "one", bytes([g])) for g, p in enumerate(players)]
+        est = independent_player_estimate(together, players, 6, rngs)
+        ref = [independent_player_estimate(g, p, 6, r) for g, p, r in zip(alone, players, rngs)]
+        assert [np.asarray(e).tobytes() for e in est] == [np.asarray(r).tobytes() for r in ref]
+        assert isinstance(est[1], float) and isinstance(est[0], np.ndarray)
+        assert cf.evaluations == cf_alone.evaluations
+        assert set(cf._cache) == set(cf_alone._cache)
+        if budget == 1 << 20 and not plain:  # one payoff call per several-game call
+            calls = []
+            evaluate_games = cf.evaluate_games
+            cf.evaluate_games = lambda games: calls.append(len(games)) or evaluate_games(games)
+            monte_carlo_shapley(together, 9, streams("once"))
+            independent_player_estimate(together, players, 6, rngs)
+            assert calls == [len(together)] * 2
+
+
+def test_several_game_calls_validate_their_arguments():
+    games, _ = _families(3, 0.5, False)
+    assert monte_carlo_shapley([], 4, []) == [] and independent_player_estimate([], [], 4, []) == []
+    with pytest.raises(ValueError, match="as many random streams"):
+        monte_carlo_shapley(games, 4, [RngStream(0, "a")])
+    with pytest.raises(ValueError, match="as many random streams"):
+        monte_carlo_shapley(games, 4, RngStream(0, "a"))
+    with pytest.raises(ValueError, match="as many permutation logs"):
+        monte_carlo_shapley(games, 0, None, permutation_log=[[1, 2]])
+    with pytest.raises(ValueError, match="as many player arguments"):
+        independent_player_estimate(games, [0], 4, [RngStream(0, "a")] * len(games))
+    with pytest.raises(ValueError, match="share one payoff"):
+        other, _ = _families(3, 0.5, False)
+        monte_carlo_shapley([games[0], other[1]], 4, [RngStream(0, "a"), RngStream(0, "b")])
 
 
 def test_plain_payoffs_see_each_players_sequence_in_player_order():

@@ -280,6 +280,8 @@ def test_stream_synthetic_writes_metrics_and_values(tmp_path):
     assert rc == 0
     lines = (out / "stream_metrics.csv").read_text().strip().splitlines()
     assert lines[0].startswith("epoch,latency_ms,dirty_count,eval_count")
+    assert lines[0].endswith(",refresh_ms,leaves_ms")
+    assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
     assert len(lines) == 1 + 3
     metrics = json.loads((out / "metrics.json").read_text())
     assert metrics["steps"] == 3

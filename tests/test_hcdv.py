@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hcdval import hcdv, shapley
+from hcdval import hcdv, shapley, streaming
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
 from hcdval.encoder import identity_embeddings
 from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic, synthetic_rows
@@ -315,3 +315,78 @@ def test_propagate_plays_all_dirty_exact_leaves_in_one_payoff_call(monkeypatch):
     assert len(spy.calls) == 5 and all(n > 0 for n, _ in spy.calls)
     assert [calls for _, calls in spy.calls] == [1] * 5
     assert [calls for _, calls in reference.calls] == [n for n, _ in reference.calls]
+
+
+# ------------------------------------------------------------ family games
+
+
+class LevelGameSpy:
+    """Wraps the level estimates ``propagate`` asks for: per level, the traced calls and payoff calls made.
+
+    Each record is (families of two or more children, [(traced name, games)],
+    payoff calls). With ``per_family`` the traced names play one family per
+    call instead, the reference.
+    """
+
+    def __init__(self, monkeypatch, per_family: bool):
+        self.levels = []
+        self.payoff_calls = 0
+        evaluate_games = CharacteristicFn.evaluate_games
+
+        def counted(cf, games):
+            self.payoff_calls += 1
+            return evaluate_games(cf, games)
+
+        def traced(module, name):
+            play = getattr(shapley, name)
+
+            def spy(games, *args):
+                self.levels[-1][1].append((f"{module.__name__}.{name}", len(games)))
+                if not per_family:
+                    return play(games, *args)
+                if name == "monte_carlo_shapley":
+                    T, streams = args
+                    return [play(game, T, stream) for game, stream in zip(games, streams)]
+                players, T, streams = args
+                return [play(game, p, T, s) for game, p, s in zip(games, players, streams)]
+
+            monkeypatch.setattr(module, name, spy)
+
+        propagate = hcdv.propagate
+
+        def spied(tree, cf, cfg, surplus, values, masses, level_estimates, dirty=None):
+            def recorded(level, families):
+                self.levels.append([sum(len(kids) > 1 for _, kids in families), [], self.payoff_calls])
+                out = level_estimates(level, families)
+                self.levels[-1][2] = self.payoff_calls - self.levels[-1][2]
+                return out
+
+            return propagate(tree, cf, cfg, surplus, values, masses, recorded, dirty)
+
+        monkeypatch.setattr(CharacteristicFn, "evaluate_games", counted)
+        traced(hcdv, "monte_carlo_shapley")
+        traced(streaming, "monte_carlo_shapley")
+        traced(streaming, "independent_player_estimate")
+        monkeypatch.setattr(hcdv, "propagate", spied)
+        monkeypatch.setattr(streaming, "propagate", spied)
+
+
+def test_propagate_plays_each_level_of_family_games_in_one_payoff_call_per_traced_name(monkeypatch):
+    with monkeypatch.context() as m:
+        reference = LevelGameSpy(m, per_family=True)
+        want = batch_and_stream_run()
+    spy = LevelGameSpy(monkeypatch, per_family=False)
+    assert batch_and_stream_run() == want
+    assert [(n, calls) for n, calls, _ in spy.levels] == [(n, calls) for n, calls, _ in reference.levels]
+    # per-family play: one payoff call per family of two or more children
+    assert [payoff for _, _, payoff in reference.levels] == [n for n, _, _ in reference.levels]
+    played = [(n, calls, payoff) for n, calls, payoff in spy.levels if n]
+    assert sum(n for n, _, _ in played) > len(played)  # some level plays several families
+    for n, calls, payoff in played:
+        names = [name for name, _ in calls]
+        assert len(set(names)) == len(names) and sum(games for _, games in calls) == n
+        assert payoff == len(calls)  # one payoff call per traced call
+    # a batch level, and a stream level whose families are all fully or all
+    # partly dirty, makes exactly one payoff call
+    assert sum(payoff == 1 for _, _, payoff in played) > 0
+    assert all(payoff == 1 for _, calls, payoff in played if calls[0][0] == "hcdval.hcdv.monte_carlo_shapley")

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcdval import HierarchyTree, PointSet, balanced_split, build_tree, capacity_window, union
+from hcdval import HierarchyTree, PointSet, RngStream, balanced_split, build_tree, capacity_window, hierarchy, make_synthetic, union
 
 
 def test_capacity_window_hand_cases():
@@ -211,3 +211,128 @@ def test_build_tree_validation_errors():
         build_tree(emb, (2,), leaf_cap=0, gamma=0.25, seed=0)
     with pytest.raises(ValueError):
         build_tree(emb, (2,), leaf_cap=5, gamma=1.0, seed=0)
+
+
+# ------------------------------------------------- splits against the direct formula
+
+
+def reference_lloyd(X, centroids, max_iter=50, tol=1e-6):
+    """Lloyd iterations with broadcast direct distances and a per-cluster mean loop."""
+    K = centroids.shape[0]
+    for _ in range(max_iter):
+        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assign = np.argmin(d2, axis=1)
+        moved = 0.0
+        new_centroids = centroids.copy()
+        for k in range(K):
+            mask = assign == k
+            if mask.any():
+                new_centroids[k] = X[mask].mean(axis=0)
+                moved = max(moved, float(np.linalg.norm(new_centroids[k] - centroids[k])))
+        centroids = new_centroids
+        if moved <= tol:
+            break
+    return centroids
+
+
+def reference_balanced_split(embedding, members, K, gamma=0.25, seed=0):
+    """``balanced_split`` with ``reference_lloyd``, a NumPy-scalar fill and a point-by-point repair scan."""
+    m = len(members)
+    if K == 1:
+        return [members]
+    X = np.asarray(embedding, dtype=np.float64)[members.indices]
+    gen = seed.generator() if isinstance(seed, RngStream) else RngStream(int(seed), "balanced-split").generator()
+    centroids = reference_lloyd(X, hierarchy._kmeans_pp_init(X, K, gen))
+    dists = np.sqrt(((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
+    nearest_two = np.sort(dists, axis=1)[:, :2]
+    order = np.lexsort((np.arange(m), -(nearest_two[:, 1] - nearest_two[:, 0])))
+    s_min, s_max, _ = capacity_window(m, K, gamma)
+    s_min_eff = max(1, min(s_min, m // K))
+    pref = np.argsort(dists, axis=1, kind="stable")
+    assign = np.full(m, -1, dtype=np.int64)
+    counts = np.zeros(K, dtype=np.int64)
+    for p in order:
+        for k in pref[p]:
+            if counts[k] < s_max:
+                assign[p] = k
+                counts[k] += 1
+                break
+    while counts.min() < s_min_eff:
+        recipient = int(np.argmin(counts))
+        donors = np.flatnonzero(counts > s_min_eff)
+        best_point, best_dist = -1, np.inf
+        for p in range(m):
+            if assign[p] in donors:
+                d = dists[p, recipient]
+                if d < best_dist:
+                    best_point, best_dist = p, d
+        counts[assign[best_point]] -= 1
+        assign[best_point] = recipient
+        counts[recipient] += 1
+    parts = [PointSet._from_sorted(members.indices[assign == k]) for k in range(K)]
+    parts.sort(key=lambda ps: int(ps.indices[0]))
+    return parts
+
+
+def _rows(gen, m, D, layout):
+    if layout == "normal":
+        return gen.normal(size=(m, D))
+    if layout == "grid":  # coarse grid: many equal distances and tied margins
+        return np.round(gen.normal(size=(m, D)) * 2.0) / 2.0
+    return gen.normal(size=(3, D))[gen.integers(0, 3, size=m)]  # three distinct rows, duplicated
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(2, 48),
+    D=st.integers(1, 9),
+    K_share=st.floats(0.0, 1.0),
+    gamma=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    layout=st.sampled_from(["normal", "grid", "duplicates"]),
+)
+def test_split_equals_the_direct_formula_reference(seed, m, D, K_share, gamma, layout):
+    gen = np.random.default_rng(seed)
+    X = _rows(gen, m, D, layout)
+    K = 1 + min(m - 1, int(K_share * m))
+    members = PointSet(range(m))
+    got = balanced_split(X, members, K, gamma, seed)
+    want = reference_balanced_split(X, members, K, gamma, seed)
+    assert [p.indices.tolist() for p in got] == [p.indices.tolist() for p in want]
+    if K >= 2:
+        # start from data rows, repeats allowed, and one far centroid: clusters empty
+        init = X[gen.integers(0, m, size=K)]
+        init[-1] = X.max(axis=0) + 100.0
+        assert hierarchy._lloyd(X, init.copy()).tobytes() == reference_lloyd(X, init.copy()).tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), D=st.integers(1, 9), ulps=st.integers(-6, 6))
+def test_lloyd_stops_as_the_norm_decides_at_the_tolerance(seed, D, ulps):
+    gen = np.random.default_rng(seed)
+    unit = gen.normal(size=(3, D))
+    unit /= np.linalg.norm(unit, axis=1)[:, None]
+    step = unit * (1e-6 * (1.0 + ulps * np.finfo(np.float64).eps))
+    for row in step:
+        assert hierarchy._moved_beyond(row[None], 1e-6) == (np.linalg.norm(row) > 1e-6)
+    assert hierarchy._moved_beyond(step, 1e-6) == any(np.linalg.norm(row) > 1e-6 for row in step)
+
+
+def test_tree_equals_the_direct_formula_reference(monkeypatch):
+    emb = make_synthetic(600).features
+    got = build_tree(emb, (4, 4), leaf_cap=12, gamma=0.25, seed=3).to_json()
+    monkeypatch.setattr(hierarchy, "balanced_split", reference_balanced_split)
+    assert got == build_tree(emb, (4, 4), leaf_cap=12, gamma=0.25, seed=3).to_json()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_embedding_rows_are_named(bad):
+    emb = _embedding(30, seed=13)
+    emb[12, 0] = bad
+    emb[7, 2] = bad
+    with pytest.raises(ValueError, match="embedding row 7 is not finite"):
+        build_tree(emb, (3,), leaf_cap=8, gamma=0.25, seed=0)
+    with pytest.raises(ValueError, match="embedding row 12 is not finite"):
+        balanced_split(emb, PointSet(range(10, 30)), K=3, gamma=0.25, seed=0)
+    with pytest.raises(ValueError, match="embedding row 0 is not finite"):
+        build_tree(np.full((10, 2), bad), (2,), leaf_cap=4, gamma=0.25, seed=0)

@@ -31,12 +31,13 @@ def test_patch_site_resolves(name, module_name, path):
     assert callable(owner.__dict__[attr]), f"{name}: {module_name}.{path} is not a function"
 
 
-def test_stream_refresh_calls_the_traced_name_once_per_partly_dirty_family(monkeypatch):
+def test_stream_refresh_calls_the_traced_name_once_per_level_with_partly_dirty_families(monkeypatch):
     """The tracer times refreshes through ``hcdval.streaming.independent_player_estimate``.
 
-    ``ingest_batch`` must look that name up once per family with some but
-    not all children dirty, passing all of that family's dirty children, so
-    the benchmark's ``shapley.independent_*`` spans count families.
+    ``ingest_batch`` must look that name up once per level that has a family
+    with some but not all children dirty, passing every dirty child of every
+    such family of the level, so the benchmark's ``shapley.independent_*``
+    spans count levels.
     """
     from hcdval import streaming
     from hcdval.core import dataset_from_arrays
@@ -57,9 +58,9 @@ def test_stream_refresh_calls_the_traced_name_once_per_partly_dirty_family(monke
     calls = []
     traced = streaming.independent_player_estimate
 
-    def counting(game, players, T, rng):
-        calls.append(frozenset(tuple(game.players[k].indices.tolist()) for k in players))
-        return traced(game, players, T, rng)
+    def counting(games, players, T, rng):
+        calls.append({frozenset(tuple(g.players[k].indices.tolist()) for k in ks) for g, ks in zip(games, players)})
+        return traced(games, players, T, rng)
 
     monkeypatch.setattr(streaming, "independent_player_estimate", counting)
     new = streaming.ingest_batch(state, features[120:128], labels[120:128])
@@ -67,10 +68,14 @@ def test_stream_refresh_calls_the_traced_name_once_per_partly_dirty_family(monke
     before = {nid: tuple(node.members.indices.tolist()) for nid, node in state.tree.nodes.items()}
     want = []
     for level in range(1, len(new.tree.levels)):
+        partly = set()
         for _, kids in new.tree.families(level):
             members = [tuple(new.tree.node(c).members.indices.tolist()) for c in kids]
             dirty = [m for c, m in zip(kids, members) if before[c] != m]
             if 0 < len(dirty) < len(kids):
-                want.append(frozenset(dirty))
-    assert sorted(map(sorted, calls)) == sorted(map(sorted, want))
-    assert max(len(players) for players in calls) >= 2
+                partly.add(frozenset(dirty))
+        if partly:
+            want.append(partly)
+    assert calls == want
+    assert max(len(families) for families in calls) >= 2
+    assert max(len(players) for families in calls for players in families) >= 2

@@ -156,6 +156,7 @@ def test_amortized_refresh_cost_stays_under_bound():
         assert m.evals_refresh + m.evals_root <= bound
         assert m.eval_count == m.evals_refresh + m.evals_root + m.evals_leaves
         assert m.epoch == step + 1
+        assert 0.0 < m.refresh_ms and 0.0 < m.leaves_ms and m.refresh_ms + m.leaves_ms < m.latency_ms
     assert len(state.metrics) == 4
     _ = rng  # reserved for future per-step jitter
 
