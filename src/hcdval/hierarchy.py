@@ -57,7 +57,7 @@ def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
     (cluster, column); but it sums a single column pairwise, which only its
     own sum repeats.
     """
-    m, D = X.shape
+    D = X.shape[1]
     if D == 1:
         return np.array([[X[assign == k, 0].sum()] for k in range(K)])
     bins = (assign * D)[:, None] + np.arange(D)

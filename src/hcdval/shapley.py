@@ -444,11 +444,12 @@ def independent_player_estimate(game, player, T: int, rng):
     single_game = isinstance(game, CoalitionGame)
     games = [game] if single_game else list(game)
     if single_game:
-        requests = [(player, rng)]
+        player, rng = [player], [rng]
     else:
-        requests = list(zip(_one_per_game(player, len(games), "player arguments"), _one_per_game(rng, len(games), "random streams")))
+        player = _one_per_game(player, len(games), "player arguments")
+        rng = _one_per_game(rng, len(games), "random streams")
     singles, players, seeds = [], [], []
-    for g, (p, r) in zip(games, requests):
+    for g, p, r in zip(games, player, rng):
         single = isinstance(p, numbers.Integral)
         ids = [int(p)] if single else [int(k) for k in p]
         streams = [r] if single else r
