@@ -137,6 +137,9 @@ def _carry(total: np.ndarray, addend: np.ndarray) -> np.ndarray:
     return (total ^ _TOP).view(np.int64) < (addend ^ _TOP).view(np.int64)
 
 
+_SEED_BLOCK = 256  # seeds whose PCG64 states are formed at once
+
+
 class _Pcg64Draws:
     """numpy's ``next_uint32`` draws of ``default_rng(seed)``'s PCG64 for many seeds, computed in closed form.
 
@@ -171,22 +174,29 @@ class _Pcg64Draws:
         self.ahead = np.arange(_AHEAD)[:, None] * seeds.size  # offsets of a seed's next _AHEAD draws
 
     def _outputs(self, start: int, stop: int) -> np.ndarray:
-        """The draws of outputs ``start + 1 .. stop`` of every seed, flat in (draw, seed) order."""
-        consts = _jump_table(max(16, 1 << (stop - 1).bit_length()))[:, :, start:stop, None]
-        (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi, self.lo, *consts.swapaxes(0, 1))
-        s_lo += t_lo
-        s_hi += t_hi
-        s_hi += _carry(s_lo, t_lo)
-        rot = s_hi >> 58
-        s_lo ^= s_hi
-        np.right_shift(s_lo, rot, out=s_hi)
-        np.subtract(64, rot, out=rot)
-        rot &= 63
-        s_lo <<= rot
-        s_hi |= s_lo  # the output: the xored words rotated right
-        draws = np.empty((s_hi.shape[0], 2, s_hi.shape[1]), dtype=np.uint64)
-        np.bitwise_and(s_hi, _M32, out=draws[:, 0])
-        np.right_shift(s_hi, 32, out=draws[:, 1])
+        """The draws of outputs ``start + 1 .. stop`` of every seed, flat in (draw, seed) order.
+
+        The states are formed ``_SEED_BLOCK`` seeds at a time, so the
+        temporaries of the 128-bit products stay bounded however many seeds
+        a call draws for.
+        """
+        consts = _jump_table(max(16, 1 << (stop - 1).bit_length()))[:, :, start:stop, None].swapaxes(0, 1)
+        draws = np.empty((stop - start, 2, self.T), dtype=np.uint64)
+        for first in range(0, self.T, _SEED_BLOCK):
+            block = slice(first, first + _SEED_BLOCK)
+            (s_hi, t_hi), (s_lo, t_lo) = _mul128(self.hi[:, :, block], self.lo[:, :, block], *consts)
+            s_lo += t_lo
+            s_hi += t_hi
+            s_hi += _carry(s_lo, t_lo)
+            rot = s_hi >> 58
+            s_lo ^= s_hi
+            np.right_shift(s_lo, rot, out=s_hi)
+            np.subtract(64, rot, out=rot)
+            rot &= 63
+            s_lo <<= rot
+            s_hi |= s_lo  # the output: the xored words rotated right
+            np.bitwise_and(s_hi, _M32, out=draws[:, 0, block])
+            np.right_shift(s_hi, 32, out=draws[:, 1, block])
         return draws.reshape(-1)
 
     def cover(self, last: int) -> None:
