@@ -336,3 +336,5 @@ def test_non_finite_embedding_rows_are_named(bad):
         balanced_split(emb, PointSet(range(10, 30)), K=3, gamma=0.25, seed=0)
     with pytest.raises(ValueError, match="embedding row 0 is not finite"):
         build_tree(np.full((10, 2), bad), (2,), leaf_cap=4, gamma=0.25, seed=0)
+    with pytest.raises(ValueError, match="embedding row 7 is not finite"):  # a root that needs no split
+        build_tree(emb[:10], (3,), leaf_cap=12, gamma=0.25, seed=0)

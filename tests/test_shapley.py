@@ -18,6 +18,7 @@ from hcdval import (
     random_values,
 )
 from hcdval import permutations as draws
+from hcdval import shapley
 from hcdval.shapley import _permutations
 
 from conftest import permutation_average_oracle, random_table_game
@@ -419,3 +420,23 @@ def test_random_values_baseline():
     assert a.values.shape == (50,)
     assert np.all((a.values >= 0.0) & (a.values < 1.0))
     assert a.method_tag == "random"
+
+
+def test_pieces_share_a_payoff_call_while_their_sizes_fit_the_row_budget(monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.calls = []
+
+        def evaluate_games(self, games):
+            self.calls.append(len(games))
+            return [np.full(rows.shape[0], 10.0 * len(self.calls) + g) for g, (_, rows) in enumerate(games)]
+
+    payoff = Recorder()
+    game = CoalitionGame([PointSet([0]), PointSet([1])], payoff)
+    monkeypatch.setattr(shapley, "_PREFIX_ROW_BUDGET", 7)
+    rows = np.array([[True, False], [False, True], [True, False]])
+    pieces = [(game, size, lambda: rows) for size in (3, 3, 3, 5, 1, 9)]
+    values = shapley._values_of_pieces(pieces)
+    assert payoff.calls == [2, 1, 2, 1]  # 3 + 3, then 3 (3 + 5 > 7), 5 + 1, and 9 alone
+    want = [10.0, 11.0, 20.0, 30.0, 31.0, 40.0]
+    assert [v.tolist() for v in values] == [[w, w, w] for w in want]
