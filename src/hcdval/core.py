@@ -10,28 +10,35 @@ import numpy as np
 
 
 # splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
-# generators", OOPSLA 2014), seeded with 0: output k mixes the state
-# (k + 1) * gamma mod 2^64, so point i's two words mix the states
-# i * 2 gamma + gamma and i * 2 gamma + 2 gamma.
-_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
-_WORD_STRIDE = np.uint64(2 * _SPLITMIX_GAMMA % 2**64)
-_WORD_STATES = np.array([_SPLITMIX_GAMMA, 2 * _SPLITMIX_GAMMA % 2**64], dtype=np.uint64)
+# generators", OOPSLA 2014): output k of the generator seeded with s is
+# mix64(s + k * gamma mod 2^64), k = 1, 2, ...
+SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MIX = (np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB))
+_WORD_STRIDE = np.uint64(2 * SPLITMIX_GAMMA % 2**64)
+_WORD_STATES = np.array([SPLITMIX_GAMMA, 2 * SPLITMIX_GAMMA % 2**64], dtype=np.uint64)
 
 
-def point_words(indices: np.ndarray) -> np.ndarray:
-    """The two 64-bit set-hash words of each point index: (m, 2) uint64.
+def mix64(states: np.ndarray) -> np.ndarray:
+    """splitmix64's output function of each uint64 state, as a new array.
 
-    Point i gets splitmix64 outputs 2i and 2i + 1. The words depend on the
-    index alone, so keys stay valid while a corpus grows by appending points.
+    It is a bijection of [0, 2^64), so distinct states give distinct outputs.
     """
-    z = np.asarray(indices, dtype=np.int64).view(np.uint64)[:, None] * _WORD_STRIDE + _WORD_STATES
-    z ^= z >> np.uint64(30)
+    z = states ^ (states >> np.uint64(30))
     z *= _SPLITMIX_MIX[0]
     z ^= z >> np.uint64(27)
     z *= _SPLITMIX_MIX[1]
     z ^= z >> np.uint64(31)
     return z
+
+
+def point_words(indices: np.ndarray) -> np.ndarray:
+    """The two 64-bit set-hash words of each point index: (m, 2) uint64.
+
+    Point i gets outputs 2i + 1 and 2i + 2 of splitmix64 seeded with 0. The
+    words depend on the index alone, so keys stay valid while a corpus grows
+    by appending points.
+    """
+    return mix64(np.asarray(indices, dtype=np.int64).view(np.uint64)[:, None] * _WORD_STRIDE + _WORD_STATES)
 
 
 def coalition_key(indices: np.ndarray) -> bytes:

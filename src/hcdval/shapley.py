@@ -9,9 +9,11 @@ permutations. Permutation logs store one 63-bit seed per permutation and can
 be replayed to reproduce an estimate bit for bit; a replayed log may hold any
 integer seed in [0, 2^64).
 
-Permutation t is ``np.random.default_rng(seed_t).permutation(K)``, drawn for
-all seeds of a call at once, as array arithmetic and with no generator built,
-by ``permutations.draw_permutations``; the rows are numpy's bit for bit.
+Permutation t orders the K players by the keys mix64(seed_t + (i + 1) gamma),
+i = 0 .. K - 1: splitmix64's outputs 1 .. K seeded with seed_t (``core.mix64``).
+The keys are distinct, since mix64 is a bijection and the K states differ, so
+the order does not depend on the sort; ``_permutations`` draws all the seeds
+of a call at once.
 
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
 coalition, and scores each matrix's distinct rows once. ``exact_shapley``
@@ -43,8 +45,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, union
-from .permutations import draw_permutations as _permutations
+from .core import EMPTY_SET, SPLITMIX_GAMMA, LabeledDataset, PointSet, RngStream, mix64, union
 
 EXACT_PLAYER_LIMIT = 12
 _PREFIX_ROW_BUDGET = 1 << 20  # 0/1 player-matrix elements built for one payoff call
@@ -258,6 +259,12 @@ def _values_of_pieces(pieces: Sequence[tuple]) -> list:
         out += [v[inverse] for v, (_, inverse) in zip(values, distinct)]
         start = stop
     return out
+
+
+def _permutations(seeds, K: int) -> np.ndarray:
+    """Permutation t of each seed s_t: (seeds.size, K), the argsort of mix64(s_t + (i + 1) gamma) over i."""
+    states = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + np.arange(1, K + 1, dtype=np.uint64) * np.uint64(SPLITMIX_GAMMA)
+    return np.argsort(mix64(states), axis=1)
 
 
 def _positions(seeds: Sequence[np.ndarray], Ks: Sequence[int]) -> list:

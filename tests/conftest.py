@@ -40,6 +40,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"ACCEPTANCE {num}: {status} - {CRITERIA[num]}")
 
 
+def splitmix64(seed: int, k: int) -> int:
+    """Output k >= 1 of the splitmix64 generator seeded with ``seed``, in Python integers: the reference."""
+    z = (seed + k * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
+def reference_permutation(seed: int, K: int) -> list:
+    """The permutation a logged seed stands for: players 0 .. K - 1 sorted by splitmix64 outputs 1 .. K."""
+    return sorted(range(K), key=lambda i: splitmix64(int(seed), i + 1))
+
+
 def random_table_game(K: int, seed: int, bound: float = 1.0):
     """A random bounded game over K singleton players, plus its raw table.
 

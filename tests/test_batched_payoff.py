@@ -37,6 +37,8 @@ from hcdval import (
 from hcdval import shapley, utility
 from hcdval.core import point_words
 
+from conftest import reference_permutation, splitmix64
+
 TOL = 1e-12
 
 
@@ -80,20 +82,12 @@ def test_cache_key_is_a_16_byte_digest():
     assert PointSet([1, 2]).key() != PointSet([1, 3]).key()
 
 
-def splitmix64(k: int) -> int:
-    """Output k of the splitmix64 generator seeded with 0, in Python integers: the reference."""
-    z = (k + 1) * 0x9E3779B97F4A7C15 % 2**64
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
-    return z ^ (z >> 31)
-
-
 def test_cache_key_is_the_xor_of_splitmix64_point_words():
     points = [0, 1, 7, 4095, 2**40 + 3]
-    assert point_words(points).tolist() == [[splitmix64(2 * i), splitmix64(2 * i + 1)] for i in points]
+    assert point_words(points).tolist() == [[splitmix64(0, 2 * i + 1), splitmix64(0, 2 * i + 2)] for i in points]
     words = [0, 0]
     for i in points:
-        words = [words[0] ^ splitmix64(2 * i), words[1] ^ splitmix64(2 * i + 1)]
+        words = [words[0] ^ splitmix64(0, 2 * i + 1), words[1] ^ splitmix64(0, 2 * i + 2)]
     assert PointSet(points).key() == b"".join(w.to_bytes(8, sys.byteorder) for w in words)
 
 
@@ -446,8 +440,8 @@ def _old_independent_sequence(players, player, seeds) -> list:
     """Coalitions in the order the per-permutation loop asks for them."""
     seen = []
     for seed in seeds:
-        perm = np.random.default_rng(int(seed)).permutation(len(players))
-        before = perm[: int(np.flatnonzero(perm == player)[0])]
+        perm = reference_permutation(seed, len(players))
+        before = perm[: perm.index(player)]
         seen.append(union([players[j] for j in before]))
         seen.append(union([players[j] for j in before] + [players[player]]))
     return seen

@@ -17,11 +17,10 @@ from hcdval import (
     monte_carlo_shapley,
     random_values,
 )
-from hcdval import permutations as draws
 from hcdval import shapley
 from hcdval.shapley import _permutations
 
-from conftest import permutation_average_oracle, random_table_game
+from conftest import permutation_average_oracle, random_table_game, reference_permutation
 
 
 def make_game(K, payoff_fn, bound=1.0):
@@ -129,13 +128,12 @@ def test_prefix_estimator_converges_to_exact():
 
 
 def _sweeps_by_hand(game, log) -> np.ndarray:
-    """Prefix sweeps over ``np.random.default_rng(seed).permutation(K)`` for each logged seed."""
+    """Prefix sweeps over ``reference_permutation(seed, K)`` for each logged seed."""
     vals = np.zeros(game.K)
     for seed in log:
-        perm = np.random.default_rng(seed).permutation(game.K)
         prev = game.value_of_ids([])
         picked = []
-        for p in perm.tolist():
+        for p in reference_permutation(seed, game.K):
             picked.append(p)
             cur = game.value_of_ids(picked)
             vals[p] += cur - prev
@@ -150,59 +148,39 @@ def test_prefix_log_replays_bit_for_bit():
     assert est.values == pytest.approx(_sweeps_by_hand(game, est.permutation_log), abs=1e-12)
 
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
 
 
-def _default_rng_rows(seeds, K) -> np.ndarray:
-    return np.array([np.random.default_rng(s).permutation(K) for s in seeds], dtype=np.int64).reshape(len(seeds), K)
+def _reference_rows(seeds, K) -> np.ndarray:
+    return np.array([reference_permutation(s, K) for s in seeds], dtype=np.int64).reshape(len(seeds), K)
 
 
-@settings(deadline=None, max_examples=80)
-@given(
-    seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), max_size=12),
-    K=st.integers(0, 40),
-)
-def test_permutations_match_default_rng(seeds, K):
-    want = _default_rng_rows(seeds, K)
-    assert np.array_equal(_permutations(seeds, K), want)
-    assert np.array_equal(_permutations(np.array(seeds, dtype=np.uint64), K), want)
-
-
-def test_permutations_match_default_rng_on_edge_seeds_for_every_size():
+@settings(deadline=None, max_examples=25)
+@given(P=st.integers(1, 3), T=st.integers(0, 5), data=st.data())
+def test_permutations_sort_splitmix64_keys(P, T, data):
+    drawn = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=P * T, max_size=P * T))
     for K in range(41):
-        assert np.array_equal(_permutations(EDGE_SEEDS, K), _default_rng_rows(EDGE_SEEDS, K))
+        want = _reference_rows(EDGE_SEEDS + drawn, K)
+        got = _permutations(EDGE_SEEDS + drawn, K)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        # a (P, T) seed array is read in C order
+        assert np.array_equal(_permutations(np.array(drawn, dtype=np.uint64).reshape(P, T), K), want[len(EDGE_SEEDS) :])
 
 
-def test_permutations_match_default_rng_when_passes_read_one_draw_and_draws_run_short(monkeypatch):
-    # one draw per pass: every rejection takes another pass, and the first
-    # outputs leave room for about two rejections, so every K from 3 on grows them
-    seeds = np.random.default_rng(12).integers(0, 2**64, size=2000, dtype=np.uint64)
-    want = {K: _default_rng_rows(seeds.tolist(), K) for K in range(41)}
-    grew = set()
-    outputs = draws._Pcg64Draws._outputs
-
-    def counted(self, start, stop):
-        if start:
-            grew.add(K)
-        return outputs(self, start, stop)
-
-    monkeypatch.setattr(draws, "_AHEAD", 1)
-    monkeypatch.setattr(draws._Pcg64Draws, "_outputs", counted)
-    for K in range(41):
-        assert np.array_equal(_permutations(seeds, K), want[K]), K
-    assert grew == set(range(3, 41))
-
-
-@pytest.mark.parametrize("K", [3, 5, 9, 17, 33])
-def test_permutations_match_default_rng_just_above_a_power_of_two(K):
-    # i = K - 1 = 2^b rejects almost half its draws: the longest rejection runs
-    seeds = np.random.default_rng(K).integers(0, 2**64, size=4096, dtype=np.uint64)
-    assert np.array_equal(_permutations(seeds, K), _default_rng_rows(seeds.tolist(), K))
+def test_permutations_of_stream_seeds_are_uniform():
+    # chi-square over the 24 orders of 4 players; 49.73 is the 0.999 quantile at 23 degrees of freedom
+    seeds = RngStream(0, "uniformity").seeds(24_000)
+    perms = _permutations(seeds, 4)
+    counts = np.bincount(perms @ np.array([64, 16, 4, 1]), minlength=256)
+    observed = counts[counts > 0]
+    assert observed.size == 24 and observed.sum() == seeds.size
+    expected = seeds.size / 24
+    assert ((observed - expected) ** 2 / expected).sum() < 49.73
 
 
 def test_permutations_take_player_gains_seed_arrays_and_empty_ones():
     seeds = np.random.default_rng(4).integers(0, 2**63, size=(3, 7), dtype=np.uint64)
-    assert np.array_equal(_permutations(seeds, 6), _default_rng_rows(seeds.ravel().tolist(), 6))
+    assert np.array_equal(_permutations(seeds, 6), _reference_rows(seeds.ravel().tolist(), 6))
     for K in (0, 1, 5):
         empty = _permutations(np.zeros(0, dtype=np.uint64), K)
         assert empty.shape == (0, K) and empty.dtype == np.int64
@@ -211,7 +189,7 @@ def test_permutations_take_player_gains_seed_arrays_and_empty_ones():
 
 def test_permutations_build_no_generator(monkeypatch):
     seeds = EDGE_SEEDS + list(range(40))
-    want = _default_rng_rows(seeds, 11)
+    want = _reference_rows(seeds, 11)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("_permutations must not build a numpy generator")
@@ -286,7 +264,7 @@ def test_prefix_sweep_evaluation_count():
     monte_carlo_shapley(game, 7, RngStream(0, "count"))
     distinct = set()
     for seed in RngStream(0, "count").seeds(7):
-        perm = np.random.default_rng(int(seed)).permutation(4).tolist()
+        perm = reference_permutation(seed, 4)
         distinct |= {frozenset(perm[:j]) for j in range(5)}
     # each distinct prefix is asked for once, at most K per sweep plus the empty one
     assert len(seen) == len(set(seen))
@@ -304,7 +282,7 @@ def test_independent_sampling_costs_two_evals_per_draw():
     distinct = set()
     for player in range(4):
         for seed in seeds[player]:
-            perm = np.random.default_rng(int(seed)).permutation(4).tolist()
+            perm = reference_permutation(seed, 4)
             before = perm[: perm.index(player)]
             distinct |= {frozenset(before), frozenset(before + [player])}
     # each distinct coalition is asked for once, at most two per draw
@@ -338,7 +316,7 @@ def test_independent_bound_check_reports_the_first_bad_gain_player_by_player():
 
     game = make_game(3, payoff, bound=1.0)
     seeds = RngStream(6, "first-bad").seeds(5)
-    perm = np.random.default_rng(int(seeds[0])).permutation(3).tolist()
+    perm = reference_permutation(seeds[0], 3)
     first = 7.0 if perm.index(0) < perm.index(1) else 3.0
     with pytest.raises(AssertionError, match=f"marginal contribution {first} "):
         independent_player_estimate(game, [1, 2], 5, [RngStream(6, "first-bad"), RngStream(7, "first-bad")])
