@@ -29,8 +29,8 @@ matrix elements, a game's prefix rows cut into pieces of that size. A payoff
 with an ``evaluate_games`` method (``CharacteristicFn``) scores a call's
 games in one pass through its cache, and its payoffs do not depend on the
 batch, so every estimate equals one-game, one-coalition-at-a-time play bit
-for bit; any other payoff is asked game by game through
-``CoalitionGame.values_of_rows``, and a plain callable once per distinct row.
+for bit; any other payoff, such as a plain callable, is asked once per
+distinct row through ``CoalitionGame.value_of_ids``.
 """
 
 from __future__ import annotations
@@ -56,8 +56,7 @@ class CoalitionGame:
 
     :param players: disjoint PointSets, one per player
     :param payoff: a CharacteristicFn-like object (``evaluate(PointSet)`` and
-        ``evaluate_coalitions(blocks, rows)``) or a plain callable
-        PointSet -> float
+        ``evaluate_games(games)``) or a plain callable PointSet -> float
     :param bound: payoff bound B such that marginal contributions lie in
         [-2B, 2B]; taken from ``payoff.B`` when present
     """
@@ -71,7 +70,6 @@ class CoalitionGame:
         if (points[1:] == points[:-1]).any():  # each PointSet is duplicate-free
             raise ValueError("player point sets must be disjoint")
         self._eval: Callable[[PointSet], float] = getattr(payoff, "evaluate", payoff)
-        self._batch = getattr(payoff, "evaluate_coalitions", self._call_per_row)
         self.payoff = payoff
         if bound is None:
             bound = getattr(payoff, "B", None)
@@ -92,17 +90,6 @@ class CoalitionGame:
     def value_of_mask(self, mask: np.ndarray) -> float:
         """Payoff of the coalition of points flagged in a boolean mask."""
         return self._eval(PointSet._from_sorted(np.flatnonzero(mask).astype(np.int64)))
-
-    def values_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Payoffs of the coalitions flagged by the rows of an (R, K) 0/1 player matrix.
-
-        The payoff's ``evaluate_coalitions(players, rows)`` scores all rows in
-        one call; a plain callable is called once per row, in row order.
-        """
-        return self._batch(self.players, rows)
-
-    def _call_per_row(self, players: Sequence[PointSet], rows: np.ndarray) -> np.ndarray:
-        return np.array([self.value_of_ids(np.flatnonzero(row)) for row in rows], dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -126,15 +113,15 @@ def _values_of_games(games: Sequence[CoalitionGame], rows: Sequence[np.ndarray])
     """Payoffs of each game's player rows, all games in one call to their shared payoff.
 
     A payoff with an ``evaluate_games`` method (``CharacteristicFn``) scores
-    every game's rows in that one call; any other payoff is asked game by
-    game through ``values_of_rows``.
+    every game's rows in that one call; any other payoff is asked for one row
+    at a time through ``value_of_ids``, game by game and in row order.
     """
     payoff = games[0].payoff
     if any(game.payoff is not payoff for game in games):
         raise ValueError("games played together must share one payoff")
     evaluate_games = getattr(payoff, "evaluate_games", None)
     if evaluate_games is None:
-        return [game.values_of_rows(r) for game, r in zip(games, rows)]
+        return [np.array([game.value_of_ids(np.flatnonzero(row)) for row in r], dtype=np.float64) for game, r in zip(games, rows)]
     return evaluate_games([(game.players, r) for game, r in zip(games, rows)])
 
 

@@ -472,12 +472,12 @@ def test_plain_payoffs_see_the_same_coalition_sequence():
     asked_once(seen, [ps for i in range(5) for ps in _old_independent_sequence(players, i, seeds[i])])
 
 
-def _recording(score, seen: list):
-    """A game's row scorer that also keeps every row matrix it is asked to score."""
+def _recording_ids(value_of_ids, seen: list):
+    """A game's one-coalition payoff that also keeps the player ids of every coalition it is asked for."""
 
-    def record(blocks, rows):
-        seen.append(rows.copy())
-        return score(blocks, rows)
+    def record(ids):
+        seen.append(tuple(np.asarray(ids).tolist()))
+        return value_of_ids(ids)
 
     return record
 
@@ -511,14 +511,16 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
         calls = []
         if g == 0:  # a CharacteristicFn scores games through its several-game call
             together[2].evaluate_games = _recording_games(together[2].evaluate_games, calls)
-        else:
-            together[g]._batch = _recording(together[g]._batch, calls)
+        else:  # a plain callable is asked for one coalition at a time
+            together[g].value_of_ids = _recording_ids(together[g].value_of_ids, calls)
         est = independent_player_estimate(together[g], players, 16, streams())
         ref = [independent_player_estimate(alone[g], p, 16, r) for p, r in zip(players, streams())]
         assert est.tobytes() == np.array(ref).tobytes()
-        # all players' distinct rows in one call
-        assert len(calls) == 1
-        assert len(np.unique(calls[0], axis=0)) == len(calls[0])
+        if g == 0:  # all players' distinct rows in one call
+            assert len(calls) == 1
+            assert len(np.unique(calls[0], axis=0)) == len(calls[0])
+        else:  # each distinct coalition once
+            assert calls and len(set(calls)) == len(calls)
     for k in (2, 3):  # the batched payoff's cache, then the plain callable's
         assert together[k].evaluations == alone[k].evaluations
         assert set(together[k]._cache) == set(alone[k]._cache)
