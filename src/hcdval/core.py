@@ -268,9 +268,9 @@ class RngStream:
         words = np.frombuffer(h.digest(), dtype=np.uint32)
         return np.random.default_rng(np.random.SeedSequence(entropy=words.tolist()))
 
-    def seeds(self, count: int) -> np.ndarray:
-        """Draw ``count`` 63-bit seeds, e.g. one per sampled permutation."""
-        return self.generator().integers(0, 2**63, size=count, dtype=np.uint64)
+    def seeds(self, shape) -> np.ndarray:
+        """Draw an array of 63-bit seeds of the given shape (an int or a tuple), e.g. one per sampled permutation."""
+        return self.generator().integers(0, 2**63, size=shape, dtype=np.uint64)
 
 
 # ---------------------------------------------------------------------------

@@ -182,15 +182,13 @@ def _exact_values(terms: list, v: np.ndarray) -> ShapleyEstimate:
     return ShapleyEstimate(values=values, T=0, mode="exact", permutation_log=None)
 
 
-def _resolve_generator(rng) -> tuple[np.random.Generator, int]:
+def _stream(rng) -> RngStream:
+    """An ``rng`` argument as a stream: an int stands for ``RngStream(int)``."""
     if isinstance(rng, RngStream):
-        return rng.generator(), rng.root_seed
-    if isinstance(rng, np.random.Generator):
-        return rng, -1
-    if isinstance(rng, (int, np.integer)):
-        stream = RngStream(int(rng))
-        return stream.generator(), int(rng)
-    raise TypeError(f"rng must be an RngStream, Generator or int, got {type(rng)!r}")
+        return rng
+    if isinstance(rng, numbers.Integral):
+        return RngStream(int(rng))
+    raise TypeError(f"rng must be an RngStream or int, got {type(rng)!r}")
 
 
 def _check_gains(gains: np.ndarray, bound: Optional[float]) -> None:
@@ -347,7 +345,7 @@ def _replay_seeds(permutation_log: Sequence[int]) -> np.ndarray:
 
 def _one_per_game(items, count: int, what: str) -> list:
     """A sequence of ``count`` items, one per game of a several-game call."""
-    if isinstance(items, (RngStream, np.random.Generator, numbers.Integral)) or len(items) != count:
+    if isinstance(items, (RngStream, numbers.Integral)) or len(items) != count:
         raise ValueError(f"{count} games need a sequence of as many {what}")
     return list(items)
 
@@ -395,10 +393,7 @@ def monte_carlo_shapley(
         if T < 1:
             raise ValueError("need at least one permutation (T >= 1)")
         streams = [rng] if single else _one_per_game(rng, len(games), "random streams")
-        seeds = [
-            _resolve_generator(r)[0].integers(0, 2**63, size=T if sampling == "prefix" else (g.K, T), dtype=np.uint64)
-            for g, r in zip(games, streams)
-        ]
+        seeds = [_stream(r).seeds(T if sampling == "prefix" else (g.K, T)) for g, r in zip(games, streams)]
     if not games:
         return []
     if sampling == "independent":
@@ -449,7 +444,7 @@ def independent_player_estimate(game, player, T: int, rng):
         streams = [r] if single else r
         if not ids:
             raise ValueError("need at least one player")
-        if isinstance(streams, (RngStream, np.random.Generator, numbers.Integral)) or len(streams) != len(ids):
+        if isinstance(streams, (RngStream, numbers.Integral)) or len(streams) != len(ids):
             raise ValueError(f"{len(ids)} players need a sequence of as many random streams")
         if len(set(ids)) != len(ids):
             raise ValueError(f"players must be distinct, got {ids}")
@@ -458,7 +453,7 @@ def independent_player_estimate(game, player, T: int, rng):
                 raise ValueError(f"player {k} out of range for K={g.K}")
         singles.append(single)
         players.append(np.array(ids))
-        seeds.append(np.stack([_resolve_generator(s)[0].integers(0, 2**63, size=T, dtype=np.uint64) for s in streams]))
+        seeds.append(np.stack([_stream(s).seeds(T) for s in streams]))
     if not games:
         return []
     means = [t / T for t in _player_totals(games, players, seeds)]
@@ -466,48 +461,34 @@ def independent_player_estimate(game, player, T: int, rng):
     return out[0] if single_game else out
 
 
-def _per_point_from_groups(
-    data: LabeledDataset, cf, groups: Sequence[PointSet], T: int, rng
-) -> tuple[np.ndarray, ShapleyEstimate]:
-    merged = union(groups)
-    if len(merged) != data.n or sum(len(g) for g in groups) != data.n:
-        raise ValueError("groups must partition the train split")
-    game = CoalitionGame(groups, cf)
-    est = monte_carlo_shapley(game, T, rng)
-    values = np.empty(data.n)
-    for g, group in enumerate(groups):
-        values[group.indices] = est.values[g] / len(group)
-    return values, est
-
-
 def flat_mcds(data: LabeledDataset, cf, T: int, rng) -> "ValueVector":
     """Flat Monte-Carlo data Shapley: every point is its own player."""
-    from .core import ValueVector
-
-    start = time.perf_counter()
     groups = [PointSet._from_sorted(np.asarray([i], dtype=np.int64)) for i in range(data.n)]
-    values, est = _per_point_from_groups(data, cf, groups, T, rng)
-    _, seed = _resolve_generator(rng)
-    return ValueVector(
-        values=values,
-        method_tag="mcds",
-        seed=seed,
-        permutations_T=est.T,
-        wallclock_ms=(time.perf_counter() - start) * 1000.0,
-    )
+    return _group_values(data, cf, groups, T, rng, "mcds")
 
 
 def group_shapley(data: LabeledDataset, cf, groups: Sequence[PointSet], T: int, rng) -> "ValueVector":
     """Grouped Shapley baseline: groups are players, group value splits evenly."""
+    return _group_values(data, cf, groups, T, rng, "gs")
+
+
+def _group_values(data: LabeledDataset, cf, groups: Sequence[PointSet], T: int, rng, method_tag: str) -> "ValueVector":
+    """Prefix-sweep Shapley values of the groups of a partition of the train split, each split evenly over its points."""
     from .core import ValueVector
 
     start = time.perf_counter()
-    values, est = _per_point_from_groups(data, cf, groups, T, rng)
-    _, seed = _resolve_generator(rng)
+    stream = _stream(rng)
+    merged = union(groups)
+    if len(merged) != data.n or sum(len(g) for g in groups) != data.n:
+        raise ValueError("groups must partition the train split")
+    est = monte_carlo_shapley(CoalitionGame(groups, cf), T, stream)
+    values = np.empty(data.n)
+    for g, group in enumerate(groups):
+        values[group.indices] = est.values[g] / len(group)
     return ValueVector(
         values=values,
-        method_tag="gs",
-        seed=seed,
+        method_tag=method_tag,
+        seed=stream.root_seed,
         permutations_T=est.T,
         wallclock_ms=(time.perf_counter() - start) * 1000.0,
     )
@@ -537,11 +518,11 @@ def random_values(n: int, rng) -> "ValueVector":
     from .core import ValueVector
 
     start = time.perf_counter()
-    gen, seed = _resolve_generator(rng)
+    stream = _stream(rng)
     return ValueVector(
-        values=gen.random(n),
+        values=stream.generator().random(n),
         method_tag="random",
-        seed=seed,
+        seed=stream.root_seed,
         permutations_T=0,
         wallclock_ms=(time.perf_counter() - start) * 1000.0,
     )

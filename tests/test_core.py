@@ -85,6 +85,9 @@ def test_rng_stream_seeds_are_63_bit():
     assert seeds.shape == (100,)
     assert seeds.dtype == np.uint64
     assert int(seeds.max()) < 2**63
+    # a shape draws the generator's integers in C order
+    grid = RngStream(3, "seeds").seeds((4, 25))
+    assert grid.shape == (4, 25) and grid.tobytes() == seeds.tobytes()
 
 
 def test_matrix_binary_roundtrip(tmp_path):

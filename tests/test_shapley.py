@@ -361,6 +361,16 @@ def test_flat_mcds_is_efficient():
     assert abs(vv.values.sum() - surplus) <= 1e-9
 
 
+def test_an_int_rng_stands_for_its_root_stream():
+    data = _small_data()
+    cf = CharacteristicFn(data, data.features, lam=0.5)
+    a, b = flat_mcds(data, cf, 8, 3), flat_mcds(data, cf, 8, RngStream(3))
+    assert a.values.tobytes() == b.values.tobytes() and a.seed == b.seed == 3
+    assert random_values(5, 3).values.tobytes() == random_values(5, RngStream(3)).values.tobytes()
+    with pytest.raises(TypeError, match="RngStream or int"):
+        flat_mcds(data, cf, 8, np.random.default_rng(3))
+
+
 def test_group_shapley_splits_group_value_evenly():
     data = _small_data()
     cf = CharacteristicFn(data, data.features, lam=0.5)
