@@ -207,10 +207,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     new_vectors = np.vstack([state.embedding.vectors, Zb])
     data = replace(old, features=np.vstack([old.features, Xb]), labels=np.concatenate([old.labels, labels]))
     embedding = replace(state.embedding, vectors=new_vectors)
-    cf = CharacteristicFn(data, embedding, lam=state.cf.lam, metric=state.cf.metric, learner=state.cf.learner)
-    cf._cache = state.cf._cache  # old keys stay valid: indices are append-only
-    cf._words = state.cf._words  # and so do the point words keys are made of
-    evals_at_start = cf.evaluations
+    cf = state.cf.grown(data, embedding)  # counts this step's evaluations from zero
 
     # -- assignment ---------------------------------------------------------
     dirty: set = set()
@@ -302,7 +299,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         epoch=epoch,
         latency_ms=(time.perf_counter() - t_start) * 1000.0,
         dirty_count=len(dirty),
-        eval_count=cf.evaluations - evals_at_start,
+        eval_count=cf.evaluations,
         evals_refresh=phase["sweeps"],
         evals_root=evals_root,
         evals_leaves=phase["leaves"],

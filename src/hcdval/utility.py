@@ -532,12 +532,24 @@ class CharacteristicFn:
     def normalized_dispersion(self, points: PointSet) -> DispersionResult:
         return normalized_dispersion(self.vectors, self.dataset.labels, points)
 
+    def grown(self, dataset: LabeledDataset, embedding) -> "CharacteristicFn":
+        """This payoff over ``dataset``, a corpus grown from this one by appending points.
+
+        The new payoff has the same settings and shares this one's cache and
+        table of point words: both stay valid, since a point keeps its index.
+        It counts its own ``evaluations`` and ``lookups``, from zero.
+        """
+        cf = CharacteristicFn(dataset, embedding, lam=self.lam, metric=self.metric, learner=self.learner)
+        cf._cache = self._cache
+        cf._words = self._words
+        return cf
+
     def _point_words(self, indices: np.ndarray) -> np.ndarray:
         """``point_words(indices)``, read from this payoff's table of point words.
 
         The table covers the dataset once a lookup needs it. A payoff over a
-        grown corpus, handed the table by a stream step, appends the words of
-        the new points. Single lookups and batched ones both read it.
+        grown corpus (``grown``) appends the words of the new points. Single
+        lookups and batched ones both read it.
         """
         if indices.size and indices.max() >= self._words.shape[0]:
             grown = np.arange(self._words.shape[0], self.dataset.n)

@@ -99,10 +99,12 @@ def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
     for S in sets:
         assert cf._key(S) == S.key()
     assert cf._words.shape == (data.n, 2)
-    # a payoff over the grown corpus reuses the table and appends the new points' words
+    # a payoff over the grown corpus shares the cache and the table, appends the new points' words,
+    # and counts its own evaluations
+    cf.evaluate(PointSet([0, 1]))
     grown = make_synthetic(50, seed=2)
-    bigger = CharacteristicFn(grown, grown.features)
-    bigger._words = cf._words
+    bigger = cf.grown(grown, grown.features)
+    assert bigger._cache is cf._cache and bigger._words is cf._words and bigger.evaluations == 0
     assert [bigger._key(S) for S in sets + [PointSet([data.n, grown.n - 1])]] == [
         S.key() for S in sets + [PointSet([data.n, grown.n - 1])]
     ]
@@ -112,7 +114,8 @@ def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
     S = PointSet([1, 4, 9])
     value = bigger.evaluate(S)
     got = bigger.evaluate_games([([PointSet([9]), PointSet([1, 4])], np.ones((1, 2), bool))])
-    assert got[0].tolist() == [value] and bigger.evaluations == 1 and list(bigger._cache) == [S.key()]
+    assert got[0].tolist() == [value] and bigger.evaluations == 1 and cf.evaluations == 1
+    assert list(cf._cache) == [PointSet([0, 1]).key(), S.key()]
     # a batched lookup builds the same table and reads its words from it
     fresh = CharacteristicFn(data, data.features)
     fresh.evaluate_games([([PointSet([2]), PointSet([5, 8])], np.ones((1, 2), bool))])
