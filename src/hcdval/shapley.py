@@ -11,9 +11,10 @@ integer seed in [0, 2^64).
 
 Permutation t orders the K players by the keys mix64(seed_t + (i + 1) gamma),
 i = 0 .. K - 1: splitmix64's outputs 1 .. K seeded with seed_t (``core.mix64``).
-The keys are distinct, since mix64 is a bijection and the K states differ, so
-the order does not depend on the sort; ``_permutations`` draws all the seeds
-of a call at once.
+The keys are distinct, since mix64 is a bijection and the K states differ
+(gamma is odd), so the order does not depend on the sort; ``_permutations``
+draws all the seeds of a call at once. Estimators draw their seeds with
+``RngStream.seeds``.
 
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
 coalition, and scores each matrix's distinct rows once. ``exact_shapley``
@@ -248,8 +249,8 @@ def _values_of_pieces(pieces: Sequence[tuple]) -> list:
 
 def _permutations(seeds, K: int) -> np.ndarray:
     """Permutation t of each seed s_t: (seeds.size, K), the argsort of mix64(s_t + (i + 1) gamma) over i."""
-    states = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + np.arange(1, K + 1, dtype=np.uint64) * np.uint64(SPLITMIX_GAMMA)
-    return np.argsort(mix64(states), axis=1)
+    steps = np.arange(1, K + 1, dtype=np.uint64) * np.uint64(SPLITMIX_GAMMA)
+    return np.argsort(mix64(np.asarray(seeds, dtype=np.uint64).reshape(-1, 1) + steps), axis=1)
 
 
 def _positions(seeds: Sequence[np.ndarray], Ks: Sequence[int]) -> list:

@@ -148,7 +148,7 @@ def test_prefix_log_replays_bit_for_bit():
     assert est.values == pytest.approx(_sweeps_by_hand(game, est.permutation_log), abs=1e-12)
 
 
-EDGE_SEEDS = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1]
 
 
 def _reference_rows(seeds, K) -> np.ndarray:
