@@ -167,6 +167,32 @@ def test_permutations_sort_splitmix64_keys(P, T, data):
         assert np.array_equal(_permutations(np.array(drawn, dtype=np.uint64).reshape(P, T), K), want[len(EDGE_SEEDS) :])
 
 
+# The next cases keep the names they had when the reference was NumPy's
+# default_rng(seed).permutation(K); the reference is now the splitmix64 key sort.
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seeds=st.lists(st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**64 - 1)), max_size=12),
+    K=st.integers(0, 40),
+)
+def test_permutations_match_default_rng(seeds, K):
+    want = _reference_rows(seeds, K)
+    assert np.array_equal(_permutations(seeds, K), want)
+    assert np.array_equal(_permutations(np.array(seeds, dtype=np.uint64), K), want)
+
+
+def test_permutations_match_default_rng_on_edge_seeds_for_every_size():
+    for K in range(41):
+        assert np.array_equal(_permutations(EDGE_SEEDS, K), _reference_rows(EDGE_SEEDS, K))
+
+
+@pytest.mark.parametrize("K", [3, 5, 9, 17, 33])
+def test_permutations_match_default_rng_just_above_a_power_of_two(K):
+    seeds = np.random.default_rng(K).integers(0, 2**64, size=4096, dtype=np.uint64)
+    assert np.array_equal(_permutations(seeds, K), _reference_rows(seeds.tolist(), K))
+
+
 def test_permutations_of_stream_seeds_are_uniform():
     # chi-square over the 24 orders of 4 players; 49.73 is the 0.999 quantile at 23 degrees of freedom
     seeds = RngStream(0, "uniformity").seeds(24_000)
