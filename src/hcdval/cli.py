@@ -201,12 +201,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     for key, value in vars(args).items():
         if key in names and key != "subcommand" and value is not None:
             merged[key] = value
-    if "branching" in merged:
-        merged["branching"] = _int_list(merged["branching"])
-    if "t_grid" in merged:
-        merged["t_grid"] = _int_list(merged["t_grid"])
-    if "suites" in merged:
-        merged["suites"] = _suite_list(merged["suites"])
+    for key, parse in (("branching", _int_list), ("t_grid", _int_list), ("suites", _suite_list)):
+        if key in merged:
+            merged[key] = parse(merged[key])
     if merged.get("seed") is None:
         raise ConfigError("--seed is required (flag or config file)")
     cfg = RunConfig(subcommand=args.subcommand, **merged)
@@ -323,6 +320,10 @@ def _embeddings(cfg: RunConfig, data: LabeledDataset) -> EmbeddingMatrix:
     return train_linear_encoder(data, _encoder_config(cfg))
 
 
+def _payoff(cfg: RunConfig, data: LabeledDataset, emb) -> CharacteristicFn:
+    return CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+
+
 def _hcdv_config(cfg: RunConfig) -> HcdvConfig:
     return HcdvConfig(
         T=cfg.permutations,
@@ -415,7 +416,7 @@ def cmd_value(cfg: RunConfig, out: Path) -> int:
     data = _load_data(cfg)
     emb = _embeddings(cfg, data)
     tree = build_tree(emb, cfg.branching, cfg.leaf_cap, gamma=cfg.gamma, seed=cfg.seed)
-    cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+    cf = _payoff(cfg, data, emb)
     vv = run_hcdv(data, emb, tree, cf, _hcdv_config(cfg))
     report = last_run_report()
     write_valuation_csv(out / "valuation.csv", vv)
@@ -453,7 +454,7 @@ def cmd_baseline(cfg: RunConfig, out: Path) -> int:
         eval_count = 0
     else:
         emb = _embeddings(cfg, data)
-        cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+        cf = _payoff(cfg, data, emb)
         if cfg.method == "mcds":
             vv = flat_mcds(data, cf, cfg.permutations, RngStream(cfg.seed, "baseline-mcds"))
         elif cfg.method == "gs":
@@ -499,7 +500,7 @@ def cmd_stream(cfg: RunConfig, out: Path) -> int:
     data = _load_data(cfg)
     emb = _embeddings(cfg, data)
     tree = build_tree(emb, cfg.branching, cfg.leaf_cap, gamma=cfg.gamma, seed=cfg.seed)
-    cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+    cf = _payoff(cfg, data, emb)
     state = init_stream(
         data,
         emb,
@@ -598,7 +599,7 @@ def _suite_efficiency(cfg: RunConfig) -> dict:
     exact_gap = abs(math.fsum(exact.values.tolist()) - surplus)
 
     data, emb, tree, leaf_cap = _check_pipeline(cfg)
-    cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+    cf = _payoff(cfg, data, emb)
     hcfg = replace(_hcdv_config(cfg), T=min(cfg.permutations, 64), leaf_cap=leaf_cap)
     vv = run_hcdv(data, emb, tree, cf, hcfg)
     report = last_run_report()
@@ -622,7 +623,7 @@ def _suite_efficiency(cfg: RunConfig) -> dict:
 def _suite_regret(cfg: RunConfig) -> dict:
     data = make_synthetic(24, subclusters=2, overlap=0.3, seed=cfg.seed)
     emb = identity_embeddings(data)
-    cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+    cf = _payoff(cfg, data, emb)
     ref = flat_mcds(data, cf, 32, RngStream(cfg.seed, "check-regret"))
     noise = RngStream(cfg.seed, "check-regret-noise").generator().normal(0.0, 0.01, data.n)
     entries = []
@@ -638,7 +639,7 @@ def _suite_stability(cfg: RunConfig) -> dict:
     data, emb, tree, leaf_cap = _check_pipeline(cfg)
     runs = []
     for s in range(3):
-        cf = CharacteristicFn(data, emb, lam=cfg.lam, metric=cfg.metric, learner=cfg.learner)
+        cf = _payoff(cfg, data, emb)
         hcfg = replace(_hcdv_config(cfg), T=min(cfg.permutations, 32), leaf_cap=leaf_cap, seed=cfg.seed + s)
         runs.append(run_hcdv(data, emb, tree, cf, hcfg))
     rep = stability_report(runs, epsilon_guard=1e-9)

@@ -90,19 +90,12 @@ def synthetic_rows(
     )
     sigma = (0.05 + 0.45 * overlap) * gap
 
-    counts = {0: (n + 1) // 2, 1: n // 2}
-    gen = RngStream(seed, purpose).generator()
-    features = np.empty((n, dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for y in (0, 1):
-        for i in range(counts[y]):
-            j = i % subclusters
-            x = gen.standard_normal(dim) * sigma
-            x[:2] += means[(y, j)]
-            features[row] = x
-            labels[row] = y
-            row += 1
+    counts = ((n + 1) // 2, n // 2)
+    labels = np.repeat(np.arange(2, dtype=np.int64), counts)
+    sub = np.concatenate([np.arange(c) % subclusters for c in counts])
+    table = np.array([[means[(y, j)] for j in range(subclusters)] for y in (0, 1)])
+    features = RngStream(seed, purpose).generator().standard_normal((n, dim)) * sigma
+    features[:, :2] += table[labels, sub]
     return features, labels
 
 

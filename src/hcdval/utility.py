@@ -8,7 +8,7 @@ where utility(S) trains a small deterministic learner on the coalition's rows
 and scores it on the validation split (empty or single-class coalitions score
 chance level), and dispersion(S) is the mean cosine distance between
 cross-label pairs inside S measured in the embedding space. Both terms are
-bounded, so |v| <= B = 1 + lambda * d_max with d_max = 2 for cosine.
+bounded, so |v| <= B = 1 + lambda * D_MAX with D_MAX = 2 for cosine.
 
 With the nearest-centroid learner both terms depend on S only through
 per-class sufficient statistics: counts, feature sums, sums of unit
@@ -17,8 +17,8 @@ and ``_dispersion_from_stats`` score coalitions from those statistics, one row
 per coalition. The per-point reference functions ``coalition_utility`` and
 ``normalized_dispersion`` call them with a single row; ``CharacteristicFn``
 scores every coalition it caches in ``_score_rows``, whether ``evaluate`` asks
-for one coalition, ``evaluate_coalitions`` for the rows of one game or
-``evaluate_games`` for those of several games at once.
+for one coalition or ``evaluate_games`` for the coalition rows of one or more
+games at once.
 
 The cache keys a coalition by a set hash (Zobrist hashing): each point index
 has two fixed 64-bit splitmix64 words, and a coalition's 16-byte key is the
@@ -42,11 +42,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, point_words, union
+from .core import LabeledDataset, PointSet, point_words, union
 
 METRICS = ("accuracy", "balanced_accuracy", "auc")
 LEARNERS = ("nearest_centroid", "ridge_logistic")
@@ -71,54 +71,49 @@ def chance_level(metric: str, num_classes: int) -> float:
     return 1.0 / num_classes
 
 
-def _fit_ridge_logistic(X: np.ndarray, y: np.ndarray, num_classes: int,
-                        steps: int = 200, lr: float = 0.1, ridge: float = 1e-3):
+def _fit_ridge_logistic(X: np.ndarray, y: np.ndarray, num_classes: int):
+    """Softmax regression with an L2 ridge of 1e-3: 200 full-batch gradient steps of rate 0.1."""
     n, d = X.shape
     W = np.zeros((num_classes, d))
     b = np.zeros(num_classes)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), y] = 1.0
-    for _ in range(steps):
+    for _ in range(200):
         logits = X @ W.T + b
         logits -= logits.max(axis=1, keepdims=True)
         p = np.exp(logits)
         p /= p.sum(axis=1, keepdims=True)
         err = (p - onehot) / n
-        W -= lr * (err.T @ X + ridge * W)
-        b -= lr * err.sum(axis=0)
+        W -= 0.1 * (err.T @ X + 1e-3 * W)
+        b -= 0.1 * err.sum(axis=0)
     return W, b
 
 
 def _predict_ridge_logistic(model, val_X: np.ndarray):
+    """(1, n_val) predicted classes and class-1 probabilities (None unless binary): one ``_metric_scores`` row."""
     W, b = model
     logits = val_X @ W.T + b
     logits -= logits.max(axis=1, keepdims=True)
     p = np.exp(logits)
     p /= p.sum(axis=1, keepdims=True)
-    pred = np.argmax(p, axis=1)
-    score = p[:, 1] if W.shape[0] == 2 else None
-    return pred, score, np.arange(W.shape[0])
+    return np.argmax(p, axis=1)[None], p[None, :, 1] if W.shape[0] == 2 else None
 
 
-def binary_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Rank-based AUC with tie-averaged ranks; labels must be 0/1."""
-    return float(_rank_auc(scores[None], labels)[0])
-
-
-def _score(metric: str, pred, score, val_y: np.ndarray, num_classes: int) -> float:
+def _metric_scores(metric: str, pred, score, val_y: np.ndarray) -> np.ndarray:
+    """(R,) validation scores of R predictors from their (R, n_val) predicted
+    classes ``pred`` or, for auc, class-1 scores ``score``; ``metric`` is one of
+    METRICS, which ``coalition_utility`` and ``CharacteristicFn`` check."""
     if metric == "accuracy":
-        return float(np.mean(pred == val_y))
+        return (pred == val_y).sum(axis=1) / val_y.size
     if metric == "balanced_accuracy":
-        recalls = []
-        for c in np.unique(val_y):
-            mask = val_y == c
-            recalls.append(float(np.mean(pred[mask] == c)))
-        return float(np.mean(recalls))
-    if metric == "auc":
-        if score is None:
-            return 0.5
-        return binary_auc(np.asarray(score, dtype=np.float64), val_y)
-    raise ValueError(f"unknown metric {metric!r}")
+        recalls = [
+            ((pred == c) & (val_y == c)).sum(axis=1) / np.count_nonzero(val_y == c)
+            for c in np.unique(val_y)
+        ]
+        return np.stack(recalls, axis=1).mean(axis=1)
+    if score is None:  # auc of a model without class-1 scores
+        return np.full(pred.shape[0], 0.5)
+    return _rank_auc(score, val_y)
 
 
 def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -281,17 +276,9 @@ def _nearest_centroid_utility(
         d2 = _direct_sq_distances(val_X[None], centroids[:, None])
         if not present.all():
             d2 = np.where(present[:, None, :], d2, np.inf)
-        scores = _rank_auc(np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
+        scores = _metric_scores(metric, None, np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
     else:
-        pred = _nearest_centroids(centroids, present, val_X)
-        if metric == "accuracy":
-            scores = (pred == val_y).sum(axis=1) / val_y.size
-        else:
-            recalls = [
-                ((pred == c) & (val_y == c)).sum(axis=1) / np.count_nonzero(val_y == c)
-                for c in np.unique(val_y)
-            ]
-            scores = np.stack(recalls, axis=1).mean(axis=1)
+        scores = _metric_scores(metric, _nearest_centroids(centroids, present, val_X), None, val_y)
     return np.where(np.isfinite(scores), scores, chance)
 
 
@@ -325,8 +312,6 @@ def coalition_utility(
     points: PointSet,
     metric: str = "accuracy",
     learner: str = "nearest_centroid",
-    val_X: Optional[np.ndarray] = None,
-    val_y: Optional[np.ndarray] = None,
 ) -> float:
     """Train the requested learner on the coalition's rows, score on validation.
 
@@ -339,8 +324,7 @@ def coalition_utility(
         raise ValueError(f"unknown metric {metric!r}")
     if learner not in LEARNERS:
         raise ValueError(f"unknown learner {learner!r}")
-    if val_X is None:
-        val_X, val_y = data.val_features, data.val_labels
+    val_X, val_y = data.val_features, data.val_labels
     idx = points.indices
     if idx.size and idx[-1] >= data.n:
         raise IndexError(f"point index {int(idx[-1])} out of range for n={data.n}")
@@ -357,13 +341,10 @@ def coalition_utility(
         model = _fit_ridge_logistic(X, y, data.num_classes)
         if not (np.isfinite(model[0]).all() and np.isfinite(model[1]).all()):
             return chance
-        pred, score, _ = _predict_ridge_logistic(model, val_X)
-        out = _score(metric, pred, score, val_y, data.num_classes)
+        out = float(_metric_scores(metric, *_predict_ridge_logistic(model, val_X), val_y)[0])
     except FloatingPointError:
         return chance
-    if not np.isfinite(out):
-        return chance
-    return float(out)
+    return out if np.isfinite(out) else chance
 
 
 @dataclass(frozen=True)
@@ -462,17 +443,16 @@ class CharacteristicFn:
     both learners are closed-form or fixed-step full-batch, so no RNG is
     consumed.
 
-    ``evaluate`` scores one coalition, ``evaluate_games`` the coalition rows
-    of several games over disjoint point blocks, and
-    ``evaluate_coalitions`` those of one game; all go through one cache, one
-    bound check and one scorer, ``_score_rows``, which ``evaluate`` calls
-    with one row of one block. The nearest-centroid learner is scored from
-    per-block class statistics and is batch-invariant: a coalition scored
-    alone, inside any batch or game, or in any chunk gives the same bytes,
-    and its argmin is certified to equal the direct distance formula's. A
-    payoff's last bits can still depend on how its coalition is split into
-    blocks, which orders the statistics' sums; the cache keeps the first
-    scoring.
+    ``evaluate`` scores one coalition and ``evaluate_games`` the coalition
+    rows of one or more games over disjoint point blocks; both go through
+    one cache, one bound check and one scorer, ``_score_rows``, which
+    ``evaluate`` calls with one row of one block. The nearest-centroid
+    learner is scored from per-block class statistics and is
+    batch-invariant: a coalition scored alone, inside any batch or game, or
+    in any chunk gives the same bytes, and its argmin is certified to equal
+    the direct distance formula's. A payoff's last bits can still depend on
+    how its coalition is split into blocks, which orders the statistics'
+    sums; the cache keeps the first scoring.
     The ridge-logistic learner is fitted once per coalition.
     """
 
@@ -515,22 +495,9 @@ class CharacteristicFn:
             self._point_stats = np.column_stack(columns)
 
     @property
-    def d_max(self) -> float:
-        return D_MAX
-
-    @property
     def B(self) -> float:
-        """Payoff bound: |v(S)| <= 1 + lambda * d_max."""
+        """Payoff bound: |v(S)| <= 1 + lambda * D_MAX."""
         return 1.0 + self.lam * D_MAX
-
-    def empty_value(self) -> float:
-        return self.evaluate(EMPTY_SET)
-
-    def base_utility(self, points: PointSet) -> float:
-        return coalition_utility(self.dataset, points, self.metric, self.learner)
-
-    def normalized_dispersion(self, points: PointSet) -> DispersionResult:
-        return normalized_dispersion(self.vectors, self.dataset.labels, points)
 
     def grown(self, dataset: LabeledDataset, embedding) -> "CharacteristicFn":
         """This payoff over ``dataset``, a corpus grown from this one by appending points.
@@ -577,14 +544,6 @@ class CharacteristicFn:
             raise AssertionError(f"payoff {float(values[bad][0])} escapes the bound B={self.B}")
         self._cache.update(zip(keys, values.tolist()))
         self.evaluations += len(keys)
-
-    def evaluate_coalitions(self, blocks: Sequence[PointSet], rows: np.ndarray) -> np.ndarray:
-        """Payoffs of coalitions given as 0/1 rows over disjoint point blocks.
-
-        Row r is the union of the blocks j with ``rows[r, j]`` set. This is
-        the one-game case of ``evaluate_games``.
-        """
-        return self.evaluate_games([(blocks, rows)])[0]
 
     def evaluate_games(self, games: Sequence[tuple]) -> list:
         """Payoffs of several coalition games' rows in one call: one (R_g,) array per game.
@@ -661,9 +620,9 @@ class CharacteristicFn:
             out = []
             for g, row in zip(game.tolist(), rows):
                 coalition = union(games[g][j] for j in np.flatnonzero(row).tolist())
-                value = self.base_utility(coalition)
+                value = coalition_utility(self.dataset, coalition, self.metric, self.learner)
                 if self.lam:
-                    value = value + self.lam * self.normalized_dispersion(coalition).value
+                    value = value + self.lam * normalized_dispersion(self.vectors, self.dataset.labels, coalition).value
                 out.append(value)
             return np.array(out, dtype=np.float64)
         data = self.dataset

@@ -1,6 +1,6 @@
 """The batched payoff against the per-point reference and the generic path.
 
-``CharacteristicFn.evaluate_coalitions`` scores many coalitions over disjoint
+``CharacteristicFn.evaluate_games`` scores many coalitions over disjoint
 point blocks, and ``evaluate`` one, both through ``_score_rows``. These tests
 hold it to the per-point reference ``coalition_utility`` +
 lambda * ``normalized_dispersion`` (values) and to ``evaluate`` (bytes, cache
@@ -163,7 +163,7 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
     rows = np.vstack([rows, rows[-1]])
     batched = CharacteristicFn(data, emb, lam=lam, metric=metric)
     single = CharacteristicFn(data, emb, lam=lam, metric=metric)
-    got = batched.evaluate_coalitions(blocks, rows)
+    got = batched.evaluate_games([(blocks, rows)])[0]
     coalitions = [union([b for b, on in zip(blocks, row) if on]) for row in rows]
     want = np.array([reference_payoff(data, emb, lam, metric, "nearest_centroid", S) for S in coalitions])
     assert np.abs(got - want).max() <= TOL
@@ -172,7 +172,7 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
     assert batched.evaluations == single.evaluations
     assert set(batched._cache) == set(single._cache)
     # a second pass, batched or not, is served from the cache
-    again = batched.evaluate_coalitions(blocks, rows)
+    again = batched.evaluate_games([(blocks, rows)])[0]
     assert np.array_equal(again, got)
     batched.evaluate(union(blocks))
     assert batched.evaluations == single.evaluations
@@ -197,7 +197,7 @@ def test_equidistant_validation_point_breaks_the_tie_the_same_way(metric):
         data = LabeledDataset(feats, labels, val, np.array([1, 0, 1]), 2)
         blocks = [PointSet([i]) for i in range(4)]
         rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1], [0, 1, 0, 1]], dtype=bool)
-        got = CharacteristicFn(data, feats, lam=0.0, metric=metric).evaluate_coalitions(blocks, rows)
+        got = CharacteristicFn(data, feats, lam=0.0, metric=metric).evaluate_games([(blocks, rows)])[0]
         single = CharacteristicFn(data, feats, lam=0.0, metric=metric)
         want = [single.evaluate(PointSet(np.flatnonzero(row))) for row in rows]
         assert got.tolist() == want == [expected] * 3, offset
@@ -250,7 +250,7 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     subset = gen.permutation(rows.shape[0])[: int(gen.integers(2, rows.shape[0]))]
 
     def score(batch):
-        return CharacteristicFn(data, data.features, lam=lam, metric=metric).evaluate_coalitions(blocks, batch)
+        return CharacteristicFn(data, data.features, lam=lam, metric=metric).evaluate_games([(blocks, batch)])[0]
 
     together = score(rows)
     alone = np.concatenate([score(row[None]) for row in rows])
@@ -273,9 +273,9 @@ def test_blocks_must_be_disjoint_and_learner_batchable():
         data, blocks, ridge = ridge_case(lam)
         for cf in (CharacteristicFn(data, data.features, lam=lam), ridge):
             with pytest.raises(ValueError, match="disjoint"):
-                cf.evaluate_coalitions([PointSet([0, 1]), PointSet([1, 2])], np.ones((1, 2), bool))
+                cf.evaluate_games([([PointSet([0, 1]), PointSet([1, 2])], np.ones((1, 2), bool))])[0]
         # the ridge learner is fitted once per coalition, as the per-point reference fits it
-        got = ridge.evaluate_coalitions(blocks, rows)
+        got = ridge.evaluate_games([(blocks, rows)])[0]
         for row, value in zip(rows, got.tolist()):
             S = union([b for b, on in zip(blocks, row) if on])
             assert value == reference_payoff(data, data.features, lam, "accuracy", "ridge_logistic", S)
@@ -284,12 +284,12 @@ def test_blocks_must_be_disjoint_and_learner_batchable():
 def test_ridge_misses_count_distinct_coalitions():
     data, blocks, ridge = ridge_case(0.5)
     rows = np.array([[1, 0, 0], [0, 1, 1], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
-    got = ridge.evaluate_coalitions(blocks, rows)
+    got = ridge.evaluate_games([(blocks, rows)])[0]
     assert ridge.evaluations == 3 and ridge.lookups == 5
     assert got[0] == got[2] and got[1] == got[3]
     # a later lookup of a scored coalition, one at a time or batched, is a hit
     assert ridge.evaluate(union(blocks)) == got[4]
-    assert ridge.evaluate_coalitions(blocks, rows[:2]).tobytes() == got[:2].tobytes()
+    assert ridge.evaluate_games([(blocks, rows[:2])])[0].tobytes() == got[:2].tobytes()
     assert ridge.evaluations == 3 and ridge.lookups == 8
 
 
@@ -309,7 +309,7 @@ def test_evaluate_is_a_one_block_batch(seed, C, metric, lam, learner, D):
     gen = np.random.default_rng(seed + 1)
     S = PointSet(np.flatnonzero(gen.random(data.n) < gen.random()))
     one = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate(S)
-    batch = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate_coalitions([S], [[True]])
+    batch = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner).evaluate_games([([S], [[True]])])[0]
     assert np.float64(one).tobytes() == batch.tobytes()
 
 
@@ -340,7 +340,7 @@ def test_several_games_in_one_call_match_one_game_calls(seed, C, metric, lam, le
     together = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner)
     apart = CharacteristicFn(data, emb, lam=lam, metric=metric, learner=learner)
     got = together.evaluate_games(games)
-    want = [apart.evaluate_coalitions(blocks, rows) for blocks, rows in games]
+    want = [apart.evaluate_games([(blocks, rows)])[0] for blocks, rows in games]
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
     assert got[-1][0] == got[0][0]
     assert together._cache == apart._cache
@@ -675,9 +675,9 @@ class Tight(CharacteristicFn):
     B = 0.01
 
 print(raises(lambda: Tight(data, data.features).evaluate(PointSet(range(data.n)))))
-print(raises(lambda: Tight(data, data.features).evaluate_coalitions(players, np.ones((1, 4), bool))))
+print(raises(lambda: Tight(data, data.features).evaluate_games([(players, np.ones((1, 4), bool))])[0]))
 tight_ridge = Tight(data, data.features, learner="ridge_logistic")
-print(raises(lambda: tight_ridge.evaluate_coalitions(players, np.ones((1, 4), bool))))
+print(raises(lambda: tight_ridge.evaluate_games([(players, np.ones((1, 4), bool))])[0]))
 games = [(players, np.eye(4, dtype=bool)), (players[:2], np.ones((1, 2), bool))]
 print(raises(lambda: Tight(data, data.features).evaluate_games(games)))
 
@@ -685,7 +685,7 @@ print(raises(lambda: Tight(data, data.features).evaluate_games(games)))
 feats = 123000001.5 + np.array([[-1.0], [-1.0], [1.0], [1.0]])
 tie = LabeledDataset(feats, np.array([0, 0, 1, 1]), 123000001.5 + np.array([[0.0], [-2.0], [2.0]]), np.array([1, 0, 1]), 2)
 rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1]], bool)
-print("tie", CharacteristicFn(tie, feats, lam=0.0).evaluate_coalitions([PointSet([i]) for i in range(4)], rows).tolist())
+print("tie", CharacteristicFn(tie, feats, lam=0.0).evaluate_games([([PointSet([i]) for i in range(4)], rows)])[0].tolist())
 """
 
 

@@ -56,8 +56,9 @@ def test_value_metrics_schema(tmp_path):
     out = tmp_path / "run"
     assert run_cli(*value_args(out)) == 0
     metrics = json.loads((out / "metrics.json").read_text())
-    for key in ("n", "method", "permutations", "evaluation_count", "phase_counts", "phase_ms", "eval_bound", "surplus"):
-        assert key in metrics
+    assert set(metrics) == {
+        "n", "method", "permutations", "evaluation_count", "phase_counts", "phase_ms", "eval_bound", "surplus"
+    }
     assert metrics["method"] == "hcdv"
     assert metrics["evaluation_count"] == sum(metrics["phase_counts"].values())
     assert set(metrics["phase_ms"]) == set(metrics["phase_counts"]) == {"root", "sweeps", "singletons", "leaves"}
@@ -279,11 +280,14 @@ def test_stream_synthetic_writes_metrics_and_values(tmp_path):
     )
     assert rc == 0
     lines = (out / "stream_metrics.csv").read_text().strip().splitlines()
-    assert lines[0].startswith("epoch,latency_ms,dirty_count,eval_count")
-    assert lines[0].endswith(",refresh_ms,leaves_ms")
+    assert lines[0] == (
+        "epoch,latency_ms,dirty_count,eval_count,evals_refresh,evals_root,"
+        "evals_leaves,leaf_count,spawned,rebalanced,refresh_ms,leaves_ms"
+    )
     assert all(len(line.split(",")) == len(lines[0].split(",")) for line in lines)
     assert len(lines) == 1 + 3
     metrics = json.loads((out / "metrics.json").read_text())
+    assert set(metrics) == {"initial_n", "final_n", "steps", "evaluation_count", "leaves", "surplus"}
     assert metrics["steps"] == 3
     assert metrics["final_n"] == metrics["initial_n"] + 60
     values = (out / "valuation.csv").read_text().strip().splitlines()

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from hcdval.core import RngStream
 from hcdval.evaluation import (
+    SPUR_ANGLE,
+    SPUR_RADIUS,
     concentration_check,
     efficiency_check,
     flip_labels,
@@ -34,6 +36,44 @@ def test_synthetic_rows_label_counts_and_shapes():
     assert X.shape == (101, 8)
     assert int((y == 0).sum()) == 51  # class 0 takes the extra row
     assert int((y == 1).sum()) == 50
+
+
+def loop_synthetic_rows(n, subclusters, overlap, seed, dim, purpose):
+    """The reference draw: one standard_normal(dim) call per row, classes in order, subclusters round-robin."""
+    cores = subclusters if subclusters == 1 else subclusters - 1
+    place = {(y, j): (math.pi * y + math.pi * (j + 0.5) / cores, 1.0) for y in (0, 1) for j in range(cores)}
+    if subclusters > 1:
+        place[(0, subclusters - 1)] = (SPUR_ANGLE, SPUR_RADIUS)
+        place[(1, subclusters - 1)] = (math.pi + SPUR_ANGLE, SPUR_RADIUS)
+    means = {k: np.array([r * math.cos(a), r * math.sin(a)]) for k, (a, r) in place.items()}
+    gap = min(float(np.linalg.norm(means[(0, i)] - means[(1, j)])) for i in range(cores) for j in range(cores))
+    sigma = (0.05 + 0.45 * overlap) * gap
+    gen = RngStream(seed, purpose).generator()
+    rows, labels = [], []
+    for y, count in ((0, (n + 1) // 2), (1, n // 2)):
+        for i in range(count):
+            x = gen.standard_normal(dim) * sigma
+            x[:2] += means[(y, i % subclusters)]
+            rows.append(x)
+            labels.append(y)
+    return np.array(rows), np.array(labels, dtype=np.int64)
+
+
+@pytest.mark.parametrize(
+    "n,subclusters,overlap,seed,dim,purpose",
+    [
+        (301, 1, 0.0, 0, 8, "synthetic"),
+        (300, 2, 0.4, 3, 8, "synthetic"),
+        (1260, 4, 0.3, 5, 8, "synthetic"),
+        (9, 3, 0.0, 1, 2, "synthetic"),
+        (1261, 3, 1.0, 11, 5, "synthetic-stream"),
+    ],
+)
+def test_synthetic_rows_equal_the_per_row_draw(n, subclusters, overlap, seed, dim, purpose):
+    X, y = synthetic_rows(n, subclusters, overlap, seed=seed, dim=dim, purpose=purpose)
+    want_X, want_y = loop_synthetic_rows(n, subclusters, overlap, seed, dim, purpose)
+    assert X.tobytes() == want_X.tobytes()
+    assert y.dtype == want_y.dtype and y.tobytes() == want_y.tobytes()
 
 
 def test_make_synthetic_splits_and_standardises():

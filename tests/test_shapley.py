@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hcdval import (
     CharacteristicFn,
     CoalitionGame,
+    EMPTY_SET,
     PointSet,
     RngStream,
     exact_shapley,
@@ -383,7 +384,7 @@ def test_flat_mcds_is_efficient():
     data = _small_data()
     cf = CharacteristicFn(data, data.features, lam=0.5)
     vv = flat_mcds(data, cf, 8, RngStream(0, "flat-eff"))
-    surplus = cf.evaluate(data.all_points()) - cf.empty_value()
+    surplus = cf.evaluate(data.all_points()) - cf.evaluate(EMPTY_SET)
     assert abs(vv.values.sum() - surplus) <= 1e-9
 
 

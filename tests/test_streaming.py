@@ -309,6 +309,8 @@ def test_propagation_conserves_and_confines_over_random_streams(seed, period, ba
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             new = ingest_batch(state, feats, labs)
+        # partition and prototype means always; the leaf cap once a rebalance is due
+        new.tree.validate(new.embedding, check_leaf_cap=new.epoch % period == 0)
         _assert_family_conservation(new)
         surplus = new.surplus
         assert math.fsum(new.values.tolist()) == pytest.approx(surplus, abs=1e-9 * max(1.0, abs(surplus)))

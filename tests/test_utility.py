@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdval import CharacteristicFn, EMPTY_SET, LabeledDataset, PointSet, make_synthetic, normalized_dispersion
-from hcdval.utility import D_MAX, _rank_auc, binary_auc, chance_level, coalition_utility
+from hcdval.utility import D_MAX, _rank_auc, chance_level, coalition_utility
 
 
 def brute_force_dispersion(vectors, labels, idx):
@@ -78,11 +78,12 @@ def test_chance_levels():
 
 def test_binary_auc_hand_cases():
     y = np.array([0, 0, 1, 1])
-    assert binary_auc(np.array([0.1, 0.4, 0.35, 0.8]), y) == pytest.approx(0.75)
-    assert binary_auc(np.array([0.1, 0.2, 0.3, 0.4]), y) == 1.0
-    assert binary_auc(np.array([0.4, 0.3, 0.2, 0.1]), y) == 0.0
+    auc = _rank_auc(np.array([[0.1, 0.4, 0.35, 0.8], [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1], np.zeros(4)]), y)
+    assert auc[0] == pytest.approx(0.75)
+    assert auc[1] == 1.0
+    assert auc[2] == 0.0
     # all-tied scores average to chance
-    assert binary_auc(np.zeros(4), y) == pytest.approx(0.5)
+    assert auc[3] == pytest.approx(0.5)
 
 
 def loop_auc(scores: np.ndarray, labels: np.ndarray) -> float:
@@ -115,7 +116,6 @@ def test_rank_auc_equals_binary_auc_on_tied_grids(seed, n, levels):
     labels = gen.integers(0, 2, size=n)
     want = np.array([loop_auc(row, labels) for row in scores])
     assert _rank_auc(scores, labels).tobytes() == want.tobytes()
-    assert np.array([binary_auc(row, labels) for row in scores]).tobytes() == want.tobytes()
 
 
 def test_auc_payoff_memory_grows_with_the_validation_split_not_its_pairs():
@@ -129,7 +129,7 @@ def test_auc_payoff_memory_grows_with_the_validation_split_not_its_pairs():
     rows = np.array([[1, 1, 0, 0], [1, 1, 1, 1], [0, 1, 1, 1], [1, 0, 1, 0]], dtype=bool)
     tracemalloc.start()
     try:
-        cf.evaluate_coalitions(blocks, rows)
+        cf.evaluate_games([(blocks, rows)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -164,7 +164,7 @@ def test_characteristic_bounds_and_conventions():
     emb = data.features
     cf = CharacteristicFn(data, emb, lam=0.5)
     assert cf.B == 1.0 + 0.5 * D_MAX
-    assert cf.empty_value() == cf.evaluate(EMPTY_SET)
+    assert cf.evaluate_games([([PointSet([0])], np.zeros((1, 1), bool))])[0][0] == cf.evaluate(EMPTY_SET)
     gen = np.random.default_rng(1)
     for _ in range(25):
         pts = PointSet(np.flatnonzero(gen.random(data.n) < 0.4))
@@ -188,10 +188,10 @@ def test_characteristic_decomposes_into_utility_and_dispersion():
     data = _two_blob_data()
     cf = CharacteristicFn(data, data.features, lam=0.7)
     pts = PointSet(range(8))
-    expected = cf.base_utility(pts) + 0.7 * cf.normalized_dispersion(pts).value
+    expected = coalition_utility(data, pts) + 0.7 * normalized_dispersion(data.features, data.labels, pts).value
     assert cf.evaluate(pts) == pytest.approx(expected, abs=1e-12)
     lam0 = CharacteristicFn(data, data.features, lam=0.0)
-    assert lam0.evaluate(pts) == pytest.approx(lam0.base_utility(pts), abs=1e-15)
+    assert lam0.evaluate(pts) == pytest.approx(coalition_utility(data, pts), abs=1e-15)
 
 
 def test_characteristic_validation():
