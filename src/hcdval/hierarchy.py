@@ -5,6 +5,11 @@ balanced k-means into K parts whose sizes stay inside a capacity window
 around the even share s = ceil(|parent| / K); nodes already at or under the
 cap are carried down as single-child chains so every level partitions the
 full index set and all final leaves sit at the bottom level.
+
+All the nodes that one level splits are split together (``split_nodes``):
+their rows are stacked, each Lloyd step is a few NumPy calls for the whole
+level, and each node still draws from its own seeded stream, stops on its
+own and gets the parts that splitting it alone (``balanced_split``) gives.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import PointSet, RngStream, content_token, union
-from .utility import _nearest_centroids
+from .utility import _direct_sq_distances, _gap_bound
 
 
 def _as_vectors(embedding) -> np.ndarray:
@@ -31,22 +36,81 @@ def _check_finite(X: np.ndarray, rows: np.ndarray) -> None:
         raise ValueError(f"embedding row {int(rows[bad[0]])} is not finite")
 
 
-def _kmeans_pp_init(X: np.ndarray, K: int, gen: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
-    centroids = np.empty((K, X.shape[1]))
-    first = int(gen.integers(n))
-    centroids[0] = X[first]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
-    for k in range(1, K):
-        total = float(d2.sum())
-        if total <= 0.0:
-            # all remaining mass sits on already-chosen points; fall back to uniform
-            choice = int(gen.integers(n))
-        else:
-            choice = int(gen.choice(n, p=d2 / total))
-        centroids[k] = X[choice]
-        d2 = np.minimum(d2, ((X - centroids[k]) ** 2).sum(axis=1))
+def _pad(X: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of ``sizes`` stacked row-wise in ``X`` as one (B, max size, D) array, and its (B, max size) row mask.
+
+    A short block is padded with copies of its last row, so any arithmetic on
+    the padding is arithmetic on real rows and can neither overflow nor warn
+    where the real rows do not.
+    """
+    starts = np.cumsum(sizes) - sizes
+    rows = np.minimum(np.arange(sizes.max()), sizes[:, None] - 1)
+    return X[starts[:, None] + rows], np.arange(sizes.max()) < sizes[:, None]
+
+
+def _weighted_draw(gen: np.random.Generator, p: np.ndarray) -> int:
+    """The index ``gen.choice(len(p), p=p)`` draws, without its checks on p."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(gen.random(), side="right"))
+
+
+def _kmeans_pp_init(X: np.ndarray, sizes: np.ndarray, Ks: np.ndarray, gens: Sequence[np.random.Generator]) -> np.ndarray:
+    """(B, max K, D) k-means++ seeds of every node: node b draws K_b of its first m_b rows of ``X``.
+
+    Node b draws with its own generator, each draw as ``gen.choice(m_b, p=d2 / total)``
+    would draw it (``_weighted_draw``). A node's seeds past K_b repeat its first.
+    """
+    first = [int(gen.integers(m)) for gen, m in zip(gens, sizes.tolist())]
+    centroids = np.repeat(X[np.arange(len(first)), first][:, None], Ks.max(), axis=1)
+    d2 = ((X - centroids[:, :1]) ** 2).sum(axis=2)
+    for k in range(1, int(Ks.max())):
+        for b in np.flatnonzero(Ks > k).tolist():
+            m = int(sizes[b])
+            total = float(d2[b, :m].sum())
+            if total <= 0.0:
+                # all remaining mass sits on already-chosen points; fall back to uniform
+                choice = int(gens[b].integers(m))
+            elif total == np.inf:
+                raise ValueError("squared distances between embedding rows overflow")
+            else:
+                choice = _weighted_draw(gens[b], d2[b, :m] / total)
+            centroids[b, k] = X[b, choice]
+        d2 = np.minimum(d2, ((X - centroids[:, k : k + 1]) ** 2).sum(axis=2))
     return centroids
+
+
+def _nearest(X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """(B, m) index of the present centroid of ``centroids[b]`` nearest to each row of ``X[b]``.
+
+    :param xx: (B, m) squared norms of the rows
+    :param present: (B, K) which centroids each node holds
+
+    The certified GEMM argmin of the payoff kernel (``utility._nearest_centroids``),
+    in the (rows, K) layout: it equals the argmin of the direct
+    sum_k (x_k - c_k)^2, absent centroids at infinity and ties to the lower
+    centroid, because a row whose top-two gap is within the rounding bound
+    of ``utility._gap_bound`` is scored by the direct formula.
+    """
+    D = X.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows take the direct formula
+        mm = np.einsum("bkd,bkd->bk", centroids, centroids)
+        d2 = X @ centroids.transpose(0, 2, 1)
+        d2 *= -2.0
+        d2 += xx[:, :, None]
+        d2 += mm[:, None, :]
+        if not present.all():
+            d2 = np.where(present[:, None, :], d2, np.inf)
+        assign = d2.argmin(axis=2)
+        two = np.partition(d2, 1, axis=2)
+        gap = two[:, :, 1] - two[:, :, 0]
+        bound = _gap_bound(xx + mm.max(axis=1)[:, None], D)
+    uncertified = ~(gap > bound)
+    if uncertified.any():
+        b, r = np.nonzero(uncertified)
+        direct = _direct_sq_distances(X[b, r], centroids[b])
+        assign[b, r] = np.where(present[b], direct, np.inf).argmin(axis=1)
+    return assign
 
 
 def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
@@ -64,8 +128,8 @@ def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
     return np.bincount(bins.ravel(), weights=X.ravel(), minlength=K * D).reshape(K, D)
 
 
-def _moved_beyond(step: np.ndarray, tol: float) -> bool:
-    """Whether ``np.linalg.norm`` of some row of ``step`` exceeds ``tol``.
+def _moved_beyond(step: np.ndarray, tol: float) -> np.ndarray:
+    """Whether ``np.linalg.norm`` of each row of ``step`` exceeds ``tol``.
 
     Any two summation orders of the D squares agree to within a relative
     2 gamma_D (Higham, sec. 3.1), so a squared length outside a relative
@@ -75,34 +139,52 @@ def _moved_beyond(step: np.ndarray, tol: float) -> bool:
     squares = np.einsum("kd,kd->k", step, step)
     limit = tol * tol
     slack = 4.0 * (step.shape[1] + 2) * np.finfo(np.float64).eps * limit
-    if (squares > limit + slack).any():
-        return True
-    near = np.flatnonzero(squares >= limit - slack)
-    return any(float(np.linalg.norm(step[k])) > tol for k in near.tolist())
+    moved = squares > limit + slack
+    for k in np.flatnonzero(~moved & (squares >= limit - slack)).tolist():
+        moved[k] = float(np.linalg.norm(step[k])) > tol
+    return moved
 
 
-def _lloyd(X: np.ndarray, centroids: np.ndarray, max_iter: int = 50, tol: float = 1e-6):
-    """Lloyd iterations from the given centroids until none moves by more than ``tol``.
+def _segmented_lloyd(
+    X: np.ndarray, rows: np.ndarray, centroids: np.ndarray, present: np.ndarray, max_iter: int = 50, tol: float = 1e-6
+) -> np.ndarray:
+    """Lloyd iterations of every node until none of its centroids moves by more than ``tol``.
 
-    Each point goes to its nearest centroid by the certified GEMM kernel of
-    the payoff (``_nearest_centroids``), whose argmin equals that of the
-    direct sum_k (x_k - c_k)^2, ties to the lower centroid. A non-empty
-    cluster's centroid becomes its members' mean, rounded as
-    ``X[assign == k].mean(axis=0)``; an empty cluster keeps its centroid.
+    :param X: (B, m, D) rows of each node, padded as ``_pad`` pads them
+    :param rows: (B, m) which rows are real
+    :param centroids: (B, K, D) starting centroids
+    :param present: (B, K) which centroids each node holds
+    :returns: (B, K, D) final centroids
+
+    Each node stops on its own, after at most ``max_iter`` steps, and its
+    centroids then stay frozen while the other nodes go on. Each point goes
+    to its node's nearest centroid (``_nearest``). A non-empty cluster's
+    centroid becomes its members' mean, rounded as
+    ``X[assign == k].mean(axis=0)``; an empty cluster keeps its centroid. The
+    sums of all clusters come from one ``np.bincount`` (``_cluster_sums``):
+    the clusters of different nodes are different bins, so each bin adds
+    the same rows in the same order as a call for its node alone.
     """
-    K = centroids.shape[0]
-    every = np.ones((1, K), dtype=bool)
+    B, K, D = centroids.shape
+    out = centroids.copy()
+    xx = np.einsum("bmd,bmd->bm", X, X)
+    live, cur, L = np.arange(B), out, 0
     for _ in range(max_iter):
-        assign = _nearest_centroids(centroids[None], every, X)[0]
-        counts = np.bincount(assign, minlength=K)
+        if live.size != L:  # the live nodes' rows, bin offsets and real rows
+            L = live.size
+            Xl, xxl, held, kept = X[live], xx[live], present[live], rows[live]
+            offsets, real = np.arange(L)[:, None] * K, Xl[kept]
+        bins = (offsets + _nearest(Xl, xxl, cur, held))[kept]
+        counts = np.bincount(bins, minlength=L * K).reshape(L, K)
         filled = counts > 0
-        new_centroids = centroids.copy()
-        new_centroids[filled] = _cluster_sums(X, assign, K)[filled] / counts[filled, None]
-        moved = _moved_beyond(new_centroids - centroids, tol)
-        centroids = new_centroids
-        if not moved:
+        new = cur.copy()
+        new[filled] = _cluster_sums(real, bins, L * K).reshape(L, K, D)[filled] / counts[filled][:, None]
+        moved = _moved_beyond((new - cur).reshape(L * K, D), tol).reshape(L, K).any(axis=1)
+        out[live] = new
+        live, cur = live[moved], new[moved]
+        if not live.size:
             break
-    return centroids
+    return out
 
 
 def capacity_window(size: int, K: int, gamma: float) -> tuple[int, int, int]:
@@ -111,16 +193,111 @@ def capacity_window(size: int, K: int, gamma: float) -> tuple[int, int, int]:
     return int(np.floor((1.0 - gamma) * s)), int(np.ceil((1.0 + gamma) * s)), s
 
 
+def _segmented_fill(
+    X: np.ndarray, rows: np.ndarray, centroids: np.ndarray, present: np.ndarray, gamma: float
+) -> np.ndarray:
+    """(B, m) part of every real row of ``X``: each node's greedy capped fill and repair.
+
+    Takes the arrays of ``_segmented_lloyd`` and its final centroids.
+
+    Points are placed in descending margin order (distance to the second-closest
+    centroid minus the closest, ties by ascending index), each into its nearest
+    part that is still under the hard cap ceil((1+gamma) * s). Then a repair
+    pass tops up parts below the window minimum from parts with slack, so every
+    part is non-empty even when K equals the member count. One Python loop
+    places the points of every node, each node with its own counters.
+    """
+    B, K = present.shape
+    dists = np.sqrt(((X[:, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3))
+    dists = np.where(present[:, None, :], dists, np.inf)
+    two = np.partition(dists, 1, axis=2)
+    margin = (two[:, :, 1] - two[:, :, 0])[rows]
+    node, index = np.nonzero(rows)
+    order = np.lexsort((index, -margin))  # interleaves the nodes, each in its own order
+    pref = np.argsort(dists, axis=2, kind="stable")[rows].tolist()
+
+    sizes = rows.sum(axis=1).tolist()
+    Ks = present.sum(axis=1).tolist()
+    windows = [capacity_window(m, k, gamma) for m, k in zip(sizes, Ks)]
+    caps = [w[1] for w in windows]
+    part_of = [-1] * len(pref)
+    counts = [0] * (B * K)
+    node_of = node.tolist()
+    for p in order.tolist():
+        b = node_of[p]
+        base, cap = b * K, caps[b]
+        for k in pref[p]:
+            if counts[base + k] < cap:
+                part_of[p] = k
+                counts[base + k] += 1
+                break
+    assign = np.zeros(rows.shape, dtype=np.int64)
+    assign[rows] = part_of
+    counts = np.array(counts, dtype=np.int64).reshape(B, K)
+
+    # repair: no part may sit below the effective minimum (and none may be
+    # empty); the recipient takes the first point, by index, at the smallest
+    # distance among the points of parts above the minimum
+    for b, (m, k, (s_min, _, _)) in enumerate(zip(sizes, Ks, windows)):
+        s_min_eff = max(1, min(s_min, m // k))
+        held, part = counts[b, :k], assign[b, :m]
+        while held.min() < s_min_eff:
+            recipient = int(np.argmin(held))
+            donor_held = held[part] > s_min_eff
+            best_point = int(np.argmin(np.where(donor_held, dists[b, :m, recipient], np.inf)))
+            held[part[best_point]] -= 1
+            part[best_point] = recipient
+            held[recipient] += 1
+    return assign
+
+
+def split_nodes(embedding, problems: Sequence[tuple[PointSet, int, RngStream]], gamma: float) -> List[List[PointSet]]:
+    """Split several point sets together, each into its own number of parts.
+
+    :param embedding: (n, d) embedding rows (EmbeddingMatrix or array)
+    :param problems: (members, K, stream) per node, 2 <= K <= |members|; each
+        node draws from its own stream
+    :param gamma: capacity window slack
+    :returns: each node's K parts, ordered by their smallest member index
+
+    Every node gets what ``balanced_split`` alone gives it: seeded k-means
+    (k-means++ init, Lloyd iterations), then the greedy capped fill and
+    repair. The nodes' rows are stacked, so each Lloyd step and the fill's
+    distances cost a few NumPy calls for all nodes instead of for each.
+    """
+    if not problems:
+        return []
+    vectors = _as_vectors(embedding)
+    members = [p[0].indices for p in problems]
+    sizes = np.array([len(idx) for idx in members])
+    Ks = np.array([p[1] for p in problems])
+    stacked = np.concatenate(members)
+    X_all = vectors[stacked]
+    _check_finite(X_all, stacked)
+    X, rows = _pad(X_all, sizes)
+    present = np.arange(Ks.max()) < Ks[:, None]
+    init = _kmeans_pp_init(X, sizes, Ks, [p[2].generator() for p in problems])
+    assign = _segmented_fill(X, rows, _segmented_lloyd(X, rows, init, present), present, gamma)
+    out = []
+    for b, idx in enumerate(members):
+        part = assign[b, : len(idx)]
+        parts = [PointSet._from_sorted(idx[part == k]) for k in range(int(Ks[b]))]
+        parts.sort(key=lambda ps: int(ps.indices[0]))
+        out.append(parts)
+    return out
+
+
 def balanced_split(embedding, members: PointSet, K: int, gamma: float = 0.25, seed=0) -> List[PointSet]:
     """Split a point set into K non-empty parts of near-even size.
 
-    Runs seeded k-means (k-means++ init, Lloyd iterations) on the members'
-    embedding rows, then reassigns points greedily in descending margin order
-    (distance to second-closest centroid minus closest, ties by ascending
-    index) under a hard per-part cap of ceil((1+gamma) * s). A final repair
-    pass tops up parts that fall below the window minimum by pulling the
-    closest points from parts with slack, so every part is non-empty even when
-    K equals the member count.
+    The one-node call of ``split_nodes``, which tree levels and stream
+    rebalances call for all their nodes at once: seeded k-means (k-means++
+    init, Lloyd iterations) on the members' embedding rows, then points are
+    reassigned greedily in descending margin order (distance to second-closest
+    centroid minus closest, ties by ascending index) under a hard per-part
+    cap of ceil((1+gamma) * s). A final repair pass tops up parts that fall
+    below the window minimum by pulling the closest points from parts with
+    slack, so every part is non-empty even when K equals the member count.
 
     Parts are returned ordered by their smallest member index.
     """
@@ -129,49 +306,12 @@ def balanced_split(embedding, members: PointSet, K: int, gamma: float = 0.25, se
         raise ValueError("K must be positive")
     if K > m:
         raise ValueError(f"cannot split {m} points into {K} non-empty parts")
-    X = _as_vectors(embedding)[members.indices]
-    _check_finite(X, members.indices)
+    vectors = _as_vectors(embedding)
     if K == 1:
+        _check_finite(vectors[members.indices], members.indices)
         return [members]
-    if isinstance(seed, RngStream):
-        gen = seed.generator()
-    else:
-        gen = RngStream(int(seed), "balanced-split").generator()
-    centroids = _lloyd(X, _kmeans_pp_init(X, K, gen))
-
-    dists = np.sqrt(((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
-    nearest_two = np.sort(dists, axis=1)[:, :2]
-    margin = nearest_two[:, 1] - nearest_two[:, 0]
-    order = np.lexsort((np.arange(m), -margin))
-
-    s_min, s_max, s = capacity_window(m, K, gamma)
-    s_min_eff = max(1, min(s_min, m // K))
-    pref = np.argsort(dists, axis=1, kind="stable").tolist()
-    part_of = [-1] * m
-    sizes = [0] * K
-    for p in order.tolist():
-        for k in pref[p]:
-            if sizes[k] < s_max:
-                part_of[p] = k
-                sizes[k] += 1
-                break
-    assign = np.array(part_of, dtype=np.int64)
-    counts = np.array(sizes, dtype=np.int64)
-
-    # repair: no part may sit below the effective minimum (and none may be
-    # empty); the recipient takes the first point, by index, at the smallest
-    # distance among the points of parts above the minimum
-    while counts.min() < s_min_eff:
-        recipient = int(np.argmin(counts))
-        donor_held = counts[assign] > s_min_eff
-        best_point = int(np.argmin(np.where(donor_held, dists[:, recipient], np.inf)))
-        counts[assign[best_point]] -= 1
-        assign[best_point] = recipient
-        counts[recipient] += 1
-
-    parts = [PointSet._from_sorted(members.indices[assign == k]) for k in range(K)]
-    parts.sort(key=lambda ps: int(ps.indices[0]))
-    return parts
+    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed), "balanced-split")
+    return split_nodes(vectors, [(members, K, stream)], gamma)[0]
 
 
 @dataclass
@@ -384,16 +524,20 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
     current = [root.id]
     while any(len(tree.nodes[i].members) > leaf_cap for i in current):
         K = tree.branching[level] if level < len(tree.branching) else tree.branching[-1]
+        split = [nid for nid in current if len(tree.nodes[nid].members) > leaf_cap]
+        problems = []
+        for nid in split:
+            members = tree.nodes[nid].members
+            problems.append((members, min(K, len(members)), RngStream(seed, "split", content_token(level, members.indices))))
+        parts_of = dict(zip(split, split_nodes(vectors, problems, gamma)))
         next_ids: List[int] = []
         for nid in current:
             node = tree.nodes[nid]
-            if len(node.members) <= leaf_cap:
+            if nid not in parts_of:
                 child = tree._new_node(level + 1, nid, node.members, node.prototype)
                 next_ids.append(child.id)
                 continue
-            K_eff = min(K, len(node.members))
-            stream = RngStream(seed, "split", content_token(level, node.members.indices))
-            for part in balanced_split(vectors, node.members, K_eff, gamma, stream):
+            for part in parts_of[nid]:
                 child = tree._new_node(level + 1, nid, part, vectors[part.indices].mean(axis=0))
                 next_ids.append(child.id)
         tree.levels.append(next_ids)

@@ -45,7 +45,8 @@ import numpy as np
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, class_codes, content_token
 from .encoder import EmbeddingMatrix
 from .hcdv import HcdvConfig, propagate, run_hcdv
-from .hierarchy import HierarchyTree, balanced_split, build_tree, capacity_window
+from .hierarchy import HierarchyTree, build_tree, capacity_window, split_nodes
+from .hierarchy import balanced_split  # noqa: F401  perfbench/tracer.py wraps this name
 from .shapley import CoalitionGame, independent_player_estimate, monte_carlo_shapley
 from .utility import CharacteristicFn
 
@@ -235,21 +236,17 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     rebalanced = False
     if epoch % state.rebalance_period == 0:
         oversize = [l for l in tree.leaf_ids() if len(tree.node(l).members) > tree.leaf_cap]
+        problems = []
         for lid in oversize:
-            leaf = tree.node(lid)
-            g = len(leaf.members)
+            members = tree.node(lid).members
+            g = len(members)
             # smallest split count whose capacity window fits under the leaf cap
             K_split = max(2, -(-g // tree.leaf_cap))
             while capacity_window(g, K_split, tree.gamma)[1] > tree.leaf_cap and K_split < g:
                 K_split += 1
-            parts = balanced_split(
-                new_vectors,
-                leaf.members,
-                K_split,
-                tree.gamma,
-                RngStream(state.tree_seed, "rebalance-split", content_token(epoch, leaf.members.indices)),
-            )
-            parent = leaf.parent
+            problems.append((members, K_split, RngStream(state.tree_seed, "rebalance-split", content_token(epoch, members.indices))))
+        for lid, parts in zip(oversize, split_nodes(new_vectors, problems, tree.gamma)):
+            parent = tree.node(lid).parent
             tree.node(parent).children.remove(lid)
             tree.levels[depth].remove(lid)
             dirty.discard(lid)

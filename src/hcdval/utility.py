@@ -195,6 +195,15 @@ _GAP_SPACINGS = 8.0 * np.finfo(np.float64).smallest_subnormal
 _GAP_SCALE_LIMIT = 2.0**1019
 
 
+def _gap_bound(scale: np.ndarray, D: int) -> np.ndarray:
+    """The bound above for ``scale`` = the computed |x|^2 + M, formed in place in ``scale``."""
+    overflows = ~(scale < _GAP_SCALE_LIMIT)
+    scale *= (D + 2) * _GAP_ULPS
+    scale += D * _GAP_SPACINGS
+    scale[overflows] = np.inf
+    return scale
+
+
 def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.ndarray) -> np.ndarray:
     """(R, n_val) class of the present centroid nearest to each validation point.
 
@@ -228,11 +237,7 @@ def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.nda
             pred = d2.argmin(axis=1)
             two = np.partition(d2, 1, axis=1)
             gap = two[:, 1] - two[:, 0]
-        bound = xx + mm.max(axis=1)[:, None]
-        overflows = ~(bound < _GAP_SCALE_LIMIT)
-        bound *= (D + 2) * _GAP_ULPS
-        bound += D * _GAP_SPACINGS
-        bound[overflows] = np.inf
+        bound = _gap_bound(xx + mm.max(axis=1)[:, None], D)
     uncertified = ~(gap > bound)
     if uncertified.any():
         r, v = np.nonzero(uncertified)
@@ -324,6 +329,8 @@ def coalition_utility(
         raise ValueError(f"unknown metric {metric!r}")
     if learner not in LEARNERS:
         raise ValueError(f"unknown learner {learner!r}")
+    if metric == "auc" and data.num_classes != 2:
+        raise ValueError("auc metric requires a binary dataset")
     val_X, val_y = data.val_features, data.val_labels
     idx = points.indices
     if idx.size and idx[-1] >= data.n:

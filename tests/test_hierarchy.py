@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcdval import HierarchyTree, PointSet, RngStream, balanced_split, build_tree, capacity_window, hierarchy, make_synthetic, union
+from hcdval.core import content_token
 
 
 def test_capacity_window_hand_cases():
@@ -235,6 +236,20 @@ def reference_lloyd(X, centroids, max_iter=50, tol=1e-6):
     return centroids
 
 
+def reference_kmeans_pp_init(X, K, gen):
+    """k-means++ seeds drawn with ``gen.choice``."""
+    n = X.shape[0]
+    centroids = np.empty((K, X.shape[1]))
+    centroids[0] = X[int(gen.integers(n))]
+    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    for k in range(1, K):
+        total = float(d2.sum())
+        choice = int(gen.integers(n)) if total <= 0.0 else int(gen.choice(n, p=d2 / total))
+        centroids[k] = X[choice]
+        d2 = np.minimum(d2, ((X - centroids[k]) ** 2).sum(axis=1))
+    return centroids
+
+
 def reference_balanced_split(embedding, members, K, gamma=0.25, seed=0):
     """``balanced_split`` with ``reference_lloyd``, a NumPy-scalar fill and a point-by-point repair scan."""
     m = len(members)
@@ -242,7 +257,7 @@ def reference_balanced_split(embedding, members, K, gamma=0.25, seed=0):
         return [members]
     X = np.asarray(embedding, dtype=np.float64)[members.indices]
     gen = seed.generator() if isinstance(seed, RngStream) else RngStream(int(seed), "balanced-split").generator()
-    centroids = reference_lloyd(X, hierarchy._kmeans_pp_init(X, K, gen))
+    centroids = reference_lloyd(X, reference_kmeans_pp_init(X, K, gen))
     dists = np.sqrt(((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2))
     nearest_two = np.sort(dists, axis=1)[:, :2]
     order = np.lexsort((np.arange(m), -(nearest_two[:, 1] - nearest_two[:, 0])))
@@ -282,6 +297,11 @@ def _rows(gen, m, D, layout):
     return gen.normal(size=(3, D))[gen.integers(0, 3, size=m)]  # three distinct rows, duplicated
 
 
+def _segmented(blocks):
+    """The padded (B, m, D) stack and row mask that ``_segmented_lloyd`` takes."""
+    return hierarchy._pad(np.concatenate(blocks), np.array([len(b) for b in blocks]))
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     seed=st.integers(0, 10_000),
@@ -299,11 +319,20 @@ def test_split_equals_the_direct_formula_reference(seed, m, D, K_share, gamma, l
     got = balanced_split(X, members, K, gamma, seed)
     want = reference_balanced_split(X, members, K, gamma, seed)
     assert [p.indices.tolist() for p in got] == [p.indices.tolist() for p in want]
-    if K >= 2:
-        # start from data rows, repeats allowed, and one far centroid: clusters empty
-        init = X[gen.integers(0, m, size=K)]
-        init[-1] = X.max(axis=0) + 100.0
-        assert hierarchy._lloyd(X, init.copy()).tobytes() == reference_lloyd(X, init.copy()).tobytes()
+    # several problems in one segmented call: this one and up to three more of
+    # other sizes and K, each started from data rows, repeats allowed, and
+    # with one far centroid, so that clusters go empty
+    blocks, inits = [X], []
+    for extra in range(int(gen.integers(0, 4))):
+        blocks.append(_rows(gen, int(gen.integers(2, 49)), D, layout))
+    for rows in blocks:
+        init = rows[gen.integers(0, len(rows), size=int(gen.integers(2, len(rows) + 1)))]
+        init[-1] = rows.max(axis=0) + 100.0
+        inits.append(init)
+    centroids, present = _segmented(inits)
+    got = hierarchy._segmented_lloyd(*_segmented(blocks), centroids, present)
+    for b, (rows, init) in enumerate(zip(blocks, inits)):
+        assert got[b, : len(init)].tobytes() == reference_lloyd(rows, init.copy()).tobytes()
 
 
 @settings(deadline=None, max_examples=60)
@@ -313,16 +342,89 @@ def test_lloyd_stops_as_the_norm_decides_at_the_tolerance(seed, D, ulps):
     unit = gen.normal(size=(3, D))
     unit /= np.linalg.norm(unit, axis=1)[:, None]
     step = unit * (1e-6 * (1.0 + ulps * np.finfo(np.float64).eps))
-    for row in step:
-        assert hierarchy._moved_beyond(row[None], 1e-6) == (np.linalg.norm(row) > 1e-6)
-    assert hierarchy._moved_beyond(step, 1e-6) == any(np.linalg.norm(row) > 1e-6 for row in step)
+    assert hierarchy._moved_beyond(step, 1e-6).tolist() == [bool(np.linalg.norm(row) > 1e-6) for row in step]
 
 
-def test_tree_equals_the_direct_formula_reference(monkeypatch):
+def test_kmeans_pp_draw_equals_generator_choice():
+    gen = np.random.default_rng(17)
+    for case in range(3_000):
+        n = int(gen.integers(1, 40))
+        p = gen.random(n) * (gen.random(n) < 0.7)  # zeros included
+        p[gen.integers(n)] += 1e-3  # one positive entry at least
+        p /= p.sum()
+        a = RngStream(case, "draw").generator()
+        b = RngStream(case, "draw").generator()
+        for _ in range(3):
+            assert hierarchy._weighted_draw(a, p) == int(b.choice(n, p=p))
+    # p may sum to 1 within 1.5e-8; choice then scales the cumulative sum, and
+    # here the first boundary falls between u and that boundary unscaled
+    for case in range(20):
+        u = RngStream(case, "draw").generator().random()
+        p = np.array([u * (1.0 + 5e-9), 1.0 + 1e-8 - u * (1.0 + 5e-9)])
+        draw = hierarchy._weighted_draw(RngStream(case, "draw").generator(), p)
+        assert draw == int(RngStream(case, "draw").generator().choice(2, p=p)) == 1
+
+
+def reference_build_tree(embedding, branching, leaf_cap, gamma, seed):
+    """``build_tree`` node by node with ``reference_balanced_split``."""
+    vectors = np.asarray(embedding, dtype=np.float64)
+    tree = HierarchyTree(branching, leaf_cap, gamma)
+    root = tree._new_node(0, None, PointSet(range(len(vectors))), vectors.mean(axis=0))
+    tree.levels.append([root.id])
+    level = 0
+    while any(len(tree.nodes[i].members) > leaf_cap for i in tree.levels[-1]):
+        K = tree.branching[min(level, len(tree.branching) - 1)]
+        next_ids = []
+        for nid in tree.levels[-1]:
+            node = tree.nodes[nid]
+            if len(node.members) <= leaf_cap:
+                next_ids.append(tree._new_node(level + 1, nid, node.members, node.prototype).id)
+                continue
+            stream = RngStream(seed, "split", content_token(level, node.members.indices))
+            for part in reference_balanced_split(vectors, node.members, min(K, len(node.members)), gamma, stream):
+                next_ids.append(tree._new_node(level + 1, nid, part, vectors[part.indices].mean(axis=0)).id)
+        tree.levels.append(next_ids)
+        level += 1
+    return tree
+
+
+def test_tree_equals_the_direct_formula_reference():
     emb = make_synthetic(600).features
     got = build_tree(emb, (4, 4), leaf_cap=12, gamma=0.25, seed=3).to_json()
-    monkeypatch.setattr(hierarchy, "balanced_split", reference_balanced_split)
-    assert got == build_tree(emb, (4, 4), leaf_cap=12, gamma=0.25, seed=3).to_json()
+    assert got == reference_build_tree(emb, (4, 4), 12, 0.25, 3).to_json()
+
+
+def _split_counts(tree):
+    """Per level, the part count K_eff of each split node and the number of chained nodes."""
+    out = []
+    for level in range(1, len(tree.levels)):
+        families = [len(kids) for _, kids in tree.families(level)]
+        out.append(({k for k in families if k > 1}, families.count(1)))
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    m=st.integers(2, 120),
+    D=st.integers(1, 9),
+    branching=st.lists(st.integers(2, 6), min_size=1, max_size=3),
+    leaf_cap=st.integers(1, 12),
+    gamma=st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+    layout=st.sampled_from(["normal", "grid", "duplicates"]),
+)
+@example(seed=0, m=20, D=3, branching=[5], leaf_cap=3, gamma=0.5, layout="normal")
+def test_tree_equals_the_node_by_node_reference(seed, m, D, branching, leaf_cap, gamma, layout):
+    X = _rows(np.random.default_rng(seed), m, D, layout)
+    got = build_tree(X, branching, leaf_cap, gamma, seed)
+    assert got.to_json() == reference_build_tree(X, branching, leaf_cap, gamma, seed).to_json()
+
+
+def test_tree_reference_property_covers_uneven_levels():
+    # the explicit example above splits some level into different part
+    # counts (K_eff = min(K, |node|)) next to chained nodes
+    tree = build_tree(_rows(np.random.default_rng(0), 20, 3, "normal"), [5], 3, 0.5, 0)
+    assert any(len(ks) > 1 and chained for ks, chained in _split_counts(tree))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -12,7 +12,8 @@ from hcdval.core import EMPTY_SET, LabeledDataset, dataset_from_arrays
 from hcdval.encoder import identity_embeddings
 from hcdval.evaluation import synthetic_rows
 from hcdval.hcdv import HcdvConfig, last_run_report, run_hcdv
-from hcdval.hierarchy import build_tree
+from hcdval import streaming
+from hcdval.hierarchy import balanced_split, build_tree
 from hcdval.streaming import StreamState, full_recompute, ingest_batch, init_stream
 from hcdval.utility import CharacteristicFn
 
@@ -172,6 +173,26 @@ def test_rebalance_splits_oversize_leaves():
     for lid in new.tree.leaf_ids():
         assert len(new.tree.node(lid).members) <= new.tree.leaf_cap
     new.tree.validate(check_leaf_cap=False)
+
+
+def test_rebalance_splits_its_oversize_leaves_as_one_at_a_time(monkeypatch):
+    state = blob_stream_state(n_per=12, leaf_cap=8, seed=8, rebalance_period=1)
+    right, left = batch_near((6.0, 0.0), 8, seed=81, label=0), batch_near((-6.0, 0.0), 8, seed=82, label=1)
+    feats, labs = np.vstack([right[0], left[0]]), np.concatenate([right[1], left[1]])
+    sizes = []
+
+    def one_at_a_time(embedding, problems, gamma):
+        sizes.append(len(problems))
+        return [balanced_split(embedding, members, K, gamma, stream) for members, K, stream in problems]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        together = ingest_batch(state, feats, labs)
+        monkeypatch.setattr(streaming, "split_nodes", one_at_a_time)
+        apart = ingest_batch(state, feats, labs)
+    assert sizes[0] >= 2
+    assert together.tree.to_json() == apart.tree.to_json()
+    assert together.values.tobytes() == apart.values.tobytes()
 
 
 def test_partition_invariant_survives_steps():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdval import CharacteristicFn, EMPTY_SET, LabeledDataset, PointSet, make_synthetic, normalized_dispersion
+from hcdval.core import dataset_from_arrays
 from hcdval.utility import D_MAX, _rank_auc, chance_level, coalition_utility
 
 
@@ -157,6 +158,16 @@ def test_coalition_utility_learners_agree_on_easy_data():
         for metric in ("accuracy", "balanced_accuracy", "auc"):
             score = coalition_utility(data, full, metric=metric, learner=learner)
             assert score > 0.9
+
+
+def test_auc_needs_a_binary_dataset():
+    gen = np.random.default_rng(0)
+    data = dataset_from_arrays(gen.normal(size=(60, 3)), np.arange(60) % 3, seed=0)
+    for learner in ("nearest_centroid", "ridge_logistic"):
+        with pytest.raises(ValueError, match="binary"):
+            coalition_utility(data, data.all_points(), metric="auc", learner=learner)
+    with pytest.raises(ValueError, match="binary"):
+        CharacteristicFn(data, data.features, metric="auc")
 
 
 def test_characteristic_bounds_and_conventions():
