@@ -323,7 +323,7 @@ def test_split_equals_the_direct_formula_reference(seed, m, D, K_share, gamma, l
     # other sizes and K, each started from data rows, repeats allowed, and
     # with one far centroid, so that clusters go empty
     blocks, inits = [X], []
-    for extra in range(int(gen.integers(0, 4))):
+    for _ in range(int(gen.integers(0, 4))):
         blocks.append(_rows(gen, int(gen.integers(2, 49)), D, layout))
     for rows in blocks:
         init = rows[gen.integers(0, len(rows), size=int(gen.integers(2, len(rows) + 1)))]
