@@ -65,7 +65,7 @@ def _kmeans_pp_init(X: np.ndarray, sizes: np.ndarray, Ks: np.ndarray, gens: Sequ
     centroids = np.repeat(X[np.arange(len(first)), first][:, None], Ks.max(), axis=1)
     d2 = ((X - centroids[:, :1]) ** 2).sum(axis=2)
     for k in range(1, int(Ks.max())):
-        for b in np.flatnonzero(Ks > k).tolist():
+        for b in (Ks > k).nonzero()[0].tolist():
             m = int(sizes[b])
             total = float(d2[b, :m].sum())
             if total <= 0.0:
@@ -140,7 +140,7 @@ def _moved_beyond(step: np.ndarray, tol: float) -> np.ndarray:
     limit = tol * tol
     slack = 4.0 * (step.shape[1] + 2) * np.finfo(np.float64).eps * limit
     moved = squares > limit + slack
-    for k in np.flatnonzero(~moved & (squares >= limit - slack)).tolist():
+    for k in (~moved & (squares >= limit - slack)).nonzero()[0].tolist():
         moved[k] = float(np.linalg.norm(step[k])) > tol
     return moved
 
@@ -168,22 +168,27 @@ def _segmented_lloyd(
     B, K, D = centroids.shape
     out = centroids.copy()
     xx = np.einsum("bmd,bmd->bm", X, X)
-    live, cur, L = np.arange(B), out, 0
+    live, cur = np.arange(B), out
+    Xl, xxl, held, kept = X, xx, present, rows  # the live nodes' arrays,
+    offsets, real = live[:, None] * K, X[rows]  # bin offsets and real rows
     for _ in range(max_iter):
-        if live.size != L:  # the live nodes' rows, bin offsets and real rows
-            L = live.size
-            Xl, xxl, held, kept = X[live], xx[live], present[live], rows[live]
-            offsets, real = np.arange(L)[:, None] * K, Xl[kept]
+        L = live.size
         bins = (offsets + _nearest(Xl, xxl, cur, held))[kept]
         counts = np.bincount(bins, minlength=L * K).reshape(L, K)
         filled = counts > 0
         new = cur.copy()
         new[filled] = _cluster_sums(real, bins, L * K).reshape(L, K, D)[filled] / counts[filled][:, None]
         moved = _moved_beyond((new - cur).reshape(L * K, D), tol).reshape(L, K).any(axis=1)
+        cur = new
+        if moved.all():
+            continue
         out[live] = new
         live, cur = live[moved], new[moved]
         if not live.size:
-            break
+            return out
+        Xl, xxl, held, kept = X[live], xx[live], present[live], rows[live]
+        offsets, real = np.arange(live.size)[:, None] * K, Xl[kept]
+    out[live] = cur
     return out
 
 
@@ -212,7 +217,7 @@ def _segmented_fill(
     dists = np.where(present[:, None, :], dists, np.inf)
     two = np.partition(dists, 1, axis=2)
     margin = (two[:, :, 1] - two[:, :, 0])[rows]
-    node, index = np.nonzero(rows)
+    node, index = rows.nonzero()
     order = np.lexsort((index, -margin))  # interleaves the nodes, each in its own order
     pref = np.argsort(dists, axis=2, kind="stable")[rows].tolist()
 
