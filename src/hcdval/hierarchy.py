@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import PointSet, RngStream, content_token, union
-from .utility import _direct_sq_distances, _gap_bound
+from .utility import _nearest
 
 
 def _as_vectors(embedding) -> np.ndarray:
@@ -80,39 +80,6 @@ def _kmeans_pp_init(X: np.ndarray, sizes: np.ndarray, Ks: np.ndarray, gens: Sequ
     return centroids
 
 
-def _nearest(X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """(B, m) index of the present centroid of ``centroids[b]`` nearest to each row of ``X[b]``.
-
-    :param xx: (B, m) squared norms of the rows
-    :param present: (B, K) which centroids each node holds
-
-    The certified GEMM argmin of the payoff kernel (``utility._nearest_centroids``),
-    in the (rows, K) layout: it equals the argmin of the direct
-    sum_k (x_k - c_k)^2, absent centroids at infinity and ties to the lower
-    centroid, because a row whose top-two gap is within the rounding bound
-    of ``utility._gap_bound`` is scored by the direct formula.
-    """
-    D = X.shape[2]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows take the direct formula
-        mm = np.einsum("bkd,bkd->bk", centroids, centroids)
-        d2 = X @ centroids.transpose(0, 2, 1)
-        d2 *= -2.0
-        d2 += xx[:, :, None]
-        d2 += mm[:, None, :]
-        if not present.all():
-            d2 = np.where(present[:, None, :], d2, np.inf)
-        assign = d2.argmin(axis=2)
-        two = np.partition(d2, 1, axis=2)
-        gap = two[:, :, 1] - two[:, :, 0]
-        bound = _gap_bound(xx + mm.max(axis=1)[:, None], D)
-    uncertified = ~(gap > bound)
-    if uncertified.any():
-        b, r = np.nonzero(uncertified)
-        direct = _direct_sq_distances(X[b, r], centroids[b])
-        assign[b, r] = np.where(present[b], direct, np.inf).argmin(axis=1)
-    return assign
-
-
 def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
     """(K, D) sums of each cluster's rows, added as ``X[assign == k].sum(axis=0)`` adds them.
 
@@ -158,7 +125,7 @@ def _segmented_lloyd(
 
     Each node stops on its own, after at most ``max_iter`` steps, and its
     centroids then stay frozen while the other nodes go on. Each point goes
-    to its node's nearest centroid (``_nearest``). A non-empty cluster's
+    to its node's nearest centroid (``utility._nearest``). A non-empty cluster's
     centroid becomes its members' mean, rounded as
     ``X[assign == k].mean(axis=0)``; an empty cluster keeps its centroid. The
     sums of all clusters come from one ``np.bincount`` (``_cluster_sums``):

@@ -28,14 +28,18 @@ distinct coalitions share a key only when the words of their symmetric
 difference XOR to zero, with probability 2^-128 per pair on the assumption
 that distinct points' words behave as independent uniform words.
 
-The nearest-centroid prediction takes every squared distance from one GEMM,
-|x|^2 - 2 x.mu + |mu|^2, and recomputes with the direct sum_k (x_k - mu_k)^2
-the (row, validation point) pairs whose top-two gap is within a proven
-rounding bound, so the argmin is certified equal to the direct formula's.
-Apart from that GEMM, whose rounding the certificate absorbs, each row is
-scored by elementwise arithmetic, and batched coalition statistics add block
-statistics in a fixed order, so a coalition's payoff does not depend on which
-other coalitions share its call.
+The nearest-centroid prediction takes its distances from one GEMM. With two
+classes it is the sign of the discriminant x.w + h, with w = -2 (mu_1 - mu_0)
+and h = |mu_1|^2 - |mu_0|^2, from one (rows, D) @ (D, n_val) product, and
+accuracy and balanced accuracy are counted straight from the signs. With
+more classes each squared distance is |x|^2 - 2 x.mu + |mu|^2, from one
+batched product. Either way the (row, validation point) pairs whose gap is
+within a proven rounding bound are recomputed with the direct
+sum_k (x_k - mu_k)^2, so the argmin is certified equal to the direct
+formula's. Apart from that GEMM, whose rounding the certificate absorbs,
+each row is scored by elementwise arithmetic, and batched coalition
+statistics add block statistics in a fixed order, so a coalition's payoff
+does not depend on which other coalitions share its call.
 """
 
 from __future__ import annotations
@@ -54,10 +58,11 @@ LEARNERS = ("nearest_centroid", "ridge_logistic")
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
 
 # Batched scoring works in chunks: the (groups, points) one-hot matrix and
-# the (rows, n_val, C) distance array stay within these element counts,
-# whatever the number of players. The auc metric keeps the direct
-# (rows, n_val, C, D) difference temporary, so its chunks hold D times fewer
-# rows. Payoffs do not depend on the chunking.
+# the largest array a chunk's prediction forms stay within these element
+# counts, whatever the number of players. That array is the (rows, n_val)
+# gap of two classes or the (rows, n_val, C) distances of more; the auc
+# metric keeps the direct (rows, n_val, C, D) difference temporary. Payoffs
+# do not depend on the chunking.
 _ONEHOT_BUDGET = 1 << 17
 _DISTANCE_BUDGET = 1 << 15
 
@@ -102,18 +107,28 @@ def _predict_ridge_logistic(model, val_X: np.ndarray):
 def _metric_scores(metric: str, pred, score, val_y: np.ndarray) -> np.ndarray:
     """(R,) validation scores of R predictors from their (R, n_val) predicted
     classes ``pred`` or, for auc, class-1 scores ``score``; ``metric`` is one of
-    METRICS, which ``coalition_utility`` and ``CharacteristicFn`` check."""
+    METRICS, which ``coalition_utility`` and ``CharacteristicFn`` check.
+
+    A bool ``pred`` (two classes) predicts class 1 where it is set, and one
+    product counts its class-1 predictions among each class's validation
+    points. Accuracy and balanced accuracy are both read off the per-class
+    counts of correct predictions.
+    """
+    if metric == "auc":
+        if score is None:  # a model without class-1 scores
+            return np.full(pred.shape[0], 0.5)
+        return _rank_auc(score, val_y)
+    sizes = np.bincount(val_y)
+    classes = sizes.nonzero()[0]
+    sizes = sizes[classes]
+    if pred.dtype == bool:
+        ones = pred.view(np.uint8) @ (val_y == classes[:, None]).T.astype(np.float64)
+        hits = np.where(classes == 1, ones, sizes - ones)
+    else:
+        hits = np.stack([((pred == c) & (val_y == c)).sum(axis=1) for c in classes], axis=1)
     if metric == "accuracy":
-        return (pred == val_y).sum(axis=1) / val_y.size
-    if metric == "balanced_accuracy":
-        recalls = [
-            ((pred == c) & (val_y == c)).sum(axis=1) / np.count_nonzero(val_y == c)
-            for c in np.unique(val_y)
-        ]
-        return np.stack(recalls, axis=1).mean(axis=1)
-    if score is None:  # auc of a model without class-1 scores
-        return np.full(pred.shape[0], 0.5)
-    return _rank_auc(score, val_y)
+        return hits.sum(axis=1) / val_y.size
+    return (hits / sizes).mean(axis=1)
 
 
 def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
@@ -181,13 +196,26 @@ def _direct_sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # If the expanded values of classes a and b differ by more than these four
 # errors together, the direct values order a and b the same way, strictly.
 # With (|x| + |mu|)^2 <= 2 (|x|^2 + |mu|^2) and M = max_c |mu_c|^2 the four
-# are at most 8 gamma_{D+2} (|x|^2 + M). The bound takes 9 (D + 2) u times
-# the computed |x|^2 + M, which also covers the rounding of the norms, the gap
-# and the bound while (D + 2) u < 1e-3. Underflow adds at most half a
-# subnormal spacing per product (twice that for the doubled x.mu), 5 D
-# spacings over the four values, so 8 D spacings cover them. While
-# |x|^2 + M < 2^1019 no step of either formula overflows (each is at most
-# about 2 (|x|^2 + M)); above that, or for a NaN, the bound is infinite. A
+# are at most 8 gamma_{D+2} (|x|^2 + M).
+# Two classes: the discriminant gap = x.w + h, with w = -2 (mu_1 - mu_0) and
+# h = |mu_1|^2 - |mu_0|^2, equals d_1 - d_0 exactly, and class 1 is nearer
+# when it is negative. Computed, w carries one rounding per entry (the
+# difference; doubling is exact), so x.w errs by at most
+# gamma_{D+1} sum_k 2 |x_k| (|mu_1k| + |mu_0k|) <= 2 gamma_{D+1} (|x|^2 + M);
+# h errs by at most gamma_{D+1} (|mu_1|^2 + |mu_0|^2) <= 2 gamma_{D+1} M; and
+# the final addition by u (|x.w| + |h|) plus second-order terms, under
+# 4 u (|x|^2 + M). So the computed gap errs by at most about
+# (2 gamma_{D+1} + 2 gamma_{D+1} + 4 u)(|x|^2 + M) = 4 (D + 2) u (|x|^2 + M),
+# and the two direct values by at most 4 gamma_{D+2} (|x|^2 + M): together
+# within the same 8 gamma_{D+2} (|x|^2 + M).
+# The bound takes 9 (D + 2) u times the computed |x|^2 + M, which also covers
+# the rounding of the norms, the gap and the bound while (D + 2) u < 1e-3.
+# Underflow adds at most half a subnormal spacing per product (twice that
+# for the doubled x.mu): 5 D spacings over the four expanded and direct
+# values, and under 3 D over the discriminant (D / 2 in x.w, D in the two
+# norms of h) and the two direct values (D), so 8 D spacings cover either. While
+# |x|^2 + M < 2^1019 no step of any formula overflows (each is at most
+# about 3 (|x|^2 + M)); above that, or for a NaN, the bound is infinite. A
 # pair whose gap is not above the bound (NaN gaps included) is scored by the
 # direct formula.
 _GAP_ULPS = 9.0 * (np.finfo(np.float64).eps / 2.0)
@@ -204,48 +232,92 @@ def _gap_bound(scale: np.ndarray, D: int) -> np.ndarray:
     return scale
 
 
+def _uncertified(gap: np.ndarray, xx: np.ndarray, mm: np.ndarray, D: int) -> tuple:
+    """(row, point) indices of the pairs whose gap is not above the bound above.
+
+    :param gap: (R, m) non-negative gaps, NaN allowed
+    :param xx: (R, m), (1, m) or (m,) computed squared norms of the points
+    :param mm: (R, C) computed squared norms of each row's centroids
+
+    The bound grows with the scale, and so does its computed value, so a row
+    whose smallest gap is above the bound at its largest |x|^2 has every
+    gap above its own bound; only the other rows form the (rows, m) bound.
+    """
+    M = mm.max(axis=1)
+    check = (~(gap.min(axis=1) > _gap_bound(xx.max(axis=-1) + M, D))).nonzero()[0]
+    if not check.size:
+        return check, check
+    scale = np.broadcast_to(xx, gap.shape)[check] + M[check, None]
+    r, v = (~(gap[check] > _gap_bound(scale, D))).nonzero()
+    return check[r], v
+
+
+def _nearest(X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """(B, m) index of the present centroid of ``centroids[b]`` nearest to each row of ``X[b]``.
+
+    :param X: (B, m, D) rows of each centroid set, or one (1, m, D) block
+        that all B sets share
+    :param xx: (B, m) or (1, m) squared norms of the rows
+    :param centroids: (B, K, D)
+    :param present: (B, K) which centroids each set holds
+
+    Equals the argmin of the direct sum_k (x_k - c_k)^2, absent centroids at
+    infinity and ties to the lower centroid, bit for bit: one batched GEMM in
+    the (rows, K) layout gives every expanded distance, and a row whose
+    top-two gap is not above the bound above is scored by the direct formula.
+    """
+    D = X.shape[2]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows take the direct formula
+        mm = np.einsum("bkd,bkd->bk", centroids, centroids)
+        d2 = X @ centroids.transpose(0, 2, 1)
+        d2 *= -2.0
+        d2 += xx[:, :, None]
+        d2 += mm[:, None, :]
+        if not present.all():
+            d2 = np.where(present[:, None, :], d2, np.inf)
+        assign = d2.argmin(axis=2)
+        two = np.partition(d2, 1, axis=2)
+        gap = two[:, :, 1] - two[:, :, 0]
+        b, r = _uncertified(gap, xx, mm, D)
+    if b.size:
+        rows = np.broadcast_to(X, (centroids.shape[0],) + X.shape[1:])[b, r]
+        direct = _direct_sq_distances(rows, centroids[b])
+        assign[b, r] = np.where(present[b], direct, np.inf).argmin(axis=1)
+    return assign
+
+
 def _nearest_centroids(centroids: np.ndarray, present: np.ndarray, val_X: np.ndarray) -> np.ndarray:
     """(R, n_val) class of the present centroid nearest to each validation point.
 
     :param centroids: (R, C, D) class centroids of each row; every row has at
         least two present classes
     :param present: (R, C) which classes the row holds
+    :returns: for C = 2, a bool array, set where class 1 is the nearer; for
+        C > 2, the class index
 
     Equals the argmin of the direct squared distances (absent classes at
-    infinity, ties to the lowest class) bit for bit: one GEMM gives every
-    expanded distance, and the pairs whose top-two gap is within the
-    rounding bound above are recomputed with the direct formula.
+    infinity, ties to the lowest class) bit for bit. Two classes take the
+    sign of the discriminant gap above from one (R, D) @ (D, n_val) GEMM;
+    more classes take ``_nearest`` with the validation split as one shared
+    block. Either way a pair whose gap is not above ``_gap_bound`` is scored
+    by the direct formula.
     """
-    R, C, D = centroids.shape
+    C, D = centroids.shape[1:]
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing pairs take the direct formula
         xx = np.einsum("vk,vk->v", val_X, val_X)
+        if C > 2:
+            return _nearest(val_X[None], xx[None], centroids, present)
         mm = np.einsum("rck,rck->rc", centroids, centroids)
-        # (|x|^2 - 2 x.mu) + |mu|^2, formed in place: negating and doubling
-        # are exact and IEEE addition commutes, so the bits are the same
-        d2 = (centroids.reshape(R * C, D) @ val_X.T).reshape(R, C, -1)
-        d2 *= -2.0
-        d2 += xx
-        d2 += mm[:, :, None]
-        if C == 2:  # both classes present: the gap is one subtraction
-            gap = d2[:, 1] - d2[:, 0]
-            del d2
-            pred = (gap < 0.0).astype(np.intp)
-            np.abs(gap, out=gap)
-        else:
-            if not present.all():
-                d2 = np.where(present[:, :, None], d2, np.inf)
-            pred = d2.argmin(axis=1)
-            two = np.partition(d2, 1, axis=1)
-            gap = two[:, 1] - two[:, 0]
-        bound = _gap_bound(xx + mm.max(axis=1)[:, None], D)
-    uncertified = ~(gap > bound)
-    if uncertified.any():
-        r, v = np.nonzero(uncertified)
-        direct = _direct_sq_distances(val_X[v], centroids[r])
-        if not present.all():
-            direct = np.where(present[r], direct, np.inf)
-        pred[r, v] = direct.argmin(axis=1)
-    return pred
+        w = centroids[:, 1] - centroids[:, 0]
+        w *= -2.0
+        gap = w @ val_X.T
+        gap += (mm[:, 1] - mm[:, 0])[:, None]
+        nearer = gap < 0.0
+        np.abs(gap, out=gap)
+        r, v = _uncertified(gap, xx, mm, D)
+    if r.size:
+        nearer[r, v] = _direct_sq_distances(val_X[v], centroids[r]).argmin(axis=1) == 1
+    return nearer
 
 
 def _nearest_centroid_utility(
@@ -639,7 +711,7 @@ class CharacteristicFn:
         D = val_X.shape[1]
         chance = chance_level(self.metric, C)
         out = np.empty(rows.shape[0])
-        per_row = val_y.size * C * (D if self.metric == "auc" else 1)
+        per_row = val_y.size * (C * D if self.metric == "auc" else 1 if C == 2 else C)
         step = max(1, _DISTANCE_BUDGET // per_row)
         for start in range(0, rows.shape[0], step):
             chunk = rows[start : start + step]

@@ -181,7 +181,17 @@ def test_batched_payoffs_match_per_coalition_evaluate(seed, C, metric, lam, on_g
 # Offsets of the tie case: around 1.23e8 the squared norms carry more than
 # 53 bits, and at this one the expanded distances put validation point 0
 # nearer class 1; near 1e160 they overflow. Both must take the direct formula.
-TIE_OFFSETS = [(0.0, 1.0), (123000001.5, 1.0), (1e160, 4.0 * np.spacing(1e160))]
+# At the scale 1e-160 every product is subnormal, so only the bound's
+# subnormal spacings certify a gap. At 2^509 (1 -+ 2^-10) one-dimensional
+# |x|^2 + M sits just below and just above the 2^1019 overflow limit.
+TIE_OFFSETS = [
+    (0.0, 1.0),
+    (123000001.5, 1.0),
+    (1e160, 4.0 * np.spacing(1e160)),
+    (0.0, 1e-160),
+    (2.0**509 * (1.0 - 2.0**-10), 2.0**489),
+    (2.0**509 * (1.0 + 2.0**-10), 2.0**489),
+]
 
 
 @pytest.mark.parametrize("metric", ["accuracy", "balanced_accuracy", "auc"])
@@ -226,6 +236,9 @@ def test_certified_argmin_equals_the_direct_formula(seed, C, D, offset, on_grid)
         val_X = 0.5 * gen.integers(-3, 4, size=(n_val, D))
     else:
         centroids, val_X = gen.normal(size=(R, C, D)), gen.normal(size=(n_val, D))
+    # the first R validation points sit midway between their row's first two
+    # centroids: on the grid, exact ties, which go to the lower class
+    val_X[:R] = 0.5 * (centroids[:, 0] + centroids[:, 1])
     centroids, val_X = base + unit * centroids, base + unit * val_X
     present = np.ones((R, C), dtype=bool)
     if C > 2:  # drop up to C - 2 classes per row
@@ -234,6 +247,7 @@ def test_certified_argmin_equals_the_direct_formula(seed, C, D, offset, on_grid)
         present = np.take_along_axis(present, gen.permutation(np.tile(np.arange(C), (R, 1)), axis=1), axis=1)
     got = utility._nearest_centroids(centroids, present, val_X)
     assert np.array_equal(got, direct_nearest_centroids(centroids, present, val_X))
+    assert utility._nearest_centroids(centroids[:0], present[:0], val_X).shape == (0, n_val)
 
 
 @settings(deadline=None, max_examples=20)
@@ -259,6 +273,37 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
         chunked = score(rows)
     assert together.tobytes() == alone.tobytes() == chunked.tobytes()
     assert score(rows[subset]).tobytes() == together[subset].tobytes()
+
+
+@pytest.mark.parametrize(
+    "C, metric, per_point",  # elements per (row, validation point) of the largest array a chunk forms:
+    [(2, "accuracy", 1), (3, "balanced_accuracy", 3), (2, "auc", 2 * 3)],  # the gap, C distances, C x D differences
+)
+@pytest.mark.parametrize("budget", [utility._DISTANCE_BUDGET, 100])
+def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_point, budget, monkeypatch):
+    gen = np.random.default_rng(C)
+    n, n_val, D = 8 * C, 300, 3
+    data = LabeledDataset(
+        gen.normal(size=(n, D)), np.arange(n) % C, gen.normal(size=(n_val, D)), np.arange(n_val) % C, C
+    )
+    cf = CharacteristicFn(data, data.features, lam=0.5, metric=metric)
+    blocks = [PointSet(range(j * C, (j + 1) * C)) for j in range(8)]  # each block holds every class
+    rows = gen.random((500, 8)) < 0.5
+    rows[:, 0] = True  # so every row is scored in its chunk's one call
+    chunks = []
+    scorer = utility._nearest_centroid_utility
+
+    def record(counts, sums, val_X, *args):
+        chunks.append((counts.shape[0], val_X.shape[0]))
+        return scorer(counts, sums, val_X, *args)
+
+    monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
+    monkeypatch.setattr(utility, "_DISTANCE_BUDGET", budget)
+    cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
+    step = max(1, budget // (n_val * per_point))
+    assert [r for r, _ in chunks] == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
+    for r, v in chunks:  # within the budget, or one row whose array alone exceeds it
+        assert r * v * per_point <= budget or (r == 1 and v * per_point > budget)
 
 
 def ridge_case(lam: float):
