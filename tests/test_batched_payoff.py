@@ -250,6 +250,32 @@ def test_certified_argmin_equals_the_direct_formula(seed, C, D, offset, on_grid)
     assert utility._nearest_centroids(centroids[:0], present[:0], val_X).shape == (0, n_val)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 10_000), D=st.sampled_from([1, 2, 8]), norms=st.sampled_from(["per row", "shared", "flat"]))
+def test_the_row_check_keeps_the_pairs_of_the_per_pair_bound(seed, D, norms):
+    # gaps just below, at and just above each pair's own bound, far above it,
+    # zero and NaN, with |x|^2 spread over six decades and up to the overflow
+    # limit: skipping the rows whose smallest gap clears the bound at their
+    # largest |x|^2 must leave the same uncertified pairs
+    gen = np.random.default_rng(seed)
+    R, m = 8, 11
+    xx = 10.0 ** gen.uniform(-3.0, 3.0, size=(R if norms == "per row" else 1, m))
+    xx[:, 0] = gen.choice([1.0, 2.0**1018, 2.0**1019, np.inf])
+    mm = 10.0 ** gen.uniform(-3.0, 3.0, size=(R, 3))
+    bound = utility._gap_bound(np.broadcast_to(xx, (R, m)) + mm.max(axis=1)[:, None], D)
+    # per row: every gap far above its bound, all but one, or a random mix
+    factor = np.full((R, m), 1e6)
+    one = gen.random(R) < 0.4
+    factor[one, gen.integers(0, m, size=int(one.sum()))] = gen.choice([0.999, 1.0, 1.001], size=int(one.sum()))
+    mixed = gen.random(R) < 0.3
+    factor[mixed] = gen.choice([0.0, 0.999, 1.0, 1.001, 1e6], size=(int(mixed.sum()), m))
+    gap = np.where(np.isfinite(bound), bound, 1.0) * factor
+    gap[gen.random((R, m)) < 0.05] = np.nan
+    got = utility._uncertified(gap, xx[0] if norms == "flat" else xx, mm, D)
+    want = (~(gap > bound)).nonzero()
+    assert [a.tolist() for a in got] == [a.tolist() for a in want]
+
+
 @settings(deadline=None, max_examples=20)
 @given(
     seed=st.integers(0, 1_000),
