@@ -246,7 +246,8 @@ class RngStream:
 
     Distinct keys give independent generators; the same key always reproduces
     the same generator, so incremental pipelines can re-roll exactly the nodes
-    they touch and nothing else.
+    they touch and nothing else. The key is digested by BLAKE2b into eight
+    32-bit words that seed NumPy's ``SeedSequence`` and a PCG64 generator.
     """
 
     root_seed: int
@@ -258,6 +259,12 @@ class RngStream:
         return RngStream(self.root_seed, purpose, node, epoch)
 
     def generator(self) -> np.random.Generator:
+        """The generator of this key.
+
+        ``SeedSequence`` takes the digest's uint32 words as an array. It reads
+        them exactly as it reads the same words given as a list of Python ints,
+        and skips converting each one.
+        """
         h = hashlib.blake2b(digest_size=32)
         h.update(int(self.root_seed).to_bytes(16, "little", signed=True))
         h.update(self.purpose.encode("utf-8"))
@@ -266,11 +273,20 @@ class RngStream:
         h.update(self.node)
         h.update(int(self.epoch).to_bytes(16, "little", signed=True))
         words = np.frombuffer(h.digest(), dtype=np.uint32)
-        return np.random.default_rng(np.random.SeedSequence(entropy=words.tolist()))
+        return np.random.default_rng(np.random.SeedSequence(entropy=words))
 
     def seeds(self, shape) -> np.ndarray:
-        """Draw an array of 63-bit seeds of the given shape (an int or a tuple), e.g. one per sampled permutation."""
-        return self.generator().integers(0, 2**63, size=shape, dtype=np.uint64)
+        """Draw a uint64 array of 63-bit seeds of the given shape (an int or a tuple), e.g. one per sampled permutation.
+
+        The seeds are the generator's raw 64-bit outputs shifted right by one
+        bit, which is exactly ``generator().integers(0, 2**63, size=shape,
+        dtype=np.uint64)``: for a range of r = 2^63 values, Lemire's method
+        returns the high word of x * r, that is x >> 1, and rejects a draw
+        only when the low word is below 2^64 mod r = 0, which never happens.
+        So no output is skipped, and the raw draw saves the bounded-integer
+        call.
+        """
+        return self.generator().bit_generator.random_raw(shape) >> np.uint64(1)
 
 
 # ---------------------------------------------------------------------------

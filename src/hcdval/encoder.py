@@ -126,17 +126,21 @@ def _feature_bounds(data: LabeledDataset):
 
 
 def _sample_pairs(labels: np.ndarray, idx: np.ndarray, partners: int, gen: np.random.Generator):
-    """For each anchor, up to ``partners`` cross-label partners from the batch."""
+    """For each anchor, up to ``partners`` cross-label partners from the batch.
+
+    Each anchor draws its partners with one ``gen.choice`` over the batch
+    positions of the other labels, in anchor order; the candidate array of
+    each label is built once per batch.
+    """
     pairs = []
     y = labels[idx]
-    for a_local, a in enumerate(idx):
-        cands = np.flatnonzero(y != y[a_local])
+    cands_of = {c: np.flatnonzero(y != c) for c in np.unique(y).tolist()}
+    for a, label in zip(idx.tolist(), y.tolist()):
+        cands = cands_of[label]
         if cands.size == 0:
             continue
-        take = min(partners, cands.size)
-        chosen = gen.choice(cands, size=take, replace=False)
-        for c in np.sort(chosen):
-            pairs.append((int(a), int(idx[c])))
+        chosen = gen.choice(cands, size=min(partners, cands.size), replace=False)
+        pairs.extend((a, c) for c in idx[np.sort(chosen)].tolist())
     return pairs
 
 

@@ -159,6 +159,33 @@ def _segmented_lloyd(
     return out
 
 
+def part_means(vectors: np.ndarray, parts: Sequence[PointSet]) -> List[np.ndarray]:
+    """Each part's ``vectors[part.indices].mean(axis=0)``, bit for bit, from one ``np.bincount``.
+
+    For d >= 2 columns, NumPy's mean over the rows of an (m, d) array adds the
+    rows one after another, as bincount adds the weights of each (part,
+    column) bin, and both divide by m. Two cases can differ. A column that is
+    -0.0 in every row of a part: bincount sums it to +0.0, and whether the
+    mean keeps -0.0 depends on how the NumPy release starts its sum, so such
+    a part takes the mean itself. And with d = 1 the mean reduces a
+    contiguous axis pairwise, so it is called as it is.
+    """
+    d = vectors.shape[1]
+    if d == 1:
+        return [vectors[part.indices].mean(axis=0) for part in parts]
+    rows = vectors[np.concatenate([part.indices for part in parts])]
+    sizes = np.array([len(part) for part in parts])
+    bins = (np.repeat(np.arange(len(parts)) * d, sizes)[:, None] + np.arange(d)).ravel()
+    sums = np.bincount(bins, weights=rows.ravel(), minlength=len(parts) * d).reshape(len(parts), d)
+    means = list(sums / sizes[:, None])
+    zero = sums == 0.0
+    if zero.any():
+        negative_zeros = np.bincount(bins, weights=((rows == 0.0) & np.signbit(rows)).ravel(), minlength=sums.size)
+        for k in np.flatnonzero((zero & (negative_zeros.reshape(sums.shape) == sizes[:, None])).any(axis=1)).tolist():
+            means[k] = vectors[parts[k].indices].mean(axis=0)
+    return means
+
+
 def capacity_window(size: int, K: int, gamma: float) -> tuple[int, int, int]:
     """Even share s = ceil(size / K) and the window [floor((1-gamma)s), ceil((1+gamma)s)]."""
     s = -(-size // K)
@@ -509,8 +536,8 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
                 child = tree._new_node(level + 1, nid, node.members, node.prototype)
                 next_ids.append(child.id)
                 continue
-            for part in parts_of[nid]:
-                child = tree._new_node(level + 1, nid, part, vectors[part.indices].mean(axis=0))
+            for part, prototype in zip(parts_of[nid], part_means(vectors, parts_of[nid])):
+                child = tree._new_node(level + 1, nid, part, prototype)
                 next_ids.append(child.id)
         tree.levels.append(next_ids)
         current = next_ids

@@ -4,7 +4,15 @@ Each ingested batch is embedded with the frozen encoder, assigned to the
 nearest leaf by cosine distance (or spawned as a new singleton leaf when no
 prototype is close enough), and only the touched leaves plus their ancestors
 — the dirty set — are re-valued, by the batch run's own engine
-(``hcdv.propagate``) restricted to the dirty path:
+(``hcdv.propagate``) restricted to the dirty path.
+
+Assignment (``_assign_rows``) is sequential, as each row sees the running-mean
+prototypes its predecessors left, but a row costs O(leaves x d) array work
+and a few small updates per ancestor: the leaf prototypes and their norms
+are stacked once per step, each row refreshes only its leaf's row, and each
+node's new points are appended once, after the last row. The payoff over
+the grown corpus (``CharacteristicFn.grown``) computes the per-point
+statistics of the new rows only. The valuation then runs:
 
 * the refreshed root surplus is scored first, as a batch run scores it;
 * then one pass per level, from the root down, over the families under
@@ -45,7 +53,7 @@ import numpy as np
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, class_codes, content_token
 from .encoder import EmbeddingMatrix
 from .hcdv import HcdvConfig, propagate, run_hcdv
-from .hierarchy import HierarchyTree, build_tree, capacity_window, split_nodes
+from .hierarchy import HierarchyTree, build_tree, capacity_window, part_means, split_nodes
 from .hierarchy import balanced_split  # noqa: F401  perfbench/tracer.py wraps this name
 from .shapley import CoalitionGame, independent_player_estimate, monte_carlo_shapley
 from .utility import CharacteristicFn
@@ -139,9 +147,9 @@ def init_stream(
     )
 
 
-def _cosine_to_prototypes(z: np.ndarray, protos: np.ndarray) -> np.ndarray:
+def _cosine_to_prototypes(z: np.ndarray, protos: np.ndarray, pn: np.ndarray) -> np.ndarray:
+    """Cosine distance of ``z`` to each prototype row, given the rows' norms ``pn``; 2 where either norm is 0."""
     zn = float(np.linalg.norm(z))
-    pn = np.linalg.norm(protos, axis=1)
     out = np.full(protos.shape[0], 2.0)
     if zn == 0.0:
         return out
@@ -150,22 +158,70 @@ def _cosine_to_prototypes(z: np.ndarray, protos: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grow_membership(tree: HierarchyTree, node_id: int, point: int, z: np.ndarray) -> None:
-    """Append a (strictly larger) point index to a node and all its ancestors."""
-    nid = node_id
-    while nid is not None:
-        node = tree.node(nid)
-        node.members = PointSet._from_sorted(np.append(node.members.indices, point))
-        m = len(node.members)
-        node.prototype = node.prototype + (z - node.prototype) / m
-        nid = node.parent
-
-
 def _mark_dirty(tree: HierarchyTree, node_id: int, dirty: set) -> None:
+    """Add a node and its ancestors to ``dirty``, which holds the ancestors of each of its nodes."""
     nid = node_id
-    while nid is not None:
+    while nid is not None and nid not in dirty:
         dirty.add(nid)
         nid = tree.node(nid).parent
+
+
+def _assign_rows(tree: HierarchyTree, first: int, Z: np.ndarray, threshold: float) -> tuple[set, int]:
+    """Add embedded rows ``Z``, points ``first``, ``first + 1``, ..., to the tree in place.
+
+    Each row goes to the leaf of the smallest cosine distance, or, past
+    ``threshold``, to a new singleton leaf under the nearest parent. Rows are
+    assigned one at a time, each against the prototypes its predecessors
+    left, and every node that gains a row takes a running-mean step. The
+    leaf prototypes and their norms are stacked once; after each row only
+    the chosen leaf's row and norm are refreshed, and a spawn re-stacks.
+    Members are appended once per node, after the last row.
+
+    :returns: the dirty set (the touched leaves and their ancestors) and the
+        number of spawned leaves
+    """
+    dirty: set = set()
+    spawned = 0
+    depth = tree.depth
+    gained: Dict[int, List[int]] = {}  # node id -> the points it gains, in order
+    sizes: Dict[int, int] = {}
+
+    def gain(nid: Optional[int], point: int, z: np.ndarray) -> None:
+        while nid is not None:
+            node = tree.node(nid)
+            m = sizes[nid] = sizes.get(nid, len(node.members)) + 1
+            gained.setdefault(nid, []).append(point)
+            node.prototype = node.prototype + (z - node.prototype) / m
+            nid = node.parent
+
+    def stack(ids: List[int]) -> tuple:
+        protos = np.stack([tree.node(nid).prototype for nid in ids])
+        return protos, np.linalg.norm(protos, axis=1)
+
+    leaf_ids = tree.leaf_ids()
+    protos, norms = stack(leaf_ids)
+    for i, z in enumerate(Z, start=first):
+        dists = _cosine_to_prototypes(z, protos, norms)
+        best = int(np.argmin(dists))
+        if depth >= 1 and float(dists[best]) > threshold:
+            parent_ids = tree.levels[depth - 1]
+            pbest = parent_ids[int(np.argmin(_cosine_to_prototypes(z, *stack(parent_ids))))]
+            leaf = tree._new_node(depth, pbest, PointSet._from_sorted(np.asarray([i], dtype=np.int64)), z)
+            tree.levels[depth].append(leaf.id)
+            gain(pbest, i, z)  # the spawn parent and its ancestors
+            spawned += 1
+            _mark_dirty(tree, leaf.id, dirty)
+            leaf_ids = tree.leaf_ids()
+            protos, norms = stack(leaf_ids)
+        else:
+            gain(leaf_ids[best], i, z)
+            _mark_dirty(tree, leaf_ids[best], dirty)
+            protos[best] = tree.node(leaf_ids[best]).prototype
+            norms[best] = np.linalg.norm(protos[best : best + 1], axis=1)[0]  # the stacked call's reduction
+    for nid, points in gained.items():
+        node = tree.node(nid)
+        node.members = PointSet._from_sorted(np.concatenate([node.members.indices, points]))
+    return dirty, spawned
 
 
 def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -> StreamState:
@@ -202,8 +258,6 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
 
     epoch = state.epoch + 1
     tree = state.tree.copy()
-    n_old = old.n
-    batch_ids = np.arange(n_old, n_old + features.shape[0], dtype=np.int64)
 
     new_vectors = np.vstack([state.embedding.vectors, Zb])
     data = replace(old, features=np.vstack([old.features, Xb]), labels=np.concatenate([old.labels, labels]))
@@ -211,26 +265,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     cf = state.cf.grown(data, embedding)  # counts this step's evaluations from zero
 
     # -- assignment ---------------------------------------------------------
-    dirty: set = set()
-    spawned = 0
+    dirty, spawned = _assign_rows(tree, old.n, np.asarray(Zb), state.assign_threshold)
     depth = tree.depth
-    for i, z in zip(batch_ids.tolist(), np.asarray(Zb)):
-        leaf_ids = tree.leaf_ids()
-        protos = np.stack([tree.node(l).prototype for l in leaf_ids])
-        dists = _cosine_to_prototypes(z, protos)
-        best = int(np.argmin(dists))
-        if depth >= 1 and float(dists[best]) > state.assign_threshold:
-            parent_ids = tree.levels[depth - 1]
-            pprotos = np.stack([tree.node(p).prototype for p in parent_ids])
-            pbest = parent_ids[int(np.argmin(_cosine_to_prototypes(z, pprotos)))]
-            leaf = tree._new_node(depth, pbest, PointSet._from_sorted(np.asarray([i], dtype=np.int64)), z)
-            tree.levels[depth].append(leaf.id)
-            _grow_membership(tree, pbest, i, z)  # the spawn parent and its ancestors
-            spawned += 1
-            _mark_dirty(tree, leaf.id, dirty)
-        else:
-            _grow_membership(tree, leaf_ids[best], i, z)
-            _mark_dirty(tree, leaf_ids[best], dirty)
 
     # -- rebalance (due every rebalance_period steps, on capacity violation) --
     rebalanced = False
@@ -251,8 +287,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
             tree.levels[depth].remove(lid)
             dirty.discard(lid)
             del tree.nodes[lid]
-            for part in parts:
-                child = tree._new_node(depth, parent, part, new_vectors[part.indices].mean(axis=0))
+            for part, prototype in zip(parts, part_means(new_vectors, parts)):
+                child = tree._new_node(depth, parent, part, prototype)
                 tree.levels[depth].append(child.id)
                 _mark_dirty(tree, child.id, dirty)
             rebalanced = True

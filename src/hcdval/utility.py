@@ -44,6 +44,7 @@ does not depend on which other coalitions share its call.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -61,10 +62,15 @@ D_MAX = 2.0  # largest cosine distance between any two embedding rows
 # the largest array a chunk's prediction forms stay within these element
 # counts, whatever the number of players. That array is the (rows, n_val)
 # gap of two classes or the (rows, n_val, C) distances of more; the auc
-# metric keeps the direct (rows, n_val, C, D) difference temporary. Payoffs
-# do not depend on the chunking.
+# metric keeps the direct (rows, n_val, C, D) difference temporary. A chunk
+# still takes at least _ROW_FLOOR rows, so a large validation split does not
+# leave it a few rows and a fixed cost per chunk that dominates, unless its
+# array would then pass _DISTANCE_CAP elements. Payoffs do not depend on the
+# chunking.
 _ONEHOT_BUDGET = 1 << 17
 _DISTANCE_BUDGET = 1 << 15
+_ROW_FLOOR = 64
+_DISTANCE_CAP = 1 << 20
 
 _KEY = np.dtype((np.void, 16))  # a coalition_key as one array element
 
@@ -148,6 +154,16 @@ def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unit = np.zeros_like(Z)
     unit[nonzero] = Z[nonzero] / norms[nonzero, None]
     return unit, nonzero
+
+
+def _point_stat_rows(features: np.ndarray, vectors: np.ndarray, lam: float) -> np.ndarray:
+    """Per-point columns of the sufficient statistics, one row per point: count,
+    features and, for the dispersion term (``lam`` > 0), unit embedding and
+    nonzero flag. Each row depends on its own point alone."""
+    columns = [np.ones(features.shape[0]), features]
+    if lam:
+        columns += list(_unit_rows(vectors))
+    return np.column_stack(columns)
 
 
 def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -504,6 +520,14 @@ def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarr
     return distinct.tolist(), row_game[first], member[first], inverse
 
 
+def _aligned_vectors(dataset: LabeledDataset, embedding) -> np.ndarray:
+    """The embedding's rows (an EmbeddingMatrix or a raw array) as float64, one per train point."""
+    vectors = np.ascontiguousarray(getattr(embedding, "vectors", embedding), dtype=np.float64)
+    if vectors.ndim != 2 or vectors.shape[0] != dataset.n:
+        raise ValueError("embedding rows must align with the train split")
+    return vectors
+
+
 class CharacteristicFn:
     """Memoised bounded payoff v(S) = utility(S) + lambda * dispersion(S).
 
@@ -543,10 +567,7 @@ class CharacteristicFn:
         metric: str = "accuracy",
         learner: str = "nearest_centroid",
     ):
-        vectors = getattr(embedding, "vectors", embedding)
-        vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        if vectors.ndim != 2 or vectors.shape[0] != dataset.n:
-            raise ValueError("embedding rows must align with the train split")
+        vectors = _aligned_vectors(dataset, embedding)
         if lam < 0:
             raise ValueError("lambda must be non-negative")
         if metric not in METRICS:
@@ -565,13 +586,7 @@ class CharacteristicFn:
         self.evaluations = 0  # cache misses: actual payoff computations
         self.lookups = 0
         if learner == "nearest_centroid":
-            # per-point columns of the sufficient statistics: count, features
-            # and, for the dispersion term, unit embedding and nonzero flag
-            columns = [np.ones(dataset.n), dataset.features]
-            if self.lam:
-                unit, nonzero = _unit_rows(vectors)
-                columns += [unit, nonzero]
-            self._point_stats = np.column_stack(columns)
+            self._point_stats = _point_stat_rows(dataset.features, vectors, self.lam)
 
     @property
     def B(self) -> float:
@@ -583,11 +598,21 @@ class CharacteristicFn:
 
         The new payoff has the same settings and shares this one's cache and
         table of point words: both stay valid, since a point keeps its index.
-        It counts its own ``evaluations`` and ``lookups``, from zero.
+        Its per-point statistics are this payoff's, followed by those of the
+        appended points alone; each row depends on its own point only, so they
+        equal a fresh payoff's bit for bit. It counts its own ``evaluations``
+        and ``lookups``, from zero.
         """
-        cf = CharacteristicFn(dataset, embedding, lam=self.lam, metric=self.metric, learner=self.learner)
-        cf._cache = self._cache
-        cf._words = self._words
+        n = self.dataset.n
+        if dataset.n < n or dataset.num_classes != self.dataset.num_classes:
+            raise ValueError("a grown corpus keeps every point and class of this one")
+        cf = copy.copy(self)
+        cf.dataset = dataset
+        cf.vectors = _aligned_vectors(dataset, embedding)
+        cf.evaluations = cf.lookups = 0
+        if self.learner == "nearest_centroid":
+            fresh = _point_stat_rows(dataset.features[n:], cf.vectors[n:], self.lam)
+            cf._point_stats = np.concatenate([self._point_stats, fresh])
         return cf
 
     def _point_words(self, indices: np.ndarray) -> np.ndarray:
@@ -712,7 +737,7 @@ class CharacteristicFn:
         chance = chance_level(self.metric, C)
         out = np.empty(rows.shape[0])
         per_row = val_y.size * (C * D if self.metric == "auc" else 1 if C == 2 else C)
-        step = max(1, _DISTANCE_BUDGET // per_row)
+        step = max(1, _DISTANCE_BUDGET // per_row, min(_ROW_FLOOR, _DISTANCE_CAP // per_row))
         for start in range(0, rows.shape[0], step):
             chunk = rows[start : start + step]
             chunk_game = game[start : start + step]

@@ -10,6 +10,7 @@ distance formula, and the Shapley solvers that use it to a plain callable.
 
 import math
 import os
+from dataclasses import replace
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +297,7 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     alone = np.concatenate([score(row[None]) for row in rows])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(utility, "_DISTANCE_BUDGET", 1)  # one-row chunks
+        mp.setattr(utility, "_ROW_FLOOR", 1)
         chunked = score(rows)
     assert together.tobytes() == alone.tobytes() == chunked.tobytes()
     assert score(rows[subset]).tobytes() == together[subset].tobytes()
@@ -325,6 +327,7 @@ def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_p
 
     monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
     monkeypatch.setattr(utility, "_DISTANCE_BUDGET", budget)
+    monkeypatch.setattr(utility, "_ROW_FLOOR", 1)  # the budget alone sizes the chunks
     cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
     step = max(1, budget // (n_val * per_point))
     assert [r for r, _ in chunks] == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
@@ -332,10 +335,70 @@ def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_p
         assert r * v * per_point <= budget or (r == 1 and v * per_point > budget)
 
 
+@pytest.mark.parametrize(
+    "C, metric, per_point, cap, step",
+    [
+        (2, "accuracy", 1, utility._DISTANCE_CAP, 64),  # the budget gives 32 rows, the floor 64
+        (3, "balanced_accuracy", 3, utility._DISTANCE_CAP, 64),  # the budget gives 10 rows
+        (2, "auc", 2 * 3, utility._DISTANCE_CAP, 64),  # the budget gives 5 rows
+        (2, "auc", 2 * 3, 100_000, 16),  # the cap holds the floor to 100,000 // 6,000 rows
+        (2, "auc", 2 * 3, 1_000, 5),  # a cap below the budget leaves the budget's rows
+    ],
+)
+def test_chunks_take_the_row_floor_unless_it_passes_the_cap(C, metric, per_point, cap, step, monkeypatch):
+    gen = np.random.default_rng(C)
+    n, n_val, D = 8 * C, 1_000, 3
+    data = LabeledDataset(
+        gen.normal(size=(n, D)), np.arange(n) % C, gen.normal(size=(n_val, D)), np.arange(n_val) % C, C
+    )
+    cf = CharacteristicFn(data, data.features, lam=0.5, metric=metric)
+    blocks = [PointSet(range(j * C, (j + 1) * C)) for j in range(8)]
+    rows = gen.random((150, 8)) < 0.5
+    rows[:, 0] = True
+    chunks = []
+    scorer = utility._nearest_centroid_utility
+
+    def record(counts, sums, val_X, *args):
+        chunks.append(counts.shape[0])
+        return scorer(counts, sums, val_X, *args)
+
+    monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
+    monkeypatch.setattr(utility, "_DISTANCE_CAP", cap)
+    assert utility._DISTANCE_BUDGET // (n_val * per_point) < utility._ROW_FLOOR == 64
+    floored = cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
+    assert chunks == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
+    monkeypatch.setattr(utility, "_ROW_FLOOR", 1)
+    assert floored.tobytes() == cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows).tobytes()
+
+
 def ridge_case(lam: float):
     data = make_synthetic(30, seed=2)
     blocks = [PointSet(range(i, data.n, 3)) for i in range(3)]
     return data, blocks, CharacteristicFn(data, data.features, lam=lam, learner="ridge_logistic")
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_a_grown_payoff_equals_a_fresh_one_over_the_grown_corpus(lam):
+    full = make_synthetic(90, seed=3)
+    gen = np.random.default_rng(3)
+    emb = gen.normal(size=(full.n, 5))
+    emb[::7] = 0.0  # zero-norm rows: unit row 0 and flag 0
+    emb[3, 0] = -0.0
+
+    def prefix(n):
+        return replace(full, features=full.features[:n], labels=full.labels[:n]), emb[:n]
+
+    cf = CharacteristicFn(*prefix(40), lam=lam)
+    for n in (41, 57, full.n):  # one row, then several
+        cf = cf.grown(*prefix(n))
+        fresh = CharacteristicFn(*prefix(n), lam=lam)
+        assert cf._point_stats.tobytes() == fresh._point_stats.tobytes()
+        blocks = [PointSet(part) for part in np.array_split(gen.permutation(n), 6)]
+        rows = gen.random((30, 6)) < 0.5
+        got = cf.evaluate_games([(blocks, rows)])[0]
+        assert got.tobytes() == fresh.evaluate_games([(blocks, rows)])[0].tobytes()
+    with pytest.raises(ValueError, match="grown corpus"):
+        cf.grown(*prefix(50))
 
 
 def test_blocks_must_be_disjoint_and_learner_batchable():

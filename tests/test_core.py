@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -88,6 +89,32 @@ def test_rng_stream_seeds_are_63_bit():
     # a shape draws the generator's integers in C order
     grid = RngStream(3, "seeds").seeds((4, 25))
     assert grid.shape == (4, 25) and grid.tobytes() == seeds.tobytes()
+
+
+def _reference_generator(stream: RngStream) -> np.random.Generator:
+    """The generator a key digests to, with the digest's words passed as a list of Python ints."""
+    h = hashlib.blake2b(digest_size=32)
+    h.update(int(stream.root_seed).to_bytes(16, "little", signed=True))
+    h.update(stream.purpose.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(len(stream.node).to_bytes(8, "little"))
+    h.update(stream.node)
+    h.update(int(stream.epoch).to_bytes(16, "little", signed=True))
+    words = np.frombuffer(h.digest(), dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy=words.tolist()))
+
+
+@pytest.mark.parametrize("root_seed", [0, 7, -3, -(2**70), 2**64 + 5, 2**100])
+@pytest.mark.parametrize("node", [b"", b"\x00", bytes(range(256)) * 4])
+def test_rng_stream_draws_equal_the_generator_and_bounded_integers(root_seed, node):
+    for epoch in (0, 1, 12, -2):
+        stream = RngStream(root_seed, "refresh-node", node, epoch)
+        assert stream.generator().bit_generator.state == _reference_generator(stream).bit_generator.state
+        for shape in (0, 1, 7, 64, (3, 5), (2, 0), (0,), (4, 1, 3), ()):
+            want = _reference_generator(stream).integers(0, 2**63, size=shape, dtype=np.uint64)
+            got = stream.seeds(shape)
+            assert got.dtype == want.dtype == np.uint64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 def test_matrix_binary_roundtrip(tmp_path):

@@ -349,3 +349,36 @@ def test_stacked_gradient_step_memory_is_bounded():
         tracemalloc.stop()
     assert grad.shape == (d, D) and np.isfinite(grad).all() and grad.any()
     assert peak < 32 * 2**20
+
+
+def _reference_sample_pairs(labels, idx, partners, gen):
+    """The per-anchor pair sampler: one candidate array and one pair at a time per anchor."""
+    pairs = []
+    y = labels[idx]
+    for a_local, a in enumerate(idx):
+        cands = np.flatnonzero(y != y[a_local])
+        if cands.size == 0:
+            continue
+        chosen = gen.choice(cands, size=min(partners, cands.size), replace=False)
+        for c in np.sort(chosen):
+            pairs.append((int(a), int(idx[c])))
+    return pairs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    C=st.integers(1, 4),
+    size=st.integers(1, 24),
+    partners=st.integers(1, 6),
+)
+def test_pair_sampling_equals_the_per_anchor_loop(seed, C, size, partners):
+    gen = np.random.default_rng(seed)
+    labels = gen.integers(0, C, size=60)  # C = 1: a one-class batch, which yields no pairs
+    idx = np.sort(gen.choice(60, size=size, replace=False))
+    got = encoder._sample_pairs(labels, idx, partners, np.random.default_rng(seed + 1))
+    want = _reference_sample_pairs(labels, idx, partners, np.random.default_rng(seed + 1))
+    assert got == want
+    assert all(type(a) is int and type(b) is int for a, b in got)
+    if np.unique(labels[idx]).size == 1:
+        assert got == []

@@ -440,3 +440,19 @@ def test_non_finite_embedding_rows_are_named(bad):
         build_tree(np.full((10, 2), bad), (2,), leaf_cap=4, gamma=0.25, seed=0)
     with pytest.raises(ValueError, match="embedding row 7 is not finite"):  # a root that needs no split
         build_tree(emb[:10], (3,), leaf_cap=12, gamma=0.25, seed=0)
+
+
+@pytest.mark.parametrize("D", [1, 2, 5])
+def test_part_means_keep_the_mean_of_negative_zero_columns(D):
+    gen = np.random.default_rng(D)
+    X = gen.normal(size=(40, D))
+    X[:, 0] = -0.0  # -0.0 in every row of every part
+    X[:20, -1] = -0.0  # -0.0 in every row of the first two parts
+    X[20:25, -1] = [-0.0, 0.0, -0.0, -0.0, -0.0]  # a +0.0 among them
+    X[25:28] = -0.0
+    parts = [PointSet(range(0, 10)), PointSet(range(10, 20)), PointSet(range(20, 25)), PointSet(range(25, 40)), PointSet([27])]
+    for part, mean in zip(parts, hierarchy.part_means(X, parts)):
+        assert mean.tobytes() == X[part.indices].mean(axis=0).tobytes()
+    tree = build_tree(X, (2, 2), leaf_cap=5, gamma=0.25, seed=D)
+    for node in tree.nodes.values():
+        assert node.prototype.tobytes() == X[node.members.indices].mean(axis=0).tobytes()

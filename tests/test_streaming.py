@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcdval.core import EMPTY_SET, LabeledDataset, dataset_from_arrays
+from hcdval.core import EMPTY_SET, LabeledDataset, PointSet, dataset_from_arrays
 from hcdval.encoder import identity_embeddings
 from hcdval.evaluation import synthetic_rows
 from hcdval.hcdv import HcdvConfig, last_run_report, run_hcdv
@@ -341,3 +341,93 @@ def test_propagation_conserves_and_confines_over_random_streams(seed, period, ba
                 idx = members.indices
                 assert new.values[idx].tobytes() == state.values[idx].tobytes()
         state = new
+
+
+def _reference_assign_rows(tree, first, Z, threshold):
+    """Row-by-row assignment that re-stacks and re-norms every prototype for each row,
+    and appends each row to its node and every ancestor as it goes."""
+
+    def cosine(z, protos):
+        zn, pn = float(np.linalg.norm(z)), np.linalg.norm(protos, axis=1)
+        out = np.full(protos.shape[0], 2.0)
+        if zn == 0.0:
+            return out
+        ok = pn > 0.0
+        out[ok] = 1.0 - (protos[ok] @ z) / (pn[ok] * zn)
+        return out
+
+    def grow(nid, point, z):
+        while nid is not None:
+            node = tree.node(nid)
+            node.members = PointSet._from_sorted(np.append(node.members.indices, point))
+            node.prototype = node.prototype + (z - node.prototype) / len(node.members)
+            nid = node.parent
+
+    def mark(nid):
+        while nid is not None:
+            dirty.add(nid)
+            nid = tree.node(nid).parent
+
+    dirty, spawned, depth = set(), 0, tree.depth
+    for i, z in enumerate(Z, start=first):
+        leaf_ids = tree.leaf_ids()
+        dists = cosine(z, np.stack([tree.node(l).prototype for l in leaf_ids]))
+        best = int(np.argmin(dists))
+        if depth >= 1 and float(dists[best]) > threshold:
+            parent_ids = tree.levels[depth - 1]
+            pbest = parent_ids[int(np.argmin(cosine(z, np.stack([tree.node(p).prototype for p in parent_ids]))))]
+            leaf = tree._new_node(depth, pbest, PointSet([i]), z)
+            tree.levels[depth].append(leaf.id)
+            grow(pbest, i, z)
+            spawned += 1
+            mark(leaf.id)
+        else:
+            grow(leaf_ids[best], i, z)
+            mark(leaf_ids[best])
+    return dirty, spawned
+
+
+def _assert_same_nodes(got, want):
+    assert got.levels == want.levels and sorted(got.nodes) == sorted(want.nodes)
+    for nid, node in want.nodes.items():
+        assert got.node(nid).members.indices.tobytes() == node.members.indices.tobytes()
+        assert got.node(nid).prototype.tobytes() == node.prototype.tobytes()
+        assert (got.node(nid).parent, got.node(nid).children) == (node.parent, node.children)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_assignment_equals_the_per_row_loop_over_a_random_stream(seed, monkeypatch):
+    X, y = two_blob_rows(18, seed=0)
+    data = dataset_from_arrays(X, y, val_fraction=0.2, seed=0, standardise=False)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, branching=(3, 2), leaf_cap=6, gamma=0.25, seed=seed)
+    cfg = HcdvConfig(T=4, leaf_cap=6, seed=seed)
+    cf = CharacteristicFn(data, emb, lam=0.5)
+    # a low threshold spawns leaves, and every step rebalances the oversize ones
+    state = init_stream(data, emb, tree, cf, cfg, assign_threshold=0.002, rebalance_period=1, tree_seed=seed)
+    rng = np.random.default_rng(seed)
+    spawned = assigned = 0
+    for step in range(6):
+        if step % 2 == 0:  # a new centre, then more rows near it, which fill its leaf past the cap
+            centre = rng.uniform(-7.0, 7.0, size=2)
+        feats, labs = batch_near(centre, int(rng.integers(1, 9)), seed=10 * seed + step, label=step % 2)
+        # the assignment alone, on copies of the step's input tree
+        got, want = state.tree.copy(), state.tree.copy()
+        result = streaming._assign_rows(got, state.data.n, feats, state.assign_threshold)
+        assert result == _reference_assign_rows(want, state.data.n, feats, state.assign_threshold)
+        _assert_same_nodes(got, want)
+        spawned += result[1]
+        assigned += len(feats) - result[1]
+        # and the whole step, rebalance and valuation included
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            new = ingest_batch(state, feats, labs)
+            with monkeypatch.context() as mp:
+                mp.setattr(streaming, "_assign_rows", _reference_assign_rows)
+                ref = ingest_batch(state, feats, labs)
+        _assert_same_nodes(new.tree, ref.tree)
+        assert new.tree.to_json() == ref.tree.to_json()
+        assert new.values.tobytes() == ref.values.tobytes()
+        assert (new.metrics[-1].dirty_count, new.metrics[-1].spawned) == (ref.metrics[-1].dirty_count, ref.metrics[-1].spawned)
+        state = new
+    assert spawned > 0 and assigned > 0 and any(m.rebalanced for m in state.metrics)
