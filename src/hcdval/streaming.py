@@ -184,14 +184,13 @@ def _assign_rows(tree: HierarchyTree, first: int, Z: np.ndarray, threshold: floa
     spawned = 0
     depth = tree.depth
     gained: Dict[int, List[int]] = {}  # node id -> the points it gains, in order
-    sizes: Dict[int, int] = {}
 
     def gain(nid: Optional[int], point: int, z: np.ndarray) -> None:
         while nid is not None:
             node = tree.node(nid)
-            m = sizes[nid] = sizes.get(nid, len(node.members)) + 1
-            gained.setdefault(nid, []).append(point)
-            node.prototype = node.prototype + (z - node.prototype) / m
+            points = gained.setdefault(nid, [])
+            points.append(point)
+            node.prototype = node.prototype + (z - node.prototype) / (len(node.members) + len(points))
             nid = node.parent
 
     def stack(ids: List[int]) -> tuple:

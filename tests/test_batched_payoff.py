@@ -103,7 +103,8 @@ def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
     # a payoff over the grown corpus shares the cache and the table, appends the new points' words,
     # and counts its own evaluations
     cf.evaluate(PointSet([0, 1]))
-    grown = make_synthetic(50, seed=2)
+    extra = make_synthetic(20, seed=3)
+    grown = replace(data, features=np.vstack([data.features, extra.features]), labels=np.concatenate([data.labels, extra.labels]))
     bigger = cf.grown(grown, grown.features)
     assert bigger._cache is cf._cache and bigger._words is cf._words and bigger.evaluations == 0
     assert [bigger._key(S) for S in sets + [PointSet([data.n, grown.n - 1])]] == [
