@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -291,29 +291,29 @@ class ErrorBudgetReport:
 
 def _diagnostic_level_estimator(
     tree: HierarchyTree, cf, cfg: HcdvConfig, game_scope: str, sampling: str
-) -> Callable[[int, Families], Dict[int, Optional[float]]]:
+) -> Callable[[int, Families], Dict[int, float]]:
     """A ``propagate`` level estimator for the diagnostic game modes.
 
     ``game_scope="parent"`` plays one game per family on ``run_hcdv``'s
-    streams (a sole child maps to None); "global" plays one game over all the
+    streams (a sole child maps to 0.0); "global" plays one game over all the
     families' children. ``sampling`` is "prefix" or "independent".
     """
     if game_scope not in GAME_SCOPES:
         raise ValueError(f"unknown game_scope {game_scope!r}")
 
-    def play(node_ids: List[int], purpose: str, token) -> Dict[int, Optional[float]]:
+    def play(node_ids: List[int], purpose: str, token) -> Dict[int, float]:
         game = CoalitionGame([tree.node(c).members for c in node_ids], cf)
         est = monte_carlo_shapley(game, cfg.T, RngStream(cfg.seed, purpose, token), sampling=sampling)
         return dict(zip(node_ids, est.values.tolist()))
 
-    def level_estimates(level: int, families: Families) -> Dict[int, Optional[float]]:
+    def level_estimates(level: int, families: Families) -> Dict[int, float]:
         if game_scope == "global":
             node_ids = [c for _, kids in families for c in kids]
             token = content_token(level, *(tree.node(c).members.indices for c in node_ids))
             return play(node_ids, "level-game-global", token)
-        estimates: Dict[int, Optional[float]] = {}
+        estimates: Dict[int, float] = {}
         for pid, kids in families:
-            estimates.update(play(kids, "level-game", tree.family_token(pid)) if len(kids) > 1 else {kids[0]: None})
+            estimates.update(play(kids, "level-game", tree.family_token(pid)) if len(kids) > 1 else {kids[0]: 0.0})
         return estimates
 
     return level_estimates
@@ -322,7 +322,7 @@ def _diagnostic_level_estimator(
 def diagnostic_hcdv(
     data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig, game_scope: str, sampling: str
 ) -> ValueVector:
-    """``run_hcdv``'s normalised hand-down with the level games played the given way.
+    """``run_hcdv``'s hand-down with the level games played the given way.
 
     The values still sum to the root surplus; ("parent", "prefix") equals
     ``run_hcdv`` bit for bit. No run report is kept.

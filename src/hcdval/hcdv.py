@@ -3,11 +3,12 @@
 One run works root-down. The total surplus v(D) - v(empty) enters at the
 root; every family (children of one parent) plays a small coalition game
 whose Monte-Carlo Shapley estimates decide how the parent's mass splits among
-the children (negative estimates are clipped; an all-zero family splits
-evenly); leaves finally spread their own mass over member points, exactly
-(rescaled within-leaf Shapley) when the leaf is small enough, evenly
-otherwise. Because each family hands down exactly its parent's mass, the
-point values sum to the root surplus by construction.
+the children; leaves finally spread their own mass over member points, by
+exact within-leaf Shapley when the leaf is small enough, evenly otherwise.
+Both splits are the additive efficient rule (``_split_mass``), so a child or
+point keeps the sign of its estimate: a negative value means the point lowers
+the payoff of its leaf or family. Because each family hands down exactly its
+parent's mass, the point values sum to the root surplus by construction.
 
 ``propagate`` is the one hand-down engine, for the batch run and for
 streaming ingest alike; each caller brings its own level estimator. Given a
@@ -21,7 +22,7 @@ redistributes are played in one ``exact_shapley`` call, so their coalitions
 are scored in one payoff call.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
-handed down normalised. The diagnostic game modes live in ``evaluation.py``.
+split additively. The diagnostic game modes live in ``evaluation.py``.
 The per-node masses are the budgets the paper propagates down the tree.
 """
 
@@ -100,11 +101,10 @@ _LAST_REPORT: Optional[HcdvReport] = None
 
 
 def _split_mass(pot: float, estimates: np.ndarray) -> np.ndarray:
-    clipped = np.clip(estimates, 0.0, None)
-    total = clipped.sum()
-    if total > 0.0:
-        return pot * clipped / total
-    return np.full(estimates.size, pot / estimates.size)
+    """est_i + (pot - sum(est)) / K: the additive efficient split, signed and
+    linear (the least-squares efficient values of Ruiz, Valenciano & Zarzuelo
+    1998). Written as pot / K + (est_i - mean), a sole share is the pot exactly."""
+    return pot / estimates.size + (estimates - math.fsum(estimates.tolist()) / estimates.size)
 
 
 def _plays_exact_leaf(cfg: HcdvConfig, g: int) -> bool:
@@ -121,8 +121,8 @@ def _distribute_leaves(values: np.ndarray, leaves: List[Tuple[PointSet, float]],
     """Spread each (members, mass) leaf's mass over its points.
 
     The leaves that play exact within-leaf games play them in one
-    ``exact_shapley`` call, so their coalitions are scored in one payoff call;
-    the others split their mass evenly.
+    ``exact_shapley`` call, so their coalitions are scored in one payoff call,
+    and split their mass by ``_split_mass``; the others split it evenly.
     """
     exact = [(members, mass) for members, mass in leaves if _plays_exact_leaf(cfg, len(members))]
     estimates = exact_shapley([_leaf_game(members, cf) for members, _ in exact])
@@ -143,18 +143,19 @@ def propagate(
     surplus: float,
     values: np.ndarray,
     masses: Dict[int, float],
-    level_estimates: Callable[[int, Families], Dict[int, Optional[float]]],
+    level_estimates: Callable[[int, Families], Dict[int, float]],
     dirty: Optional[Set[int]] = None,
 ) -> Tuple[Dict[str, int], Dict[str, float]]:
     """Hand the root surplus down the tree into ``values``, family by family.
 
     Level by level from the root, ``level_estimates(level, families)`` gets
     that level's families under dirty parents and returns raw estimates for
-    (at least) their dirty children; a sole child mapped to None inherits
-    its parent's whole mass. Clean children keep their masses; dirty ones
-    split the residual, the parent's mass minus the clean children's, by
-    their clipped estimates. Then every dirty leaf spreads its mass over its
-    points, the exact leaves' games all in one payoff call.
+    (at least) their dirty children; a sole child maps to 0.0, as the split
+    gives it the whole pot. Clean children keep their masses; dirty ones split
+    the residual, the parent's mass minus the clean children's, by
+    ``_split_mass``. A negative residual is an ordinary signed mass; a warning
+    names its parent. Then every dirty leaf spreads its mass over its points,
+    the exact leaves' games all in one payoff call.
     ``dirty=None`` marks every node dirty: the batch run. ``masses`` and
     ``values`` are updated in place. Returns the payoff evaluations and the
     wall-clock milliseconds of each phase: the estimates ("sweeps") and the
@@ -180,13 +181,9 @@ def propagate(
         with phase("sweeps"):
             raw = level_estimates(level, families)
         for pid, kids in families:
-            pot = masses[pid]
-            if len(kids) == 1 and raw[kids[0]] is None:
-                masses[kids[0]] = pot
-                continue
             clean_kids = [c for c in kids if c not in dirty]
             dirty_kids = [c for c in kids if c in dirty]
-            residual = pot - math.fsum(masses[c] for c in clean_kids)
+            residual = masses[pid] - math.fsum(masses[c] for c in clean_kids)
             if residual < 0.0 and clean_kids:
                 warnings.warn(f"negative residual mass {residual} under node {pid}")
             ests = np.asarray([raw[c] for c in dirty_kids], dtype=np.float64)
@@ -236,8 +233,8 @@ def run_hcdv(
         if _plays_exact_leaf(cfg, g):
             eval_bound += 1 << g
 
-    def level_games(level: int, families: Families) -> Dict[int, Optional[float]]:
-        estimates: Dict[int, Optional[float]] = {kids[0]: None for _, kids in families if len(kids) == 1}
+    def level_games(level: int, families: Families) -> Dict[int, float]:
+        estimates = {kids[0]: 0.0 for _, kids in families if len(kids) == 1}
         played = [(pid, kids) for pid, kids in families if len(kids) > 1]
         if played:
             games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids in played]

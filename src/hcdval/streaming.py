@@ -29,9 +29,9 @@ statistics of the new rows only. The valuation then runs:
   - clean children keep their cached masses unchanged and the dirty children
     split the residual (parent mass minus the clean children's share), so
     value drift stays confined to the dirty subtree while the point values
-    still sum to the refreshed total surplus. A negative residual is split
-    by the same rule, so the dirty children's shares turn negative, and a
-    warning names the parent;
+    still sum to the refreshed total surplus. The split is the batch run's
+    additive efficient rule, so a negative residual is an ordinary signed
+    mass, split like any other; a warning still names its parent;
 * last, only the dirty leaves spread their new mass over their points.
 
 The tree is copied node by node on every batch (member sets are shared, as
@@ -301,8 +301,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     if surplus < 0.0:
         warnings.warn(f"refreshed total surplus is negative ({surplus})")
 
-    def refresh(level: int, families) -> Dict[int, Optional[float]]:
-        estimates: Dict[int, Optional[float]] = {kids[0]: None for _, kids in families if len(kids) == 1}
+    def refresh(level: int, families) -> Dict[int, float]:
+        estimates = {kids[0]: 0.0 for _, kids in families if len(kids) == 1}
         swept, partly = [], []
         for pid, kids in families:
             if len(kids) > 1:

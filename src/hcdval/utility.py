@@ -601,14 +601,18 @@ class CharacteristicFn:
         Its per-point statistics are this payoff's, followed by those of the
         appended points alone; each row depends on its own point only, so they
         equal a fresh payoff's bit for bit. It counts its own ``evaluations``
-        and ``lookups``, from zero.
+        and ``lookups``, from zero. A corpus that drops or edits a point, a
+        class or a validation row raises ValueError.
         """
-        n = self.dataset.n
-        if dataset.n < n or dataset.num_classes != self.dataset.num_classes:
+        old, n = self.dataset, self.dataset.n
+        vectors = _aligned_vectors(dataset, embedding)
+        same = [(dataset.features[:n], old.features), (dataset.labels[:n], old.labels), (vectors[:n], self.vectors),
+                (dataset.val_features, old.val_features), (dataset.val_labels, old.val_labels)]
+        if dataset.n < n or dataset.num_classes != old.num_classes or not all(np.array_equal(a, b) for a, b in same):
             raise ValueError("a grown corpus keeps every point and class of this one")
         cf = copy.copy(self)
         cf.dataset = dataset
-        cf.vectors = _aligned_vectors(dataset, embedding)
+        cf.vectors = vectors
         cf.evaluations = cf.lookups = 0
         if self.learner == "nearest_centroid":
             fresh = _point_stat_rows(dataset.features[n:], cf.vectors[n:], self.lam)

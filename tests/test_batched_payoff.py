@@ -402,6 +402,24 @@ def test_a_grown_payoff_equals_a_fresh_one_over_the_grown_corpus(lam):
         cf.grown(*prefix(50))
 
 
+def test_a_grown_corpus_must_keep_the_old_rows_and_validation_split():
+    full = make_synthetic(60, seed=3)
+    emb = np.random.default_rng(3).normal(size=(full.n, 4))
+    cf = CharacteristicFn(replace(full, features=full.features[:40], labels=full.labels[:40]), emb[:40], lam=0.5)
+
+    def edited(array):
+        array = array.copy()
+        array[0] = array[0] + 1 if array.dtype.kind == "f" else (array[0] + 1) % full.num_classes
+        return array
+
+    assert cf.grown(full, emb).dataset is full
+    for field in ("features", "labels", "val_features", "val_labels"):
+        with pytest.raises(ValueError, match="grown corpus"):
+            cf.grown(replace(full, **{field: edited(getattr(full, field))}), emb)
+    with pytest.raises(ValueError, match="grown corpus"):
+        cf.grown(full, edited(emb))
+
+
 def test_blocks_must_be_disjoint_and_learner_batchable():
     rows = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 1], [1, 1, 1]], dtype=bool)
     for lam in (0.0, 0.5):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcdval import hcdv, shapley, streaming
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
@@ -72,6 +74,87 @@ def test_exact_leaf_mode_sums_to_leaf_mass():
             continue
         total = math.fsum(float(phi.values[i]) for i in node.members.indices)
         assert total == pytest.approx(report.masses[node_id], abs=1e-9)
+
+
+# ------------------------------------------------- additive efficient split
+
+
+def test_split_adds_an_equal_share_of_the_gap_to_each_signed_estimate():
+    # the gap 1.0 - 0.25 is shared equally, and each share keeps its estimate's sign
+    shares = hcdv._split_mass(1.0, np.array([0.5, -0.25, 0.125, -0.125]))
+    assert shares.tolist() == [0.6875, -0.0625, 0.3125, 0.0625]
+
+
+finite = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    pot=finite,
+    other_pot=finite,
+    ests=st.lists(st.tuples(finite, finite), min_size=1, max_size=12),
+    a=st.floats(-4.0, 4.0),
+    b=st.floats(-4.0, 4.0),
+    perm_seed=st.integers(0, 2**32 - 1),
+)
+def test_split_is_efficient_affine_and_symmetric(pot, other_pot, ests, a, b, perm_seed):
+    x = np.array([e for e, _ in ests])
+    y = np.array([e for _, e in ests])
+    split = hcdv._split_mass
+    shares = split(pot, x)
+    scale = abs(pot) + float(np.abs(x).sum())
+    assert math.fsum(shares.tolist()) == pytest.approx(pot, abs=1e-13 * len(ests) * scale)
+    mixed = split(a * pot + b * other_pot, a * x + b * y)
+    tol = 1e-13 * len(ests) * (1.0 + abs(a) * scale + abs(b) * (abs(other_pot) + float(np.abs(y).sum())))
+    assert np.allclose(mixed, a * shares + b * split(other_pot, y), rtol=0.0, atol=tol)
+    perm = np.random.default_rng(perm_seed).permutation(len(ests))
+    assert split(pot, x[perm]).tobytes() == shares[perm].tobytes()
+    even = split(pot, np.full(len(ests), x[0]))
+    assert np.all(even == even[0]) and even[0] == pytest.approx(pot / len(ests), abs=1e-13 * scale)
+    assert split(pot, x[:1]).tolist() == [pot]
+
+
+def test_exact_leaf_point_keeps_its_negative_shapley_value_plus_the_shared_gap():
+    data, emb, tree, cf = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=1)
+    cfg = HcdvConfig(T=8, leaf_cap=6, seed=1)
+    phi = run_hcdv(data, emb, tree, cf, cfg)
+    masses = last_run_report().masses
+    checked = 0
+    for lid in tree.leaf_ids():
+        members = tree.node(lid).members
+        if not hcdv._plays_exact_leaf(cfg, len(members)):
+            continue
+        est = shapley.exact_shapley(hcdv._leaf_game(members, cf)).values
+        want = est + (masses[lid] - math.fsum(est.tolist())) / len(members)
+        assert phi.values[members.indices] == pytest.approx(want, rel=1e-12, abs=1e-15)
+        checked += int(np.sum((est < 0.0) & (want < 0.0)))
+    assert checked > 0  # some point has a negative exact estimate and a negative value
+
+
+def test_sole_child_takes_its_parents_mass_bit_for_bit():
+    data, emb, tree, cf = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=1)
+    run_hcdv(data, emb, tree, cf, HcdvConfig(T=8, leaf_cap=6, seed=1))
+    masses = last_run_report().masses
+    sole = {pid: kids[0] for level in range(1, len(tree.levels)) for pid, kids in tree.families(level) if len(kids) == 1}
+    assert any(kid in sole for kid in sole.values())  # a chain of at least two sole children
+    for pid, kid in sole.items():
+        assert masses[kid] == masses[pid]
+
+
+def test_a_run_is_additive_across_payoffs_like_its_games():
+    # gate 4's additivity survives the hand-down: on one tree and seed, the
+    # run on v1 + v2 gives the sum of the runs on v1 and on v2
+    data, emb, tree, _ = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=1)
+    cfg = HcdvConfig(T=8, leaf_cap=6, seed=1)
+    cfs = [CharacteristicFn(data, emb, lam=0.5), CharacteristicFn(data, emb, lam=0.5, metric="balanced_accuracy")]
+
+    class Summed:
+        def evaluate(self, points):
+            return cfs[0].evaluate(points) + cfs[1].evaluate(points)
+
+    parts = [run_hcdv(data, emb, tree, cf, cfg).values for cf in cfs]
+    both = run_hcdv(data, emb, tree, Summed(), cfg).values
+    assert np.allclose(both, parts[0] + parts[1], rtol=0.0, atol=1e-12)
 
 
 def test_single_leaf_tree_costs_two_evaluations():
