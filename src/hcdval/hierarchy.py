@@ -10,6 +10,10 @@ All the nodes that one level splits are split together (``split_nodes``):
 their rows are stacked, each Lloyd step is a few NumPy calls for the whole
 level, and each node still draws from its own seeded stream, stops on its
 own and gets the parts that splitting it alone (``balanced_split``) gives.
+Distances are laid out (node, centroid, point), so a minimum over the K
+centroids is K passes along the points of every node at once: the Lloyd
+assignment (``utility._nearest``), and the fill's preferences. The nodes of
+one size draw each k-means++ seed together.
 """
 
 from __future__ import annotations
@@ -48,35 +52,51 @@ def _pad(X: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X[starts[:, None] + rows], np.arange(sizes.max()) < sizes[:, None]
 
 
-def _weighted_draw(gen: np.random.Generator, p: np.ndarray) -> int:
-    """The index ``gen.choice(len(p), p=p)`` draws, without its checks on p."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(gen.random(), side="right"))
+def _weighted_draws(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each row of ``p``, the index ``gen.choice(len(row), p=row)`` draws when ``gen.random()`` gives u.
+
+    choice draws the first index past u on the cumulative sum of p scaled to
+    end at 1, without its checks on p. That sum never decreases, so the index
+    ``searchsorted`` finds is the count of its entries at or below u, which
+    every row takes in one pass.
+    """
+    cdf = np.cumsum(p, axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(axis=1)
 
 
 def _kmeans_pp_init(X: np.ndarray, sizes: np.ndarray, Ks: np.ndarray, gens: Sequence[np.random.Generator]) -> np.ndarray:
     """(B, max K, D) k-means++ seeds of every node: node b draws K_b of its first m_b rows of ``X``.
 
-    Node b draws with its own generator, each draw as ``gen.choice(m_b, p=d2 / total)``
-    would draw it (``_weighted_draw``). A node's seeds past K_b repeat its first.
+    Node b draws with its own generator, in the order a node-by-node loop
+    draws, each draw as ``gen.choice(m_b, p=d2 / total)`` would draw it
+    (``_weighted_draws``). The nodes of one size draw each seed together:
+    their totals, cumulative sums and draws are one array each, taken row
+    by row as for one node. A node's seeds past K_b repeat its first.
     """
+    B, Kmax = len(gens), int(Ks.max())
     first = [int(gen.integers(m)) for gen, m in zip(gens, sizes.tolist())]
-    centroids = np.repeat(X[np.arange(len(first)), first][:, None], Ks.max(), axis=1)
-    d2 = ((X - centroids[:, :1]) ** 2).sum(axis=2)
-    for k in range(1, int(Ks.max())):
-        for b in (Ks > k).nonzero()[0].tolist():
-            m = int(sizes[b])
-            total = float(d2[b, :m].sum())
-            if total <= 0.0:
-                # all remaining mass sits on already-chosen points; fall back to uniform
-                choice = int(gens[b].integers(m))
-            elif total == np.inf:
-                raise ValueError("squared distances between embedding rows overflow")
-            else:
-                choice = _weighted_draw(gens[b], d2[b, :m] / total)
-            centroids[b, k] = X[b, choice]
-        d2 = np.minimum(d2, ((X - centroids[:, k : k + 1]) ** 2).sum(axis=2))
+    centroids = np.repeat(X[np.arange(B), first][:, None], Kmax, axis=1)
+    groups = [((sizes == m).nonzero()[0], m) for m in np.unique(sizes).tolist()]
+    # squared distances that overflow give an infinite total, rejected below;
+    # a zero total divides into NaN, which the uniform draw replaces
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = ((X - centroids[:, :1]) ** 2).sum(axis=2)
+        for k in range(1, Kmax):
+            for nodes, m in groups:
+                nodes = nodes[Ks[nodes] > k]
+                if not nodes.size:
+                    continue
+                d2_nodes = d2[nodes, :m]
+                totals = d2_nodes.sum(axis=1)
+                if (totals == np.inf).any():
+                    raise ValueError("squared distances between embedding rows overflow")
+                # all remaining mass on already-chosen points: a uniform draw
+                uniform = ~(totals > 0.0)
+                u = np.array([gens[b].integers(m) if flat else gens[b].random() for b, flat in zip(nodes.tolist(), uniform.tolist())])
+                choice = np.where(uniform, u, _weighted_draws(d2_nodes / totals[:, None], u)).astype(np.intp)
+                centroids[nodes, k] = X[nodes, choice]
+            d2 = np.minimum(d2, ((X - centroids[:, k : k + 1]) ** 2).sum(axis=2))
     return centroids
 
 
@@ -135,16 +155,20 @@ def _segmented_lloyd(
     B, K, D = centroids.shape
     out = centroids.copy()
     xx = np.einsum("bmd,bmd->bm", X, X)
+    padded = not rows.all()
     live, cur = np.arange(B), out
     Xl, xxl, held, kept = X, xx, present, rows  # the live nodes' arrays,
     offsets, real = live[:, None] * K, X[rows]  # bin offsets and real rows
     for _ in range(max_iter):
         L = live.size
-        bins = (offsets + _nearest(Xl, xxl, cur, held))[kept]
-        counts = np.bincount(bins, minlength=L * K).reshape(L, K)
-        filled = counts > 0
-        new = cur.copy()
-        new[filled] = _cluster_sums(real, bins, L * K).reshape(L, K, D)[filled] / counts[filled][:, None]
+        bins = offsets + _nearest(Xl, xxl, cur, held)
+        bins = bins[kept] if padded else bins.ravel()
+        counts = np.bincount(bins, minlength=L * K).reshape(L, K, 1)
+        new = _cluster_sums(real, bins, L * K).reshape(L, K, D)
+        if counts.all():
+            new /= counts
+        else:
+            new = np.divide(new, counts, out=cur.copy(), where=counts > 0)
         moved = _moved_beyond((new - cur).reshape(L * K, D), tol).reshape(L, K).any(axis=1)
         cur = new
         if moved.all():
@@ -171,7 +195,7 @@ def part_means(vectors: np.ndarray, parts: Sequence[PointSet]) -> List[np.ndarra
     contiguous axis pairwise, so it is called as it is.
     """
     d = vectors.shape[1]
-    if d == 1:
+    if d == 1 or not parts:
         return [vectors[part.indices].mean(axis=0) for part in parts]
     rows = vectors[np.concatenate([part.indices for part in parts])]
     sizes = np.array([len(part) for part in parts])
@@ -204,28 +228,33 @@ def _segmented_fill(
     part that is still under the hard cap ceil((1+gamma) * s). Then a repair
     pass tops up parts below the window minimum from parts with slack, so every
     part is non-empty even when K equals the member count. One Python loop
-    places the points of every node, each node with its own counters.
+    places the points of every node, each node with its own counters; a
+    point reads its sorted parts past the nearest only when that one is full.
     """
     B, K = present.shape
-    dists = np.sqrt(((X[:, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3))
-    dists = np.where(present[:, None, :], dists, np.inf)
-    two = np.partition(dists, 1, axis=2)
-    margin = (two[:, :, 1] - two[:, :, 0])[rows]
+    dists = np.sqrt(((X[:, None, :, :] - centroids[:, :, None, :]) ** 2).sum(axis=3))  # (B, K, m)
+    dists[~present] = np.inf
+    pref = np.argsort(dists, axis=1, kind="stable")  # each point's parts, nearest first
+    two = np.take_along_axis(dists, pref[:, :2], axis=1)
+    margin = (two[:, 1] - two[:, 0])[rows]
     node, index = rows.nonzero()
     order = np.lexsort((index, -margin))  # interleaves the nodes, each in its own order
-    pref = np.argsort(dists, axis=2, kind="stable")[rows].tolist()
 
     sizes = rows.sum(axis=1).tolist()
     Ks = present.sum(axis=1).tolist()
     windows = [capacity_window(m, k, gamma) for m, k in zip(sizes, Ks)]
     caps = [w[1] for w in windows]
-    part_of = [-1] * len(pref)
+    part_of = pref[:, 0][rows].tolist()
     counts = [0] * (B * K)
-    node_of = node.tolist()
+    node_of, index_of = node.tolist(), index.tolist()
     for p in order.tolist():
         b = node_of[p]
         base, cap = b * K, caps[b]
-        for k in pref[p]:
+        if counts[base + part_of[p]] < cap:
+            counts[base + part_of[p]] += 1
+            continue
+        # the nearest part is full: the nearest with room, ties to the lower part
+        for k in pref[b, :, index_of[p]].tolist():
             if counts[base + k] < cap:
                 part_of[p] = k
                 counts[base + k] += 1
@@ -243,7 +272,7 @@ def _segmented_fill(
         while held.min() < s_min_eff:
             recipient = int(np.argmin(held))
             donor_held = held[part] > s_min_eff
-            best_point = int(np.argmin(np.where(donor_held, dists[b, :m, recipient], np.inf)))
+            best_point = int(np.argmin(np.where(donor_held, dists[b, recipient, :m], np.inf)))
             held[part[best_point]] -= 1
             part[best_point] = recipient
             held[recipient] += 1
@@ -528,7 +557,9 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
         for nid in split:
             members = tree.nodes[nid].members
             problems.append((members, min(K, len(members)), RngStream(seed, "split", content_token(level, members.indices))))
-        parts_of = dict(zip(split, split_nodes(vectors, problems, gamma)))
+        split_parts = split_nodes(vectors, problems, gamma)
+        parts_of = dict(zip(split, split_parts))
+        prototypes = iter(part_means(vectors, [part for parts in split_parts for part in parts]))
         next_ids: List[int] = []
         for nid in current:
             node = tree.nodes[nid]
@@ -536,8 +567,8 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
                 child = tree._new_node(level + 1, nid, node.members, node.prototype)
                 next_ids.append(child.id)
                 continue
-            for part, prototype in zip(parts_of[nid], part_means(vectors, parts_of[nid])):
-                child = tree._new_node(level + 1, nid, part, prototype)
+            for part in parts_of[nid]:
+                child = tree._new_node(level + 1, nid, part, next(prototypes))
                 next_ids.append(child.id)
         tree.levels.append(next_ids)
         current = next_ids

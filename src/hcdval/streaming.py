@@ -280,14 +280,16 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
             while capacity_window(g, K_split, tree.gamma)[1] > tree.leaf_cap and K_split < g:
                 K_split += 1
             problems.append((members, K_split, RngStream(state.tree_seed, "rebalance-split", content_token(epoch, members.indices))))
-        for lid, parts in zip(oversize, split_nodes(new_vectors, problems, tree.gamma)):
+        split_parts = split_nodes(new_vectors, problems, tree.gamma)
+        prototypes = iter(part_means(new_vectors, [part for parts in split_parts for part in parts]))
+        for lid, parts in zip(oversize, split_parts):
             parent = tree.node(lid).parent
             tree.node(parent).children.remove(lid)
             tree.levels[depth].remove(lid)
             dirty.discard(lid)
             del tree.nodes[lid]
-            for part, prototype in zip(parts, part_means(new_vectors, parts)):
-                child = tree._new_node(depth, parent, part, prototype)
+            for part in parts:
+                child = tree._new_node(depth, parent, part, next(prototypes))
                 tree.levels[depth].append(child.id)
                 _mark_dirty(tree, child.id, dirty)
             rebalanced = True

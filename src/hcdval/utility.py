@@ -45,6 +45,7 @@ does not depend on which other coalitions share its call.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Sequence
@@ -207,7 +208,7 @@ def _direct_sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # - direct, sum_k (x_k - mu_ck)^2: one rounded difference, one rounded square
 #   and D - 1 additions of non-negative terms per class, so
 #   |direct_c - d_c| <= gamma_{D+2} d_c <= gamma_{D+2} (|x| + |mu_c|)^2;
-# - expanded, (|x|^2 - 2 x.mu_c) + |mu_c|^2: three dot products (doubling is
+# - expanded, (|x|^2 + x.(-2 mu_c)) + |mu_c|^2: three dot products (doubling is
 #   exact) and two additions, so |expanded_c - d_c| <= gamma_{D+2} (|x| + |mu_c|)^2.
 # If the expanded values of classes a and b differ by more than these four
 # errors together, the direct values order a and b the same way, strictly.
@@ -226,14 +227,20 @@ def _direct_sq_distances(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 # within the same 8 gamma_{D+2} (|x|^2 + M).
 # The bound takes 9 (D + 2) u times the computed |x|^2 + M, which also covers
 # the rounding of the norms, the gap and the bound while (D + 2) u < 1e-3.
-# Underflow adds at most half a subnormal spacing per product (twice that
-# for the doubled x.mu): 5 D spacings over the four expanded and direct
-# values, and under 3 D over the discriminant (D / 2 in x.w, D in the two
-# norms of h) and the two direct values (D), so 8 D spacings cover either. While
-# |x|^2 + M < 2^1019 no step of any formula overflows (each is at most
-# about 3 (|x|^2 + M)); above that, or for a NaN, the bound is infinite. A
-# pair whose gap is not above the bound (NaN gaps included) is scored by the
-# direct formula.
+# Underflow adds at most half a subnormal spacing per product (at most twice
+# that for x.mu doubled, before or after rounding): 5 D spacings over the
+# four expanded and direct values, and under 3 D over the discriminant (D / 2
+# in x.w, D in the two norms of h) and the two direct values (D), so 8 D
+# spacings cover either. While |x|^2 + M < 2^1019 no step of any formula
+# overflows (each is at most about 3 (|x|^2 + M)); above that, or for a NaN,
+# the bound is infinite. A pair whose gap is not above the bound (NaN gaps
+# included) is scored by the direct formula.
+# The K-centroid argmin (``_nearest``) tests this gap by a count: it subtracts
+# the smallest expanded value, first, from every entry and certifies the pair
+# when exactly K - 1 entries lie above the bound. fl(d - first) is
+# non-decreasing in d, so the least entry other than the minimum's is
+# fl(second - first), the gap itself: the count reaches K - 1 exactly when the
+# gap is above the bound (the minimum's own entry is 0, or NaN, never above).
 _GAP_ULPS = 9.0 * (np.finfo(np.float64).eps / 2.0)
 _GAP_SPACINGS = 8.0 * np.finfo(np.float64).smallest_subnormal
 _GAP_SCALE_LIMIT = 2.0**1019
@@ -246,6 +253,14 @@ def _gap_bound(scale: np.ndarray, D: int) -> np.ndarray:
     scale += D * _GAP_SPACINGS
     scale[overflows] = np.inf
     return scale
+
+
+@functools.lru_cache(maxsize=None)
+def _count_weights(K: int) -> np.ndarray:
+    """(2, K) rows that turn K 0/1 flags into their count and the sum of their indices; read-only, as it is shared."""
+    weights = np.vstack((np.ones(K), np.arange(K, dtype=np.float64)))
+    weights.flags.writeable = False
+    return weights
 
 
 def _uncertified(gap: np.ndarray, xx: np.ndarray, mm: np.ndarray, D: int) -> tuple:
@@ -278,25 +293,29 @@ def _nearest(X: np.ndarray, xx: np.ndarray, centroids: np.ndarray, present: np.n
     :param present: (B, K) which centroids each set holds
 
     Equals the argmin of the direct sum_k (x_k - c_k)^2, absent centroids at
-    infinity and ties to the lower centroid, bit for bit: one batched GEMM in
-    the (rows, K) layout gives every expanded distance, and a row whose
-    top-two gap is not above the bound above is scored by the direct formula.
+    infinity and ties to the lower centroid, bit for bit. One batched GEMM in
+    the (set, centroid, row) layout gives every expanded distance, so the
+    minimum over the K centroids is K passes along rows. A pair is certified
+    when all K - 1 of its other distances exceed the minimum by more than the
+    bound above, which one (2, K) GEMM counts and locates; any other pair is
+    scored by the direct formula.
     """
-    D = X.shape[2]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows take the direct formula
+    B, K, D = centroids.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing pairs take the direct formula
         mm = np.einsum("bkd,bkd->bk", centroids, centroids)
-        d2 = X @ centroids.transpose(0, 2, 1)
-        d2 *= -2.0
-        d2 += xx[:, :, None]
-        d2 += mm[:, None, :]
+        d2 = (-2.0 * centroids) @ X.transpose(0, 2, 1)
+        d2 += xx[:, None, :]
+        d2 += mm[:, :, None]
         if not present.all():
-            d2 = np.where(present[:, None, :], d2, np.inf)
-        assign = d2.argmin(axis=2)
-        two = np.partition(d2, 1, axis=2)
-        gap = two[:, :, 1] - two[:, :, 0]
-        b, r = _uncertified(gap, xx, mm, D)
-    if b.size:
-        rows = np.broadcast_to(X, (centroids.shape[0],) + X.shape[1:])[b, r]
+            d2[~present] = np.inf
+        d2 -= np.minimum.reduce(d2, axis=1)[:, None, :]
+        np.greater(d2, _gap_bound(xx + mm.max(axis=1)[:, None], D)[:, None, :], out=d2)
+    counts = _count_weights(K) @ d2  # (B, 2, m): entries above, sum of their indices
+    assign = (K * (K - 1) // 2 - counts[:, 1]).astype(np.intp)
+    uncertified = counts[:, 0] != K - 1
+    if uncertified.any():
+        b, r = uncertified.nonzero()
+        rows = np.broadcast_to(X, (B,) + X.shape[1:])[b, r]
         direct = _direct_sq_distances(rows, centroids[b])
         assign[b, r] = np.where(present[b], direct, np.inf).argmin(axis=1)
     return assign

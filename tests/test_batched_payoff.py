@@ -252,6 +252,38 @@ def test_certified_argmin_equals_the_direct_formula(seed, C, D, offset, on_grid)
     assert utility._nearest_centroids(centroids[:0], present[:0], val_X).shape == (0, n_val)
 
 
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 10_000),
+    B=st.integers(1, 16),
+    K=st.integers(2, 12),
+    m=st.sampled_from([1, 2, 7, 30]),
+    D=st.sampled_from([1, 2, 8]),
+    offset=st.sampled_from(TIE_OFFSETS),
+    on_grid=st.booleans(),
+)
+def test_nearest_on_per_node_blocks_equals_the_direct_formula(seed, B, K, m, D, offset, on_grid):
+    # (B, m, D) blocks, one per node, as Lloyd's steps pass them, with
+    # duplicated, absent and tied centroids
+    gen = np.random.default_rng(seed)
+    base, unit = offset
+    if on_grid:  # half-integer grids: many exact ties
+        X, centroids = 0.5 * gen.integers(-3, 4, size=(B, m, D)), 0.5 * gen.integers(-3, 4, size=(B, K, D))
+    else:
+        X, centroids = gen.normal(size=(B, m, D)), gen.normal(size=(B, K, D))
+    duplicated = gen.random(B) < 0.3
+    centroids[duplicated, 1] = centroids[duplicated, 0]
+    X[:, 0] = 0.5 * (centroids[:, 0] + centroids[:, 1])  # midway between the first two
+    X[:, -1] = centroids[:, -1]  # on a centroid
+    X, centroids = base + unit * X, base + unit * centroids
+    present = gen.random((B, K)) >= 0.3
+    present[np.arange(B), gen.integers(0, K, size=B)] = True
+    with np.errstate(over="ignore"):  # |x|^2 overflows near 1e160
+        xx = np.einsum("bmd,bmd->bm", X, X)
+        want = np.where(present[:, None, :], ((X[:, :, None, :] - centroids[:, None]) ** 2).sum(axis=3), np.inf).argmin(axis=2)
+    assert np.array_equal(utility._nearest(X, xx, centroids, present), want)
+
+
 @settings(deadline=None, max_examples=60)
 @given(seed=st.integers(0, 10_000), D=st.sampled_from([1, 2, 8]), norms=st.sampled_from(["per row", "shared", "flat"]))
 def test_the_row_check_keeps_the_pairs_of_the_per_pair_bound(seed, D, norms):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -250,6 +252,40 @@ def reference_kmeans_pp_init(X, K, gen):
     return centroids
 
 
+@pytest.mark.parametrize("sizes", [[30, 30, 30], [30, 17, 30, 5, 17], [12]])
+def test_seeding_a_level_equals_node_by_node_seeding(sizes):
+    # equal and unequal node sizes, K_b up to the node size, and one node of
+    # two distinct rows, so that its remaining distances go all zero after
+    # two seeds and its later seeds take the uniform draw
+    gen = np.random.default_rng(len(sizes))
+    blocks = [gen.normal(size=(m, 3)) for m in sizes]
+    blocks[0] = blocks[0][np.arange(sizes[0]) % 2]
+    Ks = np.array([min(m, 2 + b) for b, m in enumerate(sizes)])
+    Ks[0] = 5
+    X, _ = hierarchy._pad(np.concatenate(blocks), np.array(sizes))
+    streams = [RngStream(b, "seeding") for b in range(len(sizes))]
+    got = hierarchy._kmeans_pp_init(X, np.array(sizes), Ks, [s.generator() for s in streams])
+    for b, (rows, K) in enumerate(zip(blocks, Ks.tolist())):
+        want = reference_kmeans_pp_init(rows, K, streams[b].generator())
+        assert got[b, :K].tobytes() == want.tobytes()
+        assert (got[b, K:] == want[0]).all()
+    assert len(np.unique(got[0, :5], axis=0)) == 2  # the uniform draws ran
+
+
+@pytest.mark.parametrize("split", ["tree", "balanced_split"])
+def test_overflowing_distances_raise_the_value_error(split):
+    # finite rows whose squared distances overflow: the documented ValueError,
+    # not a RuntimeWarning (which a warnings-as-errors caller would see first)
+    X = np.random.default_rng(14).normal(size=(40, 3)) * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squared distances between embedding rows overflow"):
+            if split == "tree":
+                build_tree(X, (4,), 12)
+            else:
+                balanced_split(X, PointSet(range(40)), K=4)
+
+
 def reference_balanced_split(embedding, members, K, gamma=0.25, seed=0):
     """``balanced_split`` with ``reference_lloyd``, a NumPy-scalar fill and a point-by-point repair scan."""
     m = len(members)
@@ -345,6 +381,11 @@ def test_lloyd_stops_as_the_norm_decides_at_the_tolerance(seed, D, ulps):
     assert hierarchy._moved_beyond(step, 1e-6).tolist() == [bool(np.linalg.norm(row) > 1e-6) for row in step]
 
 
+def _draw(gen, p):
+    """One ``_weighted_draws`` row, drawn with ``gen``."""
+    return int(hierarchy._weighted_draws(p[None], np.array([gen.random()]))[0])
+
+
 def test_kmeans_pp_draw_equals_generator_choice():
     gen = np.random.default_rng(17)
     for case in range(3_000):
@@ -355,13 +396,13 @@ def test_kmeans_pp_draw_equals_generator_choice():
         a = RngStream(case, "draw").generator()
         b = RngStream(case, "draw").generator()
         for _ in range(3):
-            assert hierarchy._weighted_draw(a, p) == int(b.choice(n, p=p))
+            assert _draw(a, p) == int(b.choice(n, p=p))
     # p may sum to 1 within 1.5e-8; choice then scales the cumulative sum, and
     # here the first boundary falls between u and that boundary unscaled
     for case in range(20):
         u = RngStream(case, "draw").generator().random()
         p = np.array([u * (1.0 + 5e-9), 1.0 + 1e-8 - u * (1.0 + 5e-9)])
-        draw = hierarchy._weighted_draw(RngStream(case, "draw").generator(), p)
+        draw = _draw(RngStream(case, "draw").generator(), p)
         assert draw == int(RngStream(case, "draw").generator().choice(2, p=p)) == 1
 
 
