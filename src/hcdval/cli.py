@@ -235,6 +235,11 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError("--embedding-path is required with --embedding-source load")
         if not Path(cfg.embedding_path).is_file():
             raise ConfigError(f"embedding file not found: {cfg.embedding_path}")
+    if cfg.embedding_source == "train":
+        try:
+            _encoder_config(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"encoder settings: {exc}") from exc
     if not cfg.branching or any(k < 2 for k in cfg.branching):
         raise ConfigError("branching must be a non-empty list of factors >= 2")
     if cfg.leaf_cap < 1:
@@ -243,8 +248,8 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("gamma must lie in [0, 1)")
     if cfg.permutations < 1:
         raise ConfigError("permutations must be >= 1")
-    if cfg.lam < 0.0:
-        raise ConfigError("lam must be >= 0")
+    if not 0.0 <= cfg.lam < math.inf:
+        raise ConfigError("lam must be finite and >= 0")
     if cfg.leaf_mode not in LEAF_MODES:
         raise ConfigError(f"leaf_mode must be one of {LEAF_MODES}")
     if cfg.metric not in METRICS:
@@ -258,8 +263,8 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError("batch_rows must be >= 1")
         if cfg.rebalance_period < 1:
             raise ConfigError("rebalance_period must be >= 1")
-        if cfg.assign_threshold <= 0.0:
-            raise ConfigError("assign_threshold must be positive")
+        if not 0.0 < cfg.assign_threshold < math.inf:
+            raise ConfigError("assign_threshold must be positive and finite")
         if cfg.steps < 0:
             raise ConfigError("steps must be >= 0")
         if cfg.data_format != "synthetic":

@@ -1,4 +1,4 @@
-"""Linear contrastive encoder trained with finite-difference gradients.
+"""Linear contrastive encoder trained by gradient ascent.
 
 The encoder is a single matrix W mapping raw features (dimension D) to an
 embedding space (dimension d). Training ascends a per-batch objective
@@ -9,22 +9,18 @@ where utility fits a nearest-centroid classifier on the batch embeddings and
 scores accuracy on a fixed validation subsample, dispersion is the mean
 cosine distance between cross-label pairs of batch embeddings, and the
 penalty discourages embeddings that amplify small input perturbations.
-Gradients are central finite differences over the entries of W — the model is
-deliberately tiny (D * d is capped), so derivative-free training keeps the
-whole pipeline dependency-light and exactly reproducible.
 
-The objective is a function of a stack of matrices, (P, d, D) -> (P,): each
-gradient step builds all 2 * d * D perturbed matrices and scores them in one
-array pass (embedding, nearest-centroid accuracy, dispersion from per-class
-unit sums, and the smoothness probes of every pair and draw), and the
-snapshots of a run are scored as one stack per batch. Stacks are scored in
-chunks so that no temporary exceeds ``_STACK_BUDGET`` elements, for any
-d * D up to MAX_PARAMS and up to VAL_SUBSAMPLE validation rows.
+Each batch's objective returns J and its gradient in W in closed form. The
+accuracy is piecewise constant in W, so its gradient is zero almost
+everywhere and only the dispersion and the penalty move W; the accuracy
+still enters J, which picks the best epoch snapshot. Rows of zero norm, in
+the embedded batch or in a probe pair, are constant pieces of J and add
+nothing to the gradient. ``fd_gradient`` (central differences) checks the
+closed form.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -34,13 +30,7 @@ from .core import LabeledDataset, PointSet, RngStream, content_token, read_matri
 from .utility import D_MAX, _dispersion_from_stats, _unit_rows
 
 EMBED_SOURCES = ("precomputed", "identity", "trained_linear")
-MAX_PARAMS = 4096
 VAL_SUBSAMPLE = 256
-
-# Stacked scoring works in chunks of matrices: the perturbation stack and each
-# temporary of the objective (embedded batch, centroid distances of the
-# validation rows, embedded probes) stay within this element count.
-_STACK_BUDGET = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -98,10 +88,10 @@ class EncoderConfig:
             raise ValueError("need d >= 1, epochs >= 0, batch_size >= 2")
         if self.partners_per_anchor < 1 or self.fd_draws < 1:
             raise ValueError("need at least one partner per anchor and one draw")
-        if self.fd_step <= 0 or self.lr <= 0:
-            raise ValueError("fd_step and lr must be positive")
-        if self.lam < 0 or self.alpha < 0:
-            raise ValueError("lam and alpha must be non-negative")
+        if not (0 < self.fd_step < np.inf and 0 < self.lr < np.inf):
+            raise ValueError("fd_step and lr must be positive and finite")
+        if not (0 <= self.lam < np.inf and 0 <= self.alpha < np.inf):
+            raise ValueError("lam and alpha must be non-negative and finite")
 
 
 def identity_embeddings(data: LabeledDataset) -> EmbeddingMatrix:
@@ -164,26 +154,43 @@ def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps:
     return anchors, data.features[q], np.clip(anchors[:, None, :] + eps * directions, low, high)
 
 
-def _cosine_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cosine distance between matching rows of ``a`` and ``b`` (last axis); D_MAX where either has zero norm."""
-    na = np.sqrt((a * a).sum(axis=-1))
-    nb = np.sqrt((b * b).sum(axis=-1))
-    zero = (na == 0.0) | (nb == 0.0)
-    return np.where(zero, D_MAX, 1.0 - (a * b).sum(axis=-1) / np.where(zero, 1.0, na * nb))
+def _cosine_distances(a: np.ndarray, b: np.ndarray):
+    """Cosine distance between matching rows of ``a`` and ``b`` (last axis), with its gradients in both.
+
+    Returns the distances and the gradients in ``a`` and in ``b``, each of the
+    broadcast shape of the inputs. Where either row has zero norm the
+    distance is D_MAX and both gradients are zero.
+    """
+    a, b = np.broadcast_arrays(a, b)
+    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    nb = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+    live = (na > 0.0) & (nb > 0.0)
+    na, nb = np.where(live, na, 1.0), np.where(live, nb, 1.0)
+    cos = (a * b).sum(axis=-1, keepdims=True) / (na * nb)
+    grad_a = np.where(live, (cos * a / na - b / nb) / na, 0.0)
+    grad_b = np.where(live, (cos * b / nb - a / na) / nb, 0.0)
+    return np.where(live, 1.0 - cos, D_MAX)[..., 0], grad_a, grad_b
 
 
-def _stacked_penalty(Ws: np.ndarray, probes, eps: float) -> np.ndarray:
-    """Smoothness penalty of every matrix of a (P, d, D) stack, as a (P,) array."""
+def _penalty(W: np.ndarray, probes, eps: float):
+    """Smoothness penalty of one (d, D) matrix and its (d, D) gradient."""
     if probes is None:
-        return np.zeros(len(Ws))
+        return 0.0, np.zeros_like(W)
     anchors, partners, shifted = probes
-    Wt = Ws.transpose(0, 2, 1)
-    z_q = partners @ Wt
-    base = _cosine_distances(anchors @ Wt, z_q)
-    n, k, D = shifted.shape
-    z_s = (shifted.reshape(n * k, D) @ Wt).reshape(len(Ws), n, k, -1)
-    slopes = ((_cosine_distances(z_s, z_q[:, :, None, :]) - base[:, :, None]) / eps) ** 2
-    return slopes.mean(axis=2).mean(axis=1)
+    n, k, _ = shifted.shape
+    z_q = partners @ W.T
+    base, g_p, g_q_base = _cosine_distances(anchors @ W.T, z_q)
+    moved, g_s, g_q_moved = _cosine_distances(shifted @ W.T, z_q[:, None, :])
+    slopes = (moved - base[:, None]) / eps
+    # d penalty / d moved = 2 * slope / (eps * n * k), and base enters every draw with the opposite sign
+    w = 2.0 * slopes / (eps * n * k)
+    w_base = w.sum(axis=1)[:, None]
+    grad = (
+        np.tensordot(w[..., None] * g_s, shifted, axes=([0, 1], [0, 1]))
+        + ((w[..., None] * g_q_moved).sum(axis=1) - w_base * g_q_base).T @ partners
+        - (w_base * g_p).T @ anchors
+    )
+    return float((slopes**2).mean(axis=1).mean()), grad
 
 
 def smoothness_penalty(
@@ -221,78 +228,66 @@ def smoothness_penalty(
     if directions is None:
         gen = RngStream(cfg.seed, "fd-directions", content_token(idx)).generator()
         directions = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
-    probes = _probe_inputs(data, pairs, directions, cfg.fd_step)
-    return float(_stacked_penalty(W[None], probes, cfg.fd_step)[0])
+    return _penalty(W, _probe_inputs(data, pairs, directions, cfg.fd_step), cfg.fd_step)[0]
 
 
 def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions):
-    """The batch objective J as a function of a (P, d, D) stack of matrices.
+    """The batch objective as a function ``objective(W) -> (J, grad J)`` of one (d, D) matrix.
 
     Everything that does not depend on W (batch rows, class masks, probe
-    inputs) is prepared here once; the returned function scores a stack in
-    chunks so that no per-chunk temporary exceeds ``_STACK_BUDGET`` elements
-    (beyond a single matrix's own), and returns a (P,) array.
+    inputs) is prepared here once. The gradient is lambda times the
+    dispersion's minus alpha times the penalty's; the accuracy adds nothing.
+    The dispersion's sum of cross-label unit dots is (|G|^2 - sum_c |U_c|^2) / 2
+    for class sums U_c of unit rows and G = sum_c U_c, so its gradient in unit
+    row i is -(G - U_c(i)) / pairs, taken through the unit map's Jacobian
+    (I - u u^T) / |z_i| back to z_i = W x_i.
     """
     X, y = data.features[idx], data.labels[idx]
-    classes = np.unique(y)
+    classes, inverse = np.unique(y, return_inverse=True)
     members = [y == c for c in classes]
     onehot = np.array(members, dtype=np.float64)
     counts = onehot.sum(axis=1)
     probes = _probe_inputs(data, pairs, directions, cfg.fd_step) if pairs else None
-    n_probes = 0 if probes is None else probes[2].shape[0] * probes[2].shape[1]
-    widest = max(len(idx), val_y.size * classes.size, n_probes)
 
-    def objective(Ws: np.ndarray) -> np.ndarray:
-        Ws = np.asarray(Ws, dtype=np.float64)
-        out = np.empty(len(Ws))
-        step = max(1, _STACK_BUDGET // (Ws.shape[1] * widest))
-        for start in range(0, len(Ws), step):
-            chunk = Ws[start : start + step]
-            Wt = chunk.transpose(0, 2, 1)
-            Z = X @ Wt
-            # nearest-centroid accuracy of the embedded batch on the embedded subsample
-            if classes.size >= 2:
-                # masked means, as a one-matrix fit takes them, so argmin ties break the same way
-                centroids = np.stack([Z[:, m].mean(axis=1) for m in members], axis=1)
-                vz = val_X @ Wt
-                d2 = ((vz[:, :, None, :] - centroids[:, None, :, :]) ** 2).sum(axis=3)
-                utility = np.mean(classes[d2.argmin(axis=2)] == val_y, axis=1)
-            else:
-                utility = np.full(len(chunk), 1.0 / data.num_classes)
-            unit, nonzero = _unit_rows(Z)
-            chunk_counts = np.broadcast_to(counts, (len(chunk), classes.size))
-            disp, _ = _dispersion_from_stats(chunk_counts, onehot @ unit, nonzero @ onehot.T)
-            penalty = _stacked_penalty(chunk, probes, cfg.fd_step)
-            out[start : start + step] = utility + cfg.lam * disp - cfg.alpha * penalty
-        return out
+    def objective(W: np.ndarray):
+        Z = X @ W.T
+        # nearest-centroid accuracy of the embedded batch on the embedded subsample
+        if classes.size >= 2:
+            centroids = np.stack([Z[m].mean(axis=0) for m in members])
+            d2 = (((val_X @ W.T)[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            utility = float(np.mean(classes[d2.argmin(axis=1)] == val_y))
+        else:
+            utility = 1.0 / data.num_classes
+        unit, nonzero = _unit_rows(Z)
+        sums = onehot @ unit
+        disp, pair_count = _dispersion_from_stats(counts[None], sums[None], (nonzero @ onehot.T)[None])
+        g_unit = (sums[inverse] - sums.sum(axis=0)) / max(pair_count[0], 1.0)
+        norms = np.linalg.norm(Z, axis=1, keepdims=True)
+        inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+        g_Z = (g_unit - (g_unit * unit).sum(axis=1, keepdims=True) * unit) * inv_norms
+        penalty, g_penalty = _penalty(W, probes, cfg.fd_step)
+        value = utility + cfg.lam * float(disp[0]) - cfg.alpha * penalty
+        return value, cfg.lam * (g_Z.T @ X) - cfg.alpha * g_penalty
 
     return objective
 
 
 def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of a function over a parameter matrix.
+    """Central-difference gradient of a scalar function of one parameter matrix.
 
     Entry k moves by h_k = rel_step * (1 + |W_k|) up and down, and its
-    derivative is (f(W + h_k e_k) - f(W - h_k e_k)) / (2 h_k). The 2 * W.size
-    perturbed matrices (up then down, entry by entry) are built in chunks of
-    at most ``_STACK_BUDGET`` elements, or one entry's pair if a matrix is
-    larger. ``fn`` maps a (P, *W.shape) stack to P values and receives each
-    chunk in one call. W is not modified.
+    derivative is (f(W + h_k e_k) - f(W - h_k e_k)) / (2 h_k). W is not
+    modified.
     """
     W = np.asarray(W, dtype=np.float64)
-    flat = W.ravel()
-    h = rel_step * (1.0 + np.abs(flat))
-    values = np.empty(2 * flat.size)
-    step = max(1, _STACK_BUDGET // (2 * flat.size))
-    for start in range(0, flat.size, step):
-        entries = np.arange(start, min(start + step, flat.size))
-        stack = np.tile(flat, (2 * entries.size, 1))
-        at = 2 * np.arange(entries.size)
-        stack[at, entries] = flat[entries] + h[entries]
-        stack[at + 1, entries] = flat[entries] - h[entries]
-        stack = stack.reshape(-1, *W.shape)
-        values[2 * start : 2 * start + len(stack)] = fn(stack)
-    return ((values[0::2] - values[1::2]) / (2.0 * h)).reshape(W.shape)
+    grad = np.empty_like(W)
+    for k in np.ndindex(W.shape):
+        h = rel_step * (1.0 + abs(W[k]))
+        up, down = W.copy(), W.copy()
+        up[k] += h
+        down[k] -= h
+        grad[k] = (fn(up) - fn(down)) / (2.0 * h)
+    return grad
 
 
 def _epoch_batches(n: int, batch_size: int, gen: np.random.Generator):
@@ -309,14 +304,12 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     """Train the linear encoder and embed the train split.
 
     The seeded Gaussian init W ~ N(0, 1/D) is returned unchanged when
-    epochs=0. Each epoch ascends the batch objective with central
-    finite-difference gradients; afterwards every epoch-end snapshot (and the
-    init) is scored on one fixed batch partition and the best one wins, so the
-    returned encoder's averaged objective never falls below the init's.
+    epochs=0. Each epoch takes one gradient-ascent step of size ``lr`` per
+    batch; afterwards every epoch-end snapshot (and the init) is scored on one
+    fixed batch partition and the best one wins, so the returned encoder's
+    averaged objective never falls below the init's.
     """
     D = data.dim
-    if cfg.d * D > MAX_PARAMS:
-        raise ValueError(f"encoder size d*D = {cfg.d * D} exceeds the {MAX_PARAMS}-parameter cap")
     init_gen = RngStream(cfg.seed, "encoder-init").generator()
     W = init_gen.standard_normal((cfg.d, D)) / np.sqrt(D)
 
@@ -340,15 +333,10 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     snapshots = [W]
     for epoch in range(1, cfg.epochs + 1):
         for objective in batch_objectives(epoch):
-            W = W + cfg.lr * fd_gradient(objective, W)
+            W = W + cfg.lr * objective(W)[1]
         snapshots.append(W)
 
-    stack = np.stack(snapshots)
-    if scoring:
-        per_batch = np.stack([objective(stack) for objective in scoring], axis=1)
-        scores = [float(np.mean(row)) for row in per_batch]
-    else:
-        scores = [0.0] * len(snapshots)
+    scores = [float(np.mean([objective(S)[0] for objective in scoring])) if scoring else 0.0 for S in snapshots]
     best = int(np.argmax(scores))
     W_best = snapshots[best]
     return EmbeddingMatrix(

@@ -68,8 +68,8 @@ class HcdvConfig:
     def __post_init__(self):
         if self.T < 1:
             raise ValueError("need at least one permutation per game")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError("lambda must be non-negative and finite")
         if self.leaf_cap < 1:
             raise ValueError("leaf_cap must be positive")
         if self.leaf_mode not in LEAF_MODES:

@@ -126,8 +126,8 @@ def init_stream(
 
     if rebalance_period < 1:
         raise ValueError("rebalance period must be positive")
-    if assign_threshold < 0:
-        raise ValueError("assignment threshold must be non-negative")
+    if not 0 <= assign_threshold < np.inf:
+        raise ValueError("assignment threshold must be non-negative and finite")
     tree = tree.copy()
     vec = run_hcdv(data, emb, tree, cf, cfg)
     report = last_run_report()

@@ -587,8 +587,8 @@ class CharacteristicFn:
         learner: str = "nearest_centroid",
     ):
         vectors = _aligned_vectors(dataset, embedding)
-        if lam < 0:
-            raise ValueError("lambda must be non-negative")
+        if not 0 <= lam < np.inf:
+            raise ValueError("lambda must be non-negative and finite")
         if metric not in METRICS:
             raise ValueError(f"unknown metric {metric!r}")
         if learner not in LEARNERS:

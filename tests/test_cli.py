@@ -108,6 +108,37 @@ def test_removed_diagnostic_keys_are_rejected(tmp_path, key):
     assert key.split(":")[0] in err["message"]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["value", "--lam", "nan"],
+        ["value", "--lam", "inf"],
+        ["stream", "--assign-threshold", "nan"],
+        ["stream", "--assign-threshold", "inf"],
+    ],
+)
+def test_non_finite_settings_are_config_errors(tmp_path, flags):
+    out = tmp_path / "run"
+    rc = main([*flags, "--seed", "1", "--out", str(out), "--data-format", "synthetic"])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and flags[1].lstrip("-").replace("-", "_") in err["message"]
+
+
+@pytest.mark.parametrize(
+    "flags", [["--embed-dim", "0"], ["--embed-lr", "-1"], ["--embed-lam", "nan"], ["--embed-fd-step", "inf"]]
+)
+def test_bad_encoder_flags_are_config_errors(tmp_path, flags):
+    out = tmp_path / "run"
+    argv = ["embed", "--seed", "1", "--out", str(out), "--data-format", "synthetic", "--embedding-source", "train"]
+    rc = main([*argv, *flags])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "encoder" in err["message"]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("seed: 3\ndata_format: synthetic\nsynthetic_n: 60\npermutations: 16\nbranching: [3]\nleaf_cap: 12\n")

@@ -10,7 +10,8 @@ from hcdval import (
     EncoderConfig,
     LabeledDataset,
     PointSet,
-    dataset_from_arrays,
+    RngStream,
+    content_token,
     fd_gradient,
     identity_embeddings,
     load_embeddings,
@@ -50,6 +51,13 @@ def test_encoder_config_validation():
         EncoderConfig(epochs=-1)
     with pytest.raises(ValueError):
         EncoderConfig(fd_step=0.0)
+
+
+@pytest.mark.parametrize("field", ["lam", "alpha", "fd_step", "lr"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_encoder_config_rejects_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        EncoderConfig(**{field: value})
 
 
 def _two_point_data():
@@ -109,9 +117,11 @@ def test_fd_gradient_matches_analytic_gradient():
     def f(M):
         return float(np.sin(M.sum()))
 
-    got = fd_gradient(lambda S: np.array([f(M) for M in S]), W.copy())
+    before = W.copy()
+    got = fd_gradient(f, W)
     want = np.cos(W.sum()) * np.ones_like(W)
     assert got == pytest.approx(want, rel=1e-6)
+    assert np.array_equal(W, before)
 
 
 def test_fd_gradient_is_exact_on_quadratics():
@@ -121,8 +131,9 @@ def test_fd_gradient_is_exact_on_quadratics():
     def f(M):
         return float((a * M * M).sum())
 
-    got = fd_gradient(lambda S: np.array([f(M) for M in S]), W.copy())
+    got = fd_gradient(f, W)
     assert got == pytest.approx(2.0 * a * W, rel=1e-6)
+    assert np.array_equal(got, _reference_fd_gradient(f, W.copy()))
 
 
 def test_train_with_zero_epochs_returns_the_initial_matrix():
@@ -153,16 +164,7 @@ def test_training_is_deterministic():
     assert a.training_trace == b.training_trace
 
 
-def test_parameter_budget_guard():
-    gen = np.random.default_rng(7)
-    feats = gen.normal(size=(30, 50))
-    labels = (gen.random(30) < 0.5).astype(int)
-    data = dataset_from_arrays(feats, labels, seed=7)
-    with pytest.raises(ValueError, match="parameter"):
-        train_linear_encoder(data, EncoderConfig(d=90, seed=7))
-
-
-# --- stacked objective against the per-matrix formula -------------------------
+# --- batch objective and its gradient against per-matrix references ---------
 
 TOL = 1e-12
 
@@ -229,7 +231,7 @@ def _reference_fd_gradient(fn, W, rel_step=1e-4):
 
 
 def _objective_case(seed: int, C: int, draws: int, one_class: bool, fd_step: float):
-    """A small dataset with zero feature rows, one batch, its probes, and a stack with zero matrices and rows."""
+    """A small dataset with zero feature rows, one batch, its probes, and six matrices (a zero one, one with a zero row)."""
     gen = np.random.default_rng(seed)
     n, n_val, D, d = 24, 9, 3, 2
     feats = gen.normal(size=(n, D))
@@ -261,11 +263,10 @@ def _objective_case(seed: int, C: int, draws: int, one_class: bool, fd_step: flo
 def test_stacked_objective_matches_the_per_matrix_formula(seed, C, draws, one_class, fd_step):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
     assert (not pairs) == one_class
-    got = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)(Ws)
-    want = [_reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs) for W in Ws]
-    assert got.shape == (len(Ws),)
-    assert np.max(np.abs(got - want)) <= TOL
-    for W, value in zip(Ws, got):
+    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)
+    for W in Ws:
+        value, _ = objective(W)
+        assert abs(value - _reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs)) <= TOL
         penalty = smoothness_penalty(data, PointSet(idx), W, cfg, pairs=pairs, directions=dirs)
         assert abs(penalty - _reference_penalty(data, W, cfg.fd_step, pairs, dirs)) <= TOL
 
@@ -279,59 +280,69 @@ def test_large_fd_step_clips_the_shifted_anchors():
     assert (shifted >= data.features.min(axis=0)).all() and (shifted <= data.features.max(axis=0)).all()
 
 
-def test_stacked_and_scalar_fd_gradient_agree_bit_for_bit():
-    gen = np.random.default_rng(9)
-    a = gen.normal(size=(3, 5))
-    W = gen.normal(size=(3, 5))
+def _smooth_reference(data, idx, cfg, pairs, dirs):
+    """lambda * dispersion - alpha * penalty of one matrix: the part of J that moves W."""
 
-    def f(M):
-        return float((a * M * M).sum())
+    def smooth(W):
+        Z = data.features[idx] @ W.T
+        disp = normalized_dispersion(Z, data.labels[idx], PointSet(range(len(idx)))).value
+        return cfg.lam * disp - cfg.alpha * _reference_penalty(data, W, cfg.fd_step, pairs, dirs)
 
-    scalar = fd_gradient(lambda S: np.array([f(M) for M in S]), W)
-    stacked = fd_gradient(lambda S: (a * S * S).sum(axis=(1, 2)), W)
-    assert np.array_equal(scalar, _reference_fd_gradient(f, W.copy()))
-    assert np.array_equal(stacked, scalar)
+    return smooth
 
 
-def test_tiny_chunk_budget_gives_the_same_gradient(monkeypatch):
-    data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(4, 3, 3, False, 0.05)
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    C=st.sampled_from([2, 3]),
+    draws=st.sampled_from([1, 3]),
+    one_class=st.booleans(),
+    fd_step=st.sampled_from([0.05, 3.0]),
+)
+def test_objective_gradient_matches_fd_gradient_of_the_smooth_part(seed, C, draws, one_class, fd_step):
+    data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
     objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)
-    whole = fd_gradient(objective, Ws[2])
-    sizes = []
-    monkeypatch.setattr(encoder, "_STACK_BUDGET", 1)
-    chunked = fd_gradient(lambda S: sizes.append(len(S)) or objective(S), Ws[2])
-    assert sizes == [2] * Ws[2].size
-    assert np.array_equal(chunked, whole)
-    reference = _reference_fd_gradient(
-        lambda W: _reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs), Ws[2].copy()
-    )
-    assert np.max(np.abs(whole - reference)) <= 1e-7
+    smooth = _smooth_reference(data, idx, cfg, pairs, dirs)
+    # Ws[0] is the zero matrix, where J is not differentiable; the rest embed
+    # each nonzero feature row to a nonzero row (a zero feature row stays zero
+    # under every W, a constant piece of J)
+    for W in Ws[1:]:
+        nonzero = np.linalg.norm(data.features[idx] @ W.T, axis=1) > 0.0
+        assert np.array_equal(nonzero, data.features[idx].any(axis=1))
+        _, grad = objective(W)
+        assert grad.shape == W.shape
+        want = fd_gradient(smooth, W, rel_step=1e-6)
+        assert np.max(np.abs(grad - want)) <= 1e-5 * max(np.max(np.abs(want)), 1e-12)
+        if one_class:
+            assert np.array_equal(grad, np.zeros_like(W))
 
 
-def test_training_calls_fd_gradient_once_per_batch(monkeypatch):
+def test_training_steps_along_the_closed_form_gradient(monkeypatch):
+    monkeypatch.setattr(encoder, "fd_gradient", None)  # training takes no finite differences
     data = make_synthetic(40, subclusters=1, overlap=0.3, seed=10, dim=3)
-    calls = []
-    inner = encoder.fd_gradient
+    cfg = EncoderConfig(d=2, epochs=1, batch_size=64, seed=10)
+    assert data.n <= cfg.batch_size and data.val_labels.size <= encoder.VAL_SUBSAMPLE
+    idx = np.arange(data.n)  # each epoch is one batch, and the validation subsample is the whole split
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs)
-        return inner(*args, **kwargs)
+    def objective(epoch):
+        gen = RngStream(cfg.seed, "encoder-pairs", content_token(epoch, 0)).generator()
+        pairs = encoder._sample_pairs(data.labels, idx, cfg.partners_per_anchor, gen)
+        dirs = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
+        return encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs)
 
-    monkeypatch.setattr(encoder, "fd_gradient", counting)
-    cfg = EncoderConfig(d=2, epochs=2, batch_size=16, seed=10)
-    train_linear_encoder(data, cfg)
-    batches_per_epoch = -(-data.n // cfg.batch_size) - (data.n % cfg.batch_size == 1)
-    assert calls == [{}] * (cfg.epochs * batches_per_epoch)
+    W0 = train_linear_encoder(data, EncoderConfig(d=2, epochs=0, seed=10)).transform
+    W1 = W0 + cfg.lr * objective(1)(W0)[1]
+    trained = train_linear_encoder(data, cfg)
+    assert trained.training_trace == (objective(0)(W0)[0], objective(0)(W1)[0])
+    assert np.array_equal(trained.transform, W1 if trained.training_trace[1] > trained.training_trace[0] else W0)
 
 
-def test_stacked_gradient_step_memory_is_bounded():
-    # the largest encoder (d * D = MAX_PARAMS, 8192 perturbed matrices) with a
-    # full validation subsample of 256 rows; the whole stack would take 256 MB,
-    # and scoring a perturbation chunk without the objective's own chunks
-    # peaks above 50 MB
+def test_gradient_step_memory_is_bounded():
+    # d = D = 64 with a full validation subsample of 256 rows: one objective
+    # call holds the (256, C, d) centroid distances and the batch and probe
+    # embeddings, a few hundred kB
     gen = np.random.default_rng(11)
     d = D = 64
-    assert d * D == encoder.MAX_PARAMS
     n, n_val = 64, encoder.VAL_SUBSAMPLE
     data = LabeledDataset(gen.normal(size=(n, D)), np.arange(n) % 2, gen.normal(size=(n_val, D)), np.arange(n_val) % 2, 2)
     cfg = EncoderConfig(d=d, batch_size=8, seed=11)
@@ -343,12 +354,12 @@ def test_stacked_gradient_step_memory_is_bounded():
     W = gen.normal(size=(d, D)) / np.sqrt(D)
     tracemalloc.start()
     try:
-        grad = fd_gradient(objective, W)
+        W = W + cfg.lr * objective(W)[1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert grad.shape == (d, D) and np.isfinite(grad).all() and grad.any()
-    assert peak < 32 * 2**20
+    assert np.isfinite(W).all()
+    assert peak < 2 * 2**20
 
 
 def _reference_sample_pairs(labels, idx, partners, gen):

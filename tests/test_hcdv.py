@@ -250,6 +250,12 @@ def test_config_validation():
         HcdvConfig(leaf_mode="sometimes")
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_config_rejects_non_finite_lambda(lam):
+    with pytest.raises(ValueError, match="finite"):
+        HcdvConfig(lam=lam)
+
+
 def test_run_rejects_mismatched_inputs():
     data, emb, tree, cf = small_pipeline()
     with pytest.raises(ValueError, match="lambda"):

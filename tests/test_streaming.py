@@ -77,6 +77,17 @@ def test_init_rejects_non_default_pipelines():
         init_stream(data, emb, tree, cf, good, assign_threshold=-0.1)
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+def test_init_rejects_a_non_finite_assignment_threshold(threshold):
+    X, y = two_blob_rows(10, seed=2)
+    data = dataset_from_arrays(X, y, standardise=False)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, branching=(2,), leaf_cap=12, gamma=0.25)
+    cf = CharacteristicFn(data, emb, lam=0.5)
+    with pytest.raises(ValueError, match="threshold"):
+        init_stream(data, emb, tree, cf, HcdvConfig(T=4, leaf_cap=12), assign_threshold=threshold)
+
+
 # ---------------------------------------------------------------- ingest
 
 

@@ -215,6 +215,13 @@ def test_characteristic_validation():
         CharacteristicFn(data, data.features, lam=0.5, learner="svm")
 
 
+@pytest.mark.parametrize("lam", [float("nan"), float("inf")])
+def test_characteristic_rejects_non_finite_lambda(lam):
+    data = _two_blob_data()
+    with pytest.raises(ValueError, match="finite"):
+        CharacteristicFn(data, data.features, lam=lam)
+
+
 def test_auc_restricted_to_binary_labels():
     gen = np.random.default_rng(0)
     feats = gen.normal(size=(30, 3))
