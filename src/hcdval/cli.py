@@ -267,6 +267,8 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError("assign_threshold must be positive and finite")
         if cfg.steps < 0:
             raise ConfigError("steps must be >= 0")
+        if cfg.embedding_source == "load":
+            raise ConfigError("streaming needs an identity embedding or a stored linear transform; a loaded one has none")
         if cfg.data_format != "synthetic":
             if cfg.stream_data is None:
                 raise ConfigError("--stream-data is required for csv/binary streams")

@@ -9,6 +9,10 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
+# Bytes per temporary of batched payoff play: a payoff call's player matrix, a one-hot
+# sum and a scoring chunk's largest array each take max(1, TEMP_BYTES // bytes_per_row) rows.
+TEMP_BYTES = 1 << 20
+
 # splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014): output k of the generator seeded with s is
 # mix64(s + k * gamma mod 2^64), k = 1, 2, ...

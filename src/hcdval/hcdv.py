@@ -19,7 +19,7 @@ a whole level's families at once; ``run_hcdv`` plays all of their games in one
 ``monte_carlo_shapley`` call, so a level costs one draw per distinct family
 size and one payoff call. The exact within-leaf games of all the leaves it
 redistributes are played in one ``exact_shapley`` call, so their coalitions
-are scored in one payoff call.
+are scored together, in payoff calls of at most ``core.TEMP_BYTES`` bytes.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
 split additively. The diagnostic game modes live in ``evaluation.py``.
@@ -121,8 +121,8 @@ def _distribute_leaves(values: np.ndarray, leaves: List[Tuple[PointSet, float]],
     """Spread each (members, mass) leaf's mass over its points.
 
     The leaves that play exact within-leaf games play them in one
-    ``exact_shapley`` call, so their coalitions are scored in one payoff call,
-    and split their mass by ``_split_mass``; the others split it evenly.
+    ``exact_shapley`` call, so their coalitions are scored together, and
+    split their mass by ``_split_mass``; the others split it evenly.
     """
     exact = [(members, mass) for members, mass in leaves if _plays_exact_leaf(cfg, len(members))]
     estimates = exact_shapley([_leaf_game(members, cf) for members, _ in exact])
@@ -155,7 +155,7 @@ def propagate(
     the residual, the parent's mass minus the clean children's, by
     ``_split_mass``. A negative residual is an ordinary signed mass; a warning
     names its parent. Then every dirty leaf spreads its mass over its points,
-    the exact leaves' games all in one payoff call.
+    the exact leaves' games all in one ``exact_shapley`` call.
     ``dirty=None`` marks every node dirty: the batch run. ``masses`` and
     ``values`` are updated in place. Returns the payoff evaluations and the
     wall-clock milliseconds of each phase: the estimates ("sweeps") and the

@@ -17,21 +17,21 @@ draws all the seeds of a call at once. Estimators draw their seeds with
 ``RngStream.seeds``.
 
 Every estimator asks for payoffs as an (R, K) 0/1 player matrix, one row per
-coalition, and scores each matrix's distinct rows once. ``exact_shapley``
-asks for all 2^K coalitions at once, prefix sweeps turn their permutations
-into prefix rows, and independent sampling (``independent_player_estimate``
-and ``sampling="independent"``) turns each listed player's T permutations
-into 2T rows, predecessors without and with the player. All three also take
-a sequence of games that share one payoff, such as the families of one tree
-level: the Monte-Carlo estimators then draw the permutations of every game
-with the same K in one call and score the rows of all the games together
-(``_values_of_pieces``), in payoff calls of at most ``_PREFIX_ROW_BUDGET``
-matrix elements, a game's prefix rows cut into pieces of that size. A payoff
-with an ``evaluate_games`` method (``CharacteristicFn``) scores a call's
-games in one pass through its cache, and its payoffs do not depend on the
+coalition. ``exact_shapley`` asks for all 2^K coalitions, prefix sweeps turn
+their permutations into prefix rows, and independent sampling
+(``independent_player_estimate`` and ``sampling="independent"``) turns each
+listed player's T permutations into 2T rows, predecessors without and with
+the player. All three also take a sequence of games that share one payoff,
+such as the leaves or the families of one tree level, and score the rows of
+all the games together (``_values_of_pieces``), in payoff calls of at most
+``core.TEMP_BYTES`` bytes of player matrix, a game's prefix rows cut into
+pieces of that size; the Monte-Carlo estimators draw the permutations of
+every game with the same K in one call. A payoff with an ``evaluate_games``
+method (``CharacteristicFn``) scores a call's games in one pass through its
+cache, each distinct coalition once, and its payoffs do not depend on the
 batch, so every estimate equals one-game, one-coalition-at-a-time play bit
 for bit; any other payoff, such as a plain callable, is asked once per
-distinct row through ``CoalitionGame.value_of_ids``.
+distinct row of a game's matrix through ``CoalitionGame.value_of_ids``.
 """
 
 from __future__ import annotations
@@ -46,10 +46,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import EMPTY_SET, SPLITMIX_GAMMA, LabeledDataset, PointSet, RngStream, mix64, union
+from .core import EMPTY_SET, SPLITMIX_GAMMA, TEMP_BYTES, LabeledDataset, PointSet, RngStream, mix64, union
 
 EXACT_PLAYER_LIMIT = 12
-_PREFIX_ROW_BUDGET = 1 << 20  # 0/1 player-matrix elements built for one payoff call
 
 
 class CoalitionGame:
@@ -114,16 +113,23 @@ def _values_of_games(games: Sequence[CoalitionGame], rows: Sequence[np.ndarray])
     """Payoffs of each game's player rows, all games in one call to their shared payoff.
 
     A payoff with an ``evaluate_games`` method (``CharacteristicFn``) scores
-    every game's rows in that one call; any other payoff is asked for one row
-    at a time through ``value_of_ids``, game by game and in row order.
+    every game's rows in that one call; any other payoff is asked for one
+    distinct row at a time through ``value_of_ids``, game by game.
     """
     payoff = games[0].payoff
     if any(game.payoff is not payoff for game in games):
         raise ValueError("games played together must share one payoff")
     evaluate_games = getattr(payoff, "evaluate_games", None)
     if evaluate_games is None:
-        return [np.array([game.value_of_ids(np.flatnonzero(row)) for row in r], dtype=np.float64) for game, r in zip(games, rows)]
+        return [_asked_once(game, r) for game, r in zip(games, rows)]
     return evaluate_games([(game.players, r) for game, r in zip(games, rows)])
+
+
+def _asked_once(game: CoalitionGame, rows: np.ndarray) -> np.ndarray:
+    """A game's payoffs of the rows of a 0/1 player matrix, asked once per distinct row."""
+    packed = np.packbits(rows, axis=1)
+    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
+    return np.array([game.value_of_ids(np.flatnonzero(row)) for row in rows[first]], dtype=np.float64)[inverse]
 
 
 def exact_shapley(game):
@@ -136,9 +142,9 @@ def exact_shapley(game):
     to monte_carlo_shapley.
 
     ``game`` may also be a sequence of games that share one payoff. Their
-    coalitions are then all scored in one payoff call and the result is a
-    list of estimates, bit for bit those of playing the games one at a time
-    in order, since payoffs do not depend on their batch.
+    coalitions are then scored together (``_values_of_pieces``) and the result
+    is a list of estimates, bit for bit those of playing the games one at a
+    time in order, since payoffs do not depend on their batch.
     """
     single = isinstance(game, CoalitionGame)
     games = [game] if single else list(game)
@@ -151,7 +157,7 @@ def exact_shapley(game):
                 f"got K={g.K} — use monte_carlo_shapley"
             )
     plans = {K: _exact_plan(K) for K in {g.K for g in games}}
-    payoffs = _values_of_games(games, [plans[g.K][0] for g in games])
+    payoffs = _values_of_pieces([(g, plans[g.K][0].size, plans[g.K][0].view) for g in games])
     estimates = [_exact_values(plans[g.K][1], v) for g, v in zip(games, payoffs)]
     return estimates[0] if single else estimates
 
@@ -218,31 +224,22 @@ def _sums_in_order(gains: Sequence[np.ndarray]) -> list:
     return [sums[start:end] for start, end in zip(offsets, offsets[1:])]
 
 
-def _distinct(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 0/1 player matrix, and each row's index among them."""
-    packed = np.packbits(rows, axis=1)
-    _, first, inverse = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_index=True, return_inverse=True)
-    return rows[first], inverse
-
-
 def _values_of_pieces(pieces: Sequence[tuple]) -> list:
     """Payoffs of the rows of (game, size, rows) pieces, one array per piece.
 
-    ``rows()`` builds a piece's 0/1 player matrix, of ``size`` elements, when
-    its call comes. Consecutive pieces share one ``_values_of_games`` call
-    while their sizes add up to at most ``_PREFIX_ROW_BUDGET`` (a larger piece
-    has a call of its own), and each piece's distinct rows are scored once.
+    ``rows()`` gives a piece's 0/1 player matrix, of ``size`` bytes, when its
+    call comes. Consecutive pieces share one ``_values_of_games`` call while
+    their sizes add up to at most ``TEMP_BYTES`` (a larger piece has a call of
+    its own).
     """
     out: list = []
     start = 0
     while start < len(pieces):
         stop, size = start + 1, pieces[start][1]
-        while stop < len(pieces) and size + pieces[stop][1] <= _PREFIX_ROW_BUDGET:
+        while stop < len(pieces) and size + pieces[stop][1] <= TEMP_BYTES:
             size += pieces[stop][1]
             stop += 1
-        distinct = [_distinct(rows()) for _, _, rows in pieces[start:stop]]
-        values = _values_of_games([game for game, _, _ in pieces[start:stop]], [rows for rows, _ in distinct])
-        out += [v[inverse] for v, (_, inverse) in zip(values, distinct)]
+        out += _values_of_games([game for game, _, _ in pieces[start:stop]], [rows() for _, _, rows in pieces[start:stop]])
         start = stop
     return out
 
@@ -287,8 +284,8 @@ def _prefix_totals(games: Sequence[CoalitionGame], seeds: Sequence[np.ndarray]) 
     """Each game's summed prefix-sweep gains per player over its seeded permutations: (K_g,) per game.
 
     Every prefix of every permutation is one row, empty prefix first; a
-    game's rows are cut into pieces of at most ``_PREFIX_ROW_BUDGET``
-    elements (so memory stays bounded for any K), and the pieces of all the
+    game's rows are cut into pieces of at most ``TEMP_BYTES`` bytes (so
+    memory stays bounded for any K), and the pieces of all the
     games are scored in as few calls as that budget allows. Each game's
     gains are checked against its bound in sweep order, game by game, and
     added per player in permutation order.
@@ -297,7 +294,7 @@ def _prefix_totals(games: Sequence[CoalitionGame], seeds: Sequence[np.ndarray]) 
     pieces, owner = [], []
     for g, (game, position) in enumerate(zip(games, positions)):
         rows = position.shape[0] * (game.K + 1)
-        step = max(1, _PREFIX_ROW_BUDGET // game.K)
+        step = max(1, TEMP_BYTES // game.K)
         for start in range(0, rows, step):
             stop = min(start + step, rows)
             pieces.append((game, (stop - start) * game.K, functools.partial(_prefix_rows, position, start, stop)))

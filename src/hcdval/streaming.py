@@ -24,8 +24,8 @@ statistics of the new rows only. The valuation then runs:
     own independent permutation draws, keeping clean siblings' estimates
     bit-exact; the level's such families are played in one
     ``independent_player_estimate`` call (the permutations of all their
-    dirty children are drawn together, and the distinct ones of their 2T
-    coalitions each are scored in one payoff call);
+    dirty children are drawn together, and their 2T coalitions each are
+    scored together, each distinct coalition once);
   - clean children keep their cached masses unchanged and the dirty children
     split the residual (parent mass minus the clean children's share), so
     value drift stays confined to the dirty subtree while the point values
@@ -124,6 +124,7 @@ def init_stream(
     """Run the batch valuation once and wrap the result as stream state."""
     from .hcdv import last_run_report
 
+    _check_streamable(emb)
     if rebalance_period < 1:
         raise ValueError("rebalance period must be positive")
     if not 0 <= assign_threshold < np.inf:
@@ -145,6 +146,12 @@ def init_stream(
         rebalance_period=rebalance_period,
         tree_seed=tree_seed,
     )
+
+
+def _check_streamable(emb: EmbeddingMatrix) -> None:
+    """Raise unless new raw rows can be embedded: by the identity or a stored linear transform."""
+    if emb.transform is None and emb.source != "identity":
+        raise ValueError("streaming needs an identity embedding or a stored linear transform")
 
 
 def _cosine_to_prototypes(z: np.ndarray, protos: np.ndarray, pn: np.ndarray) -> np.ndarray:
@@ -248,12 +255,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         Xb = (features - old.feature_mean) / old.feature_std
     else:
         Xb = features
-    if state.embedding.transform is not None:
-        Zb = Xb @ state.embedding.transform.T
-    elif state.embedding.source == "identity":
-        Zb = Xb
-    else:
-        raise ValueError("streaming needs an identity embedding or a stored linear transform")
+    _check_streamable(state.embedding)
+    Zb = Xb if state.embedding.transform is None else Xb @ state.embedding.transform.T
 
     epoch = state.epoch + 1
     tree = state.tree.copy()

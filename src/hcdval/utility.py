@@ -52,26 +52,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import LabeledDataset, PointSet, point_words, union
+from .core import TEMP_BYTES, LabeledDataset, PointSet, point_words, union
 
 METRICS = ("accuracy", "balanced_accuracy", "auc")
 LEARNERS = ("nearest_centroid", "ridge_logistic")
 
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
 
-# Batched scoring works in chunks: the (groups, points) one-hot matrix and
-# the largest array a chunk's prediction forms stay within these element
-# counts, whatever the number of players. That array is the (rows, n_val)
-# gap of two classes or the (rows, n_val, C) distances of more; the auc
-# metric keeps the direct (rows, n_val, C, D) difference temporary. A chunk
-# still takes at least _ROW_FLOOR rows, so a large validation split does not
-# leave it a few rows and a fixed cost per chunk that dominates, unless its
-# array would then pass _DISTANCE_CAP elements. Payoffs do not depend on the
-# chunking.
-_ONEHOT_BUDGET = 1 << 17
-_DISTANCE_BUDGET = 1 << 15
-_ROW_FLOOR = 64
-_DISTANCE_CAP = 1 << 20
+# Batched scoring works in chunks: the float64 (groups, points) one-hot matrix
+# and the largest float64 array a chunk's prediction forms, the (rows, n_val)
+# gap of two classes, the (rows, n_val, C) distances of more or the auc
+# metric's direct (rows, n_val, C, D) differences, each stay within TEMP_BYTES
+# (one row at least). Payoffs do not depend on the scoring chunks.
 
 _KEY = np.dtype((np.void, 16))  # a coalition_key as one array element
 
@@ -141,7 +133,7 @@ def _metric_scores(metric: str, pred, score, val_y: np.ndarray) -> np.ndarray:
 def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
     """Sums of the rows of ``values`` per group id: one-hot matmuls over chunks of groups."""
     out = np.empty((n_groups, values.shape[1]))
-    step = max(1, _ONEHOT_BUDGET // max(1, groups.size))
+    step = max(1, TEMP_BYTES // (8 * max(1, groups.size)))
     for start in range(0, n_groups, step):
         ids = np.arange(start, min(start + step, n_groups))
         out[ids] = (groups == ids[:, None]).astype(np.float64) @ values
@@ -760,7 +752,7 @@ class CharacteristicFn:
         chance = chance_level(self.metric, C)
         out = np.empty(rows.shape[0])
         per_row = val_y.size * (C * D if self.metric == "auc" else 1 if C == 2 else C)
-        step = max(1, _DISTANCE_BUDGET // per_row, min(_ROW_FLOOR, _DISTANCE_CAP // per_row))
+        step = max(1, TEMP_BYTES // (8 * per_row))
         for start in range(0, rows.shape[0], step):
             chunk = rows[start : start + step]
             chunk_game = game[start : start + step]

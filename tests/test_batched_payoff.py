@@ -328,11 +328,11 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
 
     together = score(rows)
     alone = np.concatenate([score(row[None]) for row in rows])
+    assert together.tobytes() == alone.tobytes()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(utility, "_DISTANCE_BUDGET", 1)  # one-row chunks
-        mp.setattr(utility, "_ROW_FLOOR", 1)
-        chunked = score(rows)
-    assert together.tobytes() == alone.tobytes() == chunked.tobytes()
+        # one-row chunks; the budget also sizes the one-hot products of the block statistics
+        mp.setattr(utility, "TEMP_BYTES", 1)
+        assert score(rows).tobytes() == np.concatenate([score(row[None]) for row in rows]).tobytes()
     assert score(rows[subset]).tobytes() == together[subset].tobytes()
 
 
@@ -340,7 +340,7 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     "C, metric, per_point",  # elements per (row, validation point) of the largest array a chunk forms:
     [(2, "accuracy", 1), (3, "balanced_accuracy", 3), (2, "auc", 2 * 3)],  # the gap, C distances, C x D differences
 )
-@pytest.mark.parametrize("budget", [utility._DISTANCE_BUDGET, 100])
+@pytest.mark.parametrize("budget", [1 << 15, 100])  # float64 elements
 def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_point, budget, monkeypatch):
     gen = np.random.default_rng(C)
     n, n_val, D = 8 * C, 300, 3
@@ -359,49 +359,12 @@ def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_p
         return scorer(counts, sums, val_X, *args)
 
     monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
-    monkeypatch.setattr(utility, "_DISTANCE_BUDGET", budget)
-    monkeypatch.setattr(utility, "_ROW_FLOOR", 1)  # the budget alone sizes the chunks
+    monkeypatch.setattr(utility, "TEMP_BYTES", 8 * budget)
     cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
     step = max(1, budget // (n_val * per_point))
     assert [r for r, _ in chunks] == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
     for r, v in chunks:  # within the budget, or one row whose array alone exceeds it
         assert r * v * per_point <= budget or (r == 1 and v * per_point > budget)
-
-
-@pytest.mark.parametrize(
-    "C, metric, per_point, cap, step",
-    [
-        (2, "accuracy", 1, utility._DISTANCE_CAP, 64),  # the budget gives 32 rows, the floor 64
-        (3, "balanced_accuracy", 3, utility._DISTANCE_CAP, 64),  # the budget gives 10 rows
-        (2, "auc", 2 * 3, utility._DISTANCE_CAP, 64),  # the budget gives 5 rows
-        (2, "auc", 2 * 3, 100_000, 16),  # the cap holds the floor to 100,000 // 6,000 rows
-        (2, "auc", 2 * 3, 1_000, 5),  # a cap below the budget leaves the budget's rows
-    ],
-)
-def test_chunks_take_the_row_floor_unless_it_passes_the_cap(C, metric, per_point, cap, step, monkeypatch):
-    gen = np.random.default_rng(C)
-    n, n_val, D = 8 * C, 1_000, 3
-    data = LabeledDataset(
-        gen.normal(size=(n, D)), np.arange(n) % C, gen.normal(size=(n_val, D)), np.arange(n_val) % C, C
-    )
-    cf = CharacteristicFn(data, data.features, lam=0.5, metric=metric)
-    blocks = [PointSet(range(j * C, (j + 1) * C)) for j in range(8)]
-    rows = gen.random((150, 8)) < 0.5
-    rows[:, 0] = True
-    chunks = []
-    scorer = utility._nearest_centroid_utility
-
-    def record(counts, sums, val_X, *args):
-        chunks.append(counts.shape[0])
-        return scorer(counts, sums, val_X, *args)
-
-    monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
-    monkeypatch.setattr(utility, "_DISTANCE_CAP", cap)
-    assert utility._DISTANCE_BUDGET // (n_val * per_point) < utility._ROW_FLOOR == 64
-    floored = cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
-    assert chunks == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
-    monkeypatch.setattr(utility, "_ROW_FLOOR", 1)
-    assert floored.tobytes() == cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows).tobytes()
 
 
 def ridge_case(lam: float):
@@ -704,9 +667,8 @@ def test_several_players_at_once_match_one_at_a_time(seed, lam, metric):
         est = independent_player_estimate(together[g], players, 16, streams())
         ref = [independent_player_estimate(alone[g], p, 16, r) for p, r in zip(players, streams())]
         assert est.tobytes() == np.array(ref).tobytes()
-        if g == 0:  # all players' distinct rows in one call
+        if g == 0:  # all players' rows in one call, each distinct coalition one miss (below)
             assert len(calls) == 1
-            assert len(np.unique(calls[0], axis=0)) == len(calls[0])
         else:  # each distinct coalition once
             assert calls and len(set(calls)) == len(calls)
     for k in (2, 3):  # the batched payoff's cache, then the plain callable's
@@ -742,7 +704,7 @@ def test_several_games_at_once_match_one_at_a_time(seed, lam, plain, budget):
     of several games into one payoff call.
     """
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(shapley, "_PREFIX_ROW_BUDGET", budget)
+        m.setattr(shapley, "TEMP_BYTES", budget)
         together, cf = _families(seed, lam, plain)
         alone, cf_alone = _families(seed, lam, plain)
 

@@ -326,6 +326,18 @@ def test_stream_synthetic_writes_metrics_and_values(tmp_path):
     assert values[1].split(",")[2] == "hcdv-stream"
 
 
+def test_stream_over_a_loaded_embedding_is_a_config_error(tmp_path):
+    emb_path = tmp_path / "emb.bin"
+    write_matrix_binary(emb_path, np.zeros((96, 8)))
+    out = tmp_path / "run"
+    argv = ["stream", "--seed", "1", "--out", str(out), "--data-format", "synthetic", "--synthetic-n", "120"]
+    rc = main([*argv, "--embedding-source", "load", "--embedding-path", str(emb_path)])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "linear transform" in err["message"]
+
+
 def test_stream_with_malformed_rows_exits_one(tmp_path):
     X, y = synthetic_rows(n=40, subclusters=2, overlap=0.2, seed=7)
     base = tmp_path / "base.csv"

@@ -406,6 +406,27 @@ def test_propagate_plays_all_dirty_exact_leaves_in_one_payoff_call(monkeypatch):
     assert [calls for _, calls in reference.calls] == [n for n, _ in reference.calls]
 
 
+def exact_leaf_run(monkeypatch, budget: int) -> tuple:
+    """A batch run at a given TEMP_BYTES: its exact_shapley calls as LeafGameSpy records them, and its results."""
+    with monkeypatch.context() as m:
+        m.setattr(shapley, "TEMP_BYTES", budget)
+        spy = LeafGameSpy(m, per_leaf=False)
+        data = make_synthetic(n=80, subclusters=2, overlap=0.2, seed=4)
+        emb = identity_embeddings(data)
+        tree = build_tree(emb, branching=(2, 3), leaf_cap=8, gamma=0.25, seed=4)
+        cf = CharacteristicFn(data, emb, lam=0.5)
+        values = run_hcdv(data, emb, tree, cf, HcdvConfig(T=6, leaf_cap=8, seed=4)).values
+    return spy.calls, (values.tobytes(), cf.evaluations, set(cf._cache))
+
+
+def test_exact_leaves_past_the_byte_budget_take_several_payoff_calls(monkeypatch):
+    one_call, want = exact_leaf_run(monkeypatch, shapley.TEMP_BYTES)
+    several, got = exact_leaf_run(monkeypatch, 2**8 * 8)  # the player matrix of one 8-point leaf
+    assert len(one_call) == len(several) == 1 and one_call[0][1] == 1
+    assert several[0][0] == one_call[0][0] and several[0][1] > 1
+    assert got == want
+
+
 # ------------------------------------------------------------ family games
 
 

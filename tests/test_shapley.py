@@ -448,7 +448,7 @@ def test_pieces_share_a_payoff_call_while_their_sizes_fit_the_row_budget(monkeyp
 
     payoff = Recorder()
     game = CoalitionGame([PointSet([0]), PointSet([1])], payoff)
-    monkeypatch.setattr(shapley, "_PREFIX_ROW_BUDGET", 7)
+    monkeypatch.setattr(shapley, "TEMP_BYTES", 7)
     rows = np.array([[True, False], [False, True], [True, False]])
     pieces = [(game, size, lambda: rows) for size in (3, 3, 3, 5, 1, 9)]
     values = shapley._values_of_pieces(pieces)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet, dataset_from_arrays
-from hcdval.encoder import identity_embeddings
+from hcdval.encoder import EmbeddingMatrix, identity_embeddings
 from hcdval.evaluation import synthetic_rows
 from hcdval.hcdv import HcdvConfig, last_run_report, run_hcdv
 from hcdval import streaming
@@ -86,6 +86,16 @@ def test_init_rejects_a_non_finite_assignment_threshold(threshold):
     cf = CharacteristicFn(data, emb, lam=0.5)
     with pytest.raises(ValueError, match="threshold"):
         init_stream(data, emb, tree, cf, HcdvConfig(T=4, leaf_cap=12), assign_threshold=threshold)
+
+
+def test_init_rejects_an_embedding_it_cannot_extend_before_the_valuation(monkeypatch):
+    X, y = two_blob_rows(10, seed=2)
+    data = dataset_from_arrays(X, y, standardise=False)
+    emb = EmbeddingMatrix(vectors=data.features, source="precomputed")  # no transform for new rows
+    tree = build_tree(emb, branching=(2,), leaf_cap=12, gamma=0.25)
+    monkeypatch.setattr(streaming, "run_hcdv", None)  # the valuation must not start
+    with pytest.raises(ValueError, match="identity embedding or a stored linear transform"):
+        init_stream(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), HcdvConfig(T=4, leaf_cap=12))
 
 
 # ---------------------------------------------------------------- ingest
