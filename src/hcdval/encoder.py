@@ -17,6 +17,13 @@ still enters J, which picks the best epoch snapshot. Rows of zero norm, in
 the embedded batch or in a probe pair, are constant pieces of J and add
 nothing to the gradient. ``fd_gradient`` (central differences) checks the
 closed form.
+
+The penalty's probe pairs are drawn once per batch: each anchor gets a
+uniform random subset of min(partners_per_anchor, m) of its m other-label
+batch positions. ``_sample_pairs`` draws them for all anchors at once, in at
+most partners_per_anchor generator calls whatever the batch size, and in
+O(batch x partners) memory, so a large ``batch_size`` costs no (batch, batch)
+array.
 """
 
 from __future__ import annotations
@@ -116,22 +123,40 @@ def _feature_bounds(data: LabeledDataset):
 
 
 def _sample_pairs(labels: np.ndarray, idx: np.ndarray, partners: int, gen: np.random.Generator):
-    """For each anchor, up to ``partners`` cross-label partners from the batch.
+    """For each anchor, a uniform random subset of min(partners, m) of its m other-label batch positions.
 
-    Each anchor draws its partners with one ``gen.choice`` over the batch
-    positions of the other labels, in anchor order; the candidate array of
-    each label is built once per batch.
+    Partners are drawn as ranks among the anchor's other-label positions,
+    one rank s at a time for all anchors with more than s of them: one
+    ``gen.integers`` call with per-anchor bounds m - s, each draw stepped past
+    the anchor's earlier ranks in ascending order (sequential sampling without
+    replacement). A batch thus takes at most ``partners`` generator calls. Rank
+    r maps to batch position r + t, where t counts the anchor's own-label
+    positions before it, read by one ``searchsorted`` over the label-sorted
+    positions. Memory is O(batch x partners). Returns (anchor, partner) tuples
+    of ints in anchor order, each anchor's partners in ascending batch
+    position; a one-class batch gives none.
     """
-    pairs = []
     y = labels[idx]
-    cands_of = {c: np.flatnonzero(y != c) for c in np.unique(y).tolist()}
-    for a, label in zip(idx.tolist(), y.tolist()):
-        cands = cands_of[label]
-        if cands.size == 0:
-            continue
-        chosen = gen.choice(cands, size=min(partners, cands.size), replace=False)
-        pairs.extend((a, c) for c in idx[np.sort(chosen)].tolist())
-    return pairs
+    b = y.size
+    sizes = np.bincount(y)
+    m = b - sizes[y]
+    k = np.minimum(m, partners)
+    ranks = np.empty((b, int(k.max(initial=0))), dtype=np.int64)
+    for s in range(ranks.shape[1]):
+        live = np.flatnonzero(k > s)
+        r = gen.integers(0, m[live] - s)
+        earlier = ranks[live, :s]  # ascending
+        for t in range(s):
+            r += r >= earlier[:, t]
+        ranks[live, : s + 1] = np.sort(np.column_stack([earlier, r]), axis=1)
+    anchor = np.repeat(np.arange(b), k)
+    r = ranks[np.arange(ranks.shape[1]) < k[:, None]]
+    # the label-sorted positions p_i, keyed label * (b + 1) + (other-label positions before p_i)
+    starts = np.cumsum(sizes) - sizes
+    keys = np.repeat(np.arange(sizes.size) * (b + 1) + starts, sizes) + np.argsort(y, kind="stable") - np.arange(b)
+    c = y[anchor]
+    partner = r + np.searchsorted(keys, c * (b + 1) + r, side="right") - starts[c]
+    return list(zip(idx[anchor].tolist(), idx[partner].tolist()))
 
 
 def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps: float):

@@ -62,7 +62,7 @@ D_MAX = 2.0  # largest cosine distance between any two embedding rows
 # Batched scoring works in chunks: the float64 (groups, points) one-hot matrix
 # and the largest float64 array a chunk's prediction forms, the (rows, n_val)
 # gap of two classes, the (rows, n_val, C) distances of more or the auc
-# metric's direct (rows, n_val, C, D) differences, each stay within TEMP_BYTES
+# metric's direct (rows, n_val, D) differences, each stay within TEMP_BYTES
 # (one row at least). Payoffs do not depend on the scoring chunks.
 
 _KEY = np.dtype((np.void, 16))  # a coalition_key as one array element
@@ -366,7 +366,8 @@ def _nearest_centroid_utility(
     argmin picks the lowest present class on ties, as a model fitted on the
     present classes alone does. The argmin is certified (``_nearest_centroids``).
     The binary AUC score is the margin of the class-1 centroid over the
-    class-0 centroid, from the direct (R, n_val, C, D) distance temporary.
+    class-0 centroid, from one direct (R, n_val, D) difference temporary per
+    class.
     """
     present = counts > 0
     ok = present.sum(axis=1) >= 2
@@ -376,11 +377,9 @@ def _nearest_centroid_utility(
             out[ok] = _nearest_centroid_utility(counts[ok], sums[ok], val_X, val_y, metric, chance)
         return out
     centroids = sums / np.maximum(counts, 1.0)[:, :, None]
-    if metric == "auc":
-        d2 = _direct_sq_distances(val_X[None], centroids[:, None])
-        if not present.all():
-            d2 = np.where(present[:, None, :], d2, np.inf)
-        scores = _metric_scores(metric, None, np.sqrt(d2[:, :, 0]) - np.sqrt(d2[:, :, 1]), val_y)
+    if metric == "auc":  # binary, so both classes are present
+        far0, far1 = (np.sqrt(((val_X - centroids[:, c, None]) ** 2).sum(axis=-1)) for c in (0, 1))
+        scores = _metric_scores(metric, None, far0 - far1, val_y)
     else:
         scores = _metric_scores(metric, _nearest_centroids(centroids, present, val_X), None, val_y)
     return np.where(np.isfinite(scores), scores, chance)
@@ -751,7 +750,7 @@ class CharacteristicFn:
         D = val_X.shape[1]
         chance = chance_level(self.metric, C)
         out = np.empty(rows.shape[0])
-        per_row = val_y.size * (C * D if self.metric == "auc" else 1 if C == 2 else C)
+        per_row = val_y.size * (D if self.metric == "auc" else 1 if C == 2 else C)
         step = max(1, TEMP_BYTES // (8 * per_row))
         for start in range(0, rows.shape[0], step):
             chunk = rows[start : start + step]

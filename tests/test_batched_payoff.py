@@ -338,7 +338,7 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
 
 @pytest.mark.parametrize(
     "C, metric, per_point",  # elements per (row, validation point) of the largest array a chunk forms:
-    [(2, "accuracy", 1), (3, "balanced_accuracy", 3), (2, "auc", 2 * 3)],  # the gap, C distances, C x D differences
+    [(2, "accuracy", 1), (3, "balanced_accuracy", 3), (2, "auc", 3)],  # the gap, C distances, one class's D differences
 )
 @pytest.mark.parametrize("budget", [1 << 15, 100])  # float64 elements
 def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_point, budget, monkeypatch):

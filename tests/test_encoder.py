@@ -1,4 +1,7 @@
 import tracemalloc
+from collections import Counter
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -362,34 +365,114 @@ def test_gradient_step_memory_is_bounded():
     assert peak < 2 * 2**20
 
 
-def _reference_sample_pairs(labels, idx, partners, gen):
-    """The per-anchor pair sampler: one candidate array and one pair at a time per anchor."""
-    pairs = []
+def _check_pairs(labels, idx, partners, pairs):
+    """The sampler's contract on one batch: min(partners, m) distinct cross-label partners per anchor, in order."""
+    assert all(type(a) is int and type(q) is int for a, q in pairs)
+    assert all(labels[a] != labels[q] for a, q in pairs)
+    position = {a: i for i, a in enumerate(idx.tolist())}
+    # anchor order, each anchor's partners distinct and in ascending batch position
+    assert pairs == sorted(set(pairs), key=lambda pair: (position[pair[0]], position[pair[1]]))
     y = labels[idx]
-    for a_local, a in enumerate(idx):
-        cands = np.flatnonzero(y != y[a_local])
-        if cands.size == 0:
-            continue
-        chosen = gen.choice(cands, size=min(partners, cands.size), replace=False)
-        for c in np.sort(chosen):
-            pairs.append((int(a), int(idx[c])))
-    return pairs
+    for i, a in enumerate(idx.tolist()):
+        assert sum(p == a for p, _ in pairs) == min(partners, int((y != y[i]).sum()))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(
-    seed=st.integers(0, 10_000),
+    seed=st.integers(0, 2**32 - 1),
     C=st.integers(1, 4),
     size=st.integers(1, 24),
     partners=st.integers(1, 6),
 )
-def test_pair_sampling_equals_the_per_anchor_loop(seed, C, size, partners):
+def test_pair_sampling_contract(seed, C, size, partners):
     gen = np.random.default_rng(seed)
     labels = gen.integers(0, C, size=60)  # C = 1: a one-class batch, which yields no pairs
     idx = np.sort(gen.choice(60, size=size, replace=False))
-    got = encoder._sample_pairs(labels, idx, partners, np.random.default_rng(seed + 1))
-    want = _reference_sample_pairs(labels, idx, partners, np.random.default_rng(seed + 1))
-    assert got == want
-    assert all(type(a) is int and type(b) is int for a, b in got)
+    state = gen.bit_generator.state
+    pairs = encoder._sample_pairs(labels, idx, partners, gen)
+    _check_pairs(labels, idx, partners, pairs)
     if np.unique(labels[idx]).size == 1:
-        assert got == []
+        assert pairs == []
+    gen.bit_generator.state = state
+    assert encoder._sample_pairs(labels, idx, partners, gen) == pairs
+
+
+def test_pair_sampling_is_uniform():
+    # class-0 anchors have two candidates (fewer than the partners), the
+    # others six; each anchor should get every candidate with probability
+    # k / m and every k-subset with probability 1 / C(m, k), for k =
+    # min(partners, m), and each observed count must lie within 5 binomial
+    # standard deviations of its expectation
+    labels = np.array([0, 0, 1, 0, 0, 2, 0, 0, 1, 0])
+    idx = np.array([0, 2, 3, 4, 5, 7, 9])  # rows 1, 6 and 8 are outside the batch
+    partners, draws = 3, 6000
+    y = labels[idx]
+    subsets = {}
+    gen = np.random.default_rng(2024)
+    for _ in range(draws):
+        pairs = encoder._sample_pairs(labels, idx, partners, gen)
+        chosen = {}
+        for a, q in pairs:
+            chosen.setdefault(a, []).append(q)
+        for a, qs in chosen.items():
+            subsets.setdefault(a, Counter())[tuple(qs)] += 1
+
+    def within(count, p):
+        return abs(count - draws * p) <= 5.0 * np.sqrt(draws * p * (1.0 - p)) + 1e-9
+
+    for i, a in enumerate(idx.tolist()):
+        cands = idx[y != y[i]].tolist()
+        m, k = len(cands), min(partners, len(cands))
+        seen = subsets[a]
+        assert sum(seen.values()) == draws
+        assert set(seen) <= set(combinations(cands, k))
+        for c in cands:
+            assert within(sum(n for qs, n in seen.items() if c in qs), k / m)
+        for qs in combinations(cands, k):
+            assert within(seen[qs], 1.0 / comb(m, k))
+
+
+class _CountingGenerator:
+    """A generator proxy that counts every method call."""
+
+    def __init__(self, gen):
+        self._gen, self.calls = gen, 0
+
+    def __getattr__(self, name):
+        attr = getattr(self._gen, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return attr(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("size", [8, 4096])
+@pytest.mark.parametrize("partners", [1, 2, 5])
+def test_pair_sampling_calls_do_not_grow_with_the_batch(size, partners):
+    labels = np.arange(size) % 3
+    idx = np.arange(size)
+    gen = _CountingGenerator(np.random.default_rng(size + partners))
+    pairs = encoder._sample_pairs(labels, idx, partners, gen)
+    assert len(pairs) == size * partners
+    assert 1 <= gen.calls <= partners
+
+
+def test_pair_sampling_memory_is_linear_in_the_batch():
+    # 4,096 anchors with two partners each: the 8,192 returned tuples take
+    # about 1 MB, the draws a few hundred kB; a (batch, batch) matrix of even
+    # one byte per entry would take 16 MB
+    labels = np.arange(4096) % 2
+    idx = np.arange(4096)
+    gen = np.random.default_rng(5)
+    tracemalloc.start()
+    try:
+        pairs = encoder._sample_pairs(labels, idx, 2, gen)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 8192
+    assert peak < 3 * 2**20
