@@ -252,6 +252,10 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError("lam must be finite and >= 0")
     if cfg.leaf_mode not in LEAF_MODES:
         raise ConfigError(f"leaf_mode must be one of {LEAF_MODES}")
+    try:
+        _hcdv_config(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"valuation settings: {exc}") from exc
     if cfg.metric not in METRICS:
         raise ConfigError(f"metric must be one of {tuple(METRICS)}")
     if cfg.learner not in LEARNERS:

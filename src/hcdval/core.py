@@ -9,8 +9,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 
-# Bytes per temporary of batched payoff play: a payoff call's player matrix, a one-hot
-# sum and a scoring chunk's largest array each take max(1, TEMP_BYTES // bytes_per_row) rows.
+# Bytes per temporary of batched payoff play: a payoff call's player matrix and a scoring
+# chunk's largest array each take max(1, TEMP_BYTES // bytes_per_row) rows.
 TEMP_BYTES = 1 << 20
 
 # splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
@@ -71,8 +71,13 @@ class PointSet:
     __slots__ = ("indices",)
 
     def __init__(self, indices: Iterable[int] = ()):
-        arr = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices), dtype=np.int64)
-        arr = np.unique(arr)
+        arr = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+        if arr.dtype.kind not in "biu":
+            values = arr.astype(np.float64)
+            bad = np.flatnonzero(~(np.isfinite(values) & (values == np.floor(values))))
+            if bad.size:
+                raise ValueError(f"point index at position {bad[0]} is {float(values.flat[bad[0]])!r}, not an integer")
+        arr = np.unique(arr.astype(np.int64))
         if arr.size and arr[0] < 0:
             raise ValueError("point indices must be non-negative")
         arr.setflags(write=False)
@@ -141,8 +146,6 @@ class LabeledDataset:
     :param num_classes: number of label classes (>= 2)
     :param feature_mean: per-feature mean removed by standardisation (or None)
     :param feature_std: per-feature scale removed by standardisation (or None)
-    :param feature_low: per-feature minimum of the (processed) train split
-    :param feature_high: per-feature maximum of the (processed) train split
     """
 
     features: np.ndarray
@@ -152,8 +155,6 @@ class LabeledDataset:
     num_classes: int
     feature_mean: Optional[np.ndarray] = None
     feature_std: Optional[np.ndarray] = None
-    feature_low: Optional[np.ndarray] = None
-    feature_high: Optional[np.ndarray] = None
 
     def __post_init__(self):
         feats = np.ascontiguousarray(self.features, dtype=np.float64)
@@ -446,8 +447,6 @@ def dataset_from_arrays(
         num_classes=num_classes,
         feature_mean=mean,
         feature_std=std,
-        feature_low=train_X.min(axis=0),
-        feature_high=train_X.max(axis=0),
     )
 
 

@@ -116,10 +116,9 @@ def load_embeddings(path, expected_n: Optional[int] = None) -> EmbeddingMatrix:
     return EmbeddingMatrix(vectors=vectors, source="precomputed")
 
 
-def _feature_bounds(data: LabeledDataset):
-    low = data.feature_low if data.feature_low is not None else data.features.min(axis=0)
-    high = data.feature_high if data.feature_high is not None else data.features.max(axis=0)
-    return low, high
+def _feature_bounds(data: LabeledDataset) -> tuple:
+    """Per-feature minimum and maximum of the train split: the range probe inputs are clipped to."""
+    return data.features.min(axis=0), data.features.max(axis=0)
 
 
 def _sample_pairs(labels: np.ndarray, idx: np.ndarray, partners: int, gen: np.random.Generator):
@@ -159,12 +158,13 @@ def _sample_pairs(labels: np.ndarray, idx: np.ndarray, partners: int, gen: np.ra
     return list(zip(idx[anchor].tolist(), idx[partner].tolist()))
 
 
-def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps: float):
+def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps: float, bounds: tuple):
     """Anchor rows (n, D), partner rows (n, D) and clipped shifted anchors (n, k, D).
 
     Directions are scaled to unit norm (a zero direction stays zero) and the
-    shifted anchors ``x_p + eps * r`` are clipped to the train-split feature
-    range. None of this depends on W, so it is done once per batch.
+    shifted anchors ``x_p + eps * r`` are clipped to ``bounds``, the
+    train-split feature range (``_feature_bounds``). None of this depends on
+    W, so it is done once per batch.
     """
     directions = np.asarray(directions, dtype=np.float64)
     n, D = len(pairs), data.dim
@@ -173,10 +173,9 @@ def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps:
     norms = np.linalg.norm(directions, axis=2, keepdims=True)
     norms[norms == 0.0] = 1.0
     directions = directions / norms
-    low, high = _feature_bounds(data)
     p, q = np.asarray(pairs, dtype=np.int64).T
     anchors = data.features[p]
-    return anchors, data.features[q], np.clip(anchors[:, None, :] + eps * directions, low, high)
+    return anchors, data.features[q], np.clip(anchors[:, None, :] + eps * directions, *bounds)
 
 
 def _cosine_distances(a: np.ndarray, b: np.ndarray):
@@ -253,15 +252,16 @@ def smoothness_penalty(
     if directions is None:
         gen = RngStream(cfg.seed, "fd-directions", content_token(idx)).generator()
         directions = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
-    return _penalty(W, _probe_inputs(data, pairs, directions, cfg.fd_step), cfg.fd_step)[0]
+    return _penalty(W, _probe_inputs(data, pairs, directions, cfg.fd_step, _feature_bounds(data)), cfg.fd_step)[0]
 
 
-def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions):
+def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions, bounds):
     """The batch objective as a function ``objective(W) -> (J, grad J)`` of one (d, D) matrix.
 
     Everything that does not depend on W (batch rows, class masks, probe
-    inputs) is prepared here once. The gradient is lambda times the
-    dispersion's minus alpha times the penalty's; the accuracy adds nothing.
+    inputs clipped to ``bounds``) is prepared here once. The gradient is
+    lambda times the dispersion's minus alpha times the penalty's; the
+    accuracy adds nothing.
     The dispersion's sum of cross-label unit dots is (|G|^2 - sum_c |U_c|^2) / 2
     for class sums U_c of unit rows and G = sum_c U_c, so its gradient in unit
     row i is -(G - U_c(i)) / pairs, taken through the unit map's Jacobian
@@ -272,7 +272,7 @@ def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions):
     members = [y == c for c in classes]
     onehot = np.array(members, dtype=np.float64)
     counts = onehot.sum(axis=1)
-    probes = _probe_inputs(data, pairs, directions, cfg.fd_step) if pairs else None
+    probes = _probe_inputs(data, pairs, directions, cfg.fd_step, bounds) if pairs else None
 
     def objective(W: np.ndarray):
         Z = X @ W.T
@@ -343,6 +343,7 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     take = min(VAL_SUBSAMPLE, n_val)
     val_idx = np.sort(val_gen.choice(n_val, size=take, replace=False))
     val_X, val_y = data.val_features[val_idx], data.val_labels[val_idx]
+    bounds = _feature_bounds(data)
 
     def batch_objectives(epoch: int):
         gen = RngStream(cfg.seed, "encoder-batches", b"", epoch).generator()
@@ -351,7 +352,7 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
             pg = RngStream(cfg.seed, "encoder-pairs", content_token(epoch, b)).generator()
             pairs = _sample_pairs(data.labels, idx, cfg.partners_per_anchor, pg)
             dirs = pg.standard_normal((len(pairs), cfg.fd_draws, D)) if pairs else None
-            objectives.append(_batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs))
+            objectives.append(_batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, bounds))
         return objectives
 
     scoring = batch_objectives(0)

@@ -29,6 +29,7 @@ The per-node masses are the budgets the paper propagates down the tree.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -66,6 +67,10 @@ class HcdvConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("T", "leaf_cap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.T < 1:
             raise ValueError("need at least one permutation per game")
         if not 0 <= self.lam < np.inf:

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .core import PointSet, RngStream, content_token, union
-from .utility import _nearest
+from .utility import _group_sums, _nearest
 
 
 def _as_vectors(embedding) -> np.ndarray:
@@ -104,15 +104,12 @@ def _cluster_sums(X: np.ndarray, assign: np.ndarray, K: int) -> np.ndarray:
     """(K, D) sums of each cluster's rows, added as ``X[assign == k].sum(axis=0)`` adds them.
 
     numpy sums the rows of a matrix one after another from index 0, as
-    ``np.bincount`` adds its weights, here each entry of X into bin
-    (cluster, column); but it sums a single column pairwise, which only its
-    own sum repeats.
+    ``utility._group_sums`` adds them; but it sums a single column pairwise,
+    which only its own sum repeats.
     """
-    D = X.shape[1]
-    if D == 1:
+    if X.shape[1] == 1:
         return np.array([[X[assign == k, 0].sum()] for k in range(K)])
-    bins = (assign * D)[:, None] + np.arange(D)
-    return np.bincount(bins.ravel(), weights=X.ravel(), minlength=K * D).reshape(K, D)
+    return _group_sums(X, assign, K)
 
 
 def _moved_beyond(step: np.ndarray, tol: float) -> np.ndarray:
@@ -148,7 +145,7 @@ def _segmented_lloyd(
     to its node's nearest centroid (``utility._nearest``). A non-empty cluster's
     centroid becomes its members' mean, rounded as
     ``X[assign == k].mean(axis=0)``; an empty cluster keeps its centroid. The
-    sums of all clusters come from one ``np.bincount`` (``_cluster_sums``):
+    sums of all clusters come from one ``_group_sums`` call (``_cluster_sums``):
     the clusters of different nodes are different bins, so each bin adds
     the same rows in the same order as a call for its node alone.
     """
@@ -184,28 +181,28 @@ def _segmented_lloyd(
 
 
 def part_means(vectors: np.ndarray, parts: Sequence[PointSet]) -> List[np.ndarray]:
-    """Each part's ``vectors[part.indices].mean(axis=0)``, bit for bit, from one ``np.bincount``.
+    """Each part's ``vectors[part.indices].mean(axis=0)``, bit for bit, from one ``utility._group_sums`` call.
 
     For d >= 2 columns, NumPy's mean over the rows of an (m, d) array adds the
-    rows one after another, as bincount adds the weights of each (part,
-    column) bin, and both divide by m. Two cases can differ. A column that is
-    -0.0 in every row of a part: bincount sums it to +0.0, and whether the
-    mean keeps -0.0 depends on how the NumPy release starts its sum, so such
-    a part takes the mean itself. And with d = 1 the mean reduces a
-    contiguous axis pairwise, so it is called as it is.
+    rows one after another, as ``_group_sums`` adds each part's rows, and both
+    divide by m. Two cases can differ. A column that is -0.0 in every row of a
+    part: ``_group_sums`` adds it onto +0.0, and whether the mean keeps -0.0
+    depends on how the NumPy release starts its sum, so such a part takes the
+    mean itself. And with d = 1 the mean reduces a contiguous axis pairwise,
+    so it is called as it is.
     """
     d = vectors.shape[1]
     if d == 1 or not parts:
         return [vectors[part.indices].mean(axis=0) for part in parts]
     rows = vectors[np.concatenate([part.indices for part in parts])]
     sizes = np.array([len(part) for part in parts])
-    bins = (np.repeat(np.arange(len(parts)) * d, sizes)[:, None] + np.arange(d)).ravel()
-    sums = np.bincount(bins, weights=rows.ravel(), minlength=len(parts) * d).reshape(len(parts), d)
+    owner = np.repeat(np.arange(len(parts)), sizes)
+    sums = _group_sums(rows, owner, len(parts))
     means = list(sums / sizes[:, None])
     zero = sums == 0.0
     if zero.any():
-        negative_zeros = np.bincount(bins, weights=((rows == 0.0) & np.signbit(rows)).ravel(), minlength=sums.size)
-        for k in np.flatnonzero((zero & (negative_zeros.reshape(sums.shape) == sizes[:, None])).any(axis=1)).tolist():
+        negative_zeros = _group_sums((rows == 0.0) & np.signbit(rows), owner, len(parts))
+        for k in np.flatnonzero((zero & (negative_zeros == sizes[:, None])).any(axis=1)).tolist():
             means[k] = vectors[parts[k].indices].mean(axis=0)
     return means
 

@@ -37,9 +37,10 @@ batched product. Either way the (row, validation point) pairs whose gap is
 within a proven rounding bound are recomputed with the direct
 sum_k (x_k - mu_k)^2, so the argmin is certified equal to the direct
 formula's. Apart from that GEMM, whose rounding the certificate absorbs,
-each row is scored by elementwise arithmetic, and batched coalition
-statistics add block statistics in a fixed order, so a coalition's payoff
-does not depend on which other coalitions share its call.
+each row is scored by elementwise arithmetic. Block statistics are
+sequential group sums (``_group_sums``) and a coalition adds its blocks'
+statistics in block order, so a coalition's payoff depends neither on which
+other coalitions share its call nor on the chunk budget.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ LEARNERS = ("nearest_centroid", "ridge_logistic")
 
 D_MAX = 2.0  # largest cosine distance between any two embedding rows
 
-# Batched scoring works in chunks: the float64 (groups, points) one-hot matrix
-# and the largest float64 array a chunk's prediction forms, the (rows, n_val)
-# gap of two classes, the (rows, n_val, C) distances of more or the auc
-# metric's direct (rows, n_val, D) differences, each stay within TEMP_BYTES
-# (one row at least). Payoffs do not depend on the scoring chunks.
+# Batched scoring works in chunks: the largest float64 array a chunk's
+# prediction forms, the (rows, n_val) gap of two classes, the (rows, n_val, C)
+# distances of more or the auc metric's direct (rows, n_val, D) differences,
+# stays within TEMP_BYTES (one row at least). Payoffs do not depend on the
+# scoring chunks.
 
 _KEY = np.dtype((np.void, 16))  # a coalition_key as one array element
 
@@ -131,13 +132,16 @@ def _metric_scores(metric: str, pred, score, val_y: np.ndarray) -> np.ndarray:
 
 
 def _group_sums(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Sums of the rows of ``values`` per group id: one-hot matmuls over chunks of groups."""
-    out = np.empty((n_groups, values.shape[1]))
-    step = max(1, TEMP_BYTES // (8 * max(1, groups.size)))
-    for start in range(0, n_groups, step):
-        ids = np.arange(start, min(start + step, n_groups))
-        out[ids] = (groups == ids[:, None]).astype(np.float64) @ values
-    return out
+    """(n_groups, F) float64 sums of the rows of the (m, F) ``values`` per group id in ``groups``.
+
+    One ``np.bincount`` over the (group, column) bins adds each group's rows
+    one after another, in row order, onto 0.0. So a group's sum depends on
+    its own rows alone, not on the other groups of the call.
+    """
+    F = values.shape[1]
+    bins = (groups * F)[:, None] + np.arange(F)
+    sums = np.bincount(bins.ravel(), weights=values.ravel(), minlength=n_groups * F)
+    return sums.astype(np.float64, copy=False).reshape(n_groups, F)  # bincount of no rows gives int zeros
 
 
 def _unit_rows(Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -703,34 +707,16 @@ class CharacteristicFn:
     def _block_stats(self, games: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
         """(games, width, C * F) per-class statistics of each game's blocks, zero past its last block.
 
-        A game of one-point blocks takes each point's ``_point_stats`` row in
-        its class slot. That is what summing the game's points gives, exactly:
-        the other terms are zeros, and their signs cannot reach a coalition's
-        statistics, which add blocks onto +0.0. Any other game's blocks are
-        summed by one ``_group_sums`` call over that game's sorted points, the
-        call a one-game batch makes, so they round the same way.
+        One ``_group_sums`` call adds every game's points into (game, block,
+        class) bins. A block's points are sorted, so each bin adds its rows in
+        ascending point order onto 0.0, whichever games share the call.
         """
-        labels = self.dataset.labels
         C = self.dataset.num_classes
-        F = self._point_stats.shape[1]
-        stats = np.zeros((len(games), width, C, F))
-        single = []
-        for g, blocks in enumerate(games):
-            if all(len(b) == 1 for b in blocks):
-                single.append(g)
-                continue
-            points = np.concatenate([b.indices for b in blocks])
-            owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-            order = np.argsort(points)
-            points, owner = points[order], owner[order]
-            sums = _group_sums(self._point_stats[points], owner * C + labels[points], len(blocks) * C)
-            stats[g, : len(blocks)] = sums.reshape(len(blocks), C, F)
-        if single:
-            g = np.repeat(single, [len(games[g]) for g in single])
-            j = np.concatenate([np.arange(len(games[g])) for g in single])
-            p = np.concatenate([b.indices for g in single for b in games[g]])
-            stats[g, j, labels[p]] = self._point_stats[p]
-        return stats.reshape(len(games), width, C * F)
+        flat = [b for blocks in games for b in blocks]
+        points = np.concatenate([b.indices for b in flat])
+        slots = [g * width + j for g, blocks in enumerate(games) for j in range(len(blocks))]
+        groups = np.repeat(slots, [len(b) for b in flat]) * C + self.dataset.labels[points]
+        return _group_sums(self._point_stats[points], groups, len(games) * width * C).reshape(len(games), width, -1)
 
     def _score_rows(self, games: Sequence[Sequence[PointSet]], game: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Payoffs of the rows of a 0/1 block matrix; row r selects blocks of ``games[game[r]]``."""

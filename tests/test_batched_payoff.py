@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hcdval import (
@@ -316,6 +316,7 @@ def test_the_row_check_keeps_the_pairs_of_the_per_pair_bound(seed, D, norms):
     metric=st.sampled_from(["accuracy", "balanced_accuracy", "auc"]),
     lam=st.sampled_from([0.0, 0.5]),
 )
+@example(seed=2, metric="balanced_accuracy", lam=0.5)
 def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     data = make_synthetic(200, overlap=0.4, seed=seed)
     gen = np.random.default_rng(seed)
@@ -330,9 +331,9 @@ def test_a_payoff_does_not_depend_on_its_batch(seed, metric, lam):
     alone = np.concatenate([score(row[None]) for row in rows])
     assert together.tobytes() == alone.tobytes()
     with pytest.MonkeyPatch.context() as mp:
-        # one-row chunks; the budget also sizes the one-hot products of the block statistics
-        mp.setattr(utility, "TEMP_BYTES", 1)
-        assert score(rows).tobytes() == np.concatenate([score(row[None]) for row in rows]).tobytes()
+        mp.setattr(utility, "TEMP_BYTES", 1)  # one-row scoring chunks
+        assert score(rows).tobytes() == together.tobytes()
+        assert np.concatenate([score(row[None]) for row in rows]).tobytes() == together.tobytes()
     assert score(rows[subset]).tobytes() == together[subset].tobytes()
 
 
@@ -516,6 +517,39 @@ def test_one_set_split_two_ways_is_one_coalition(seed, size):
     got = cf.evaluate_games([(a, np.ones((1, len(a)), bool)), (b, np.ones((1, len(b)), bool))])
     assert cf.evaluations == 1 and list(cf._cache) == [S.key()]
     assert got[0].tobytes() == got[1].tobytes()
+
+
+_SUM_TERMS = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    data=st.data(),
+    m=st.integers(0, 12),
+    F=st.integers(1, 4),
+    n_groups=st.integers(1, 6),
+    extra=st.integers(0, 3),
+)
+def test_group_sums_add_each_groups_rows_left_to_right(data, m, F, n_groups, extra):
+    # groups past n_groups hold rows only in the second call; groups without rows stay +0.0
+    values = np.array(data.draw(st.lists(st.lists(_SUM_TERMS, min_size=F, max_size=F), min_size=m, max_size=m)))
+    values = values.reshape(m, F)
+    groups = np.array(data.draw(st.lists(st.integers(0, n_groups - 1), min_size=m, max_size=m)), dtype=np.int64)
+    want = np.zeros((n_groups, F))
+    for row, g in zip(values, groups.tolist()):
+        want[g] = want[g] + row
+    got = utility._group_sums(values, groups, n_groups)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    k = data.draw(st.integers(0, 6))
+    other = np.array(data.draw(st.lists(_SUM_TERMS, min_size=k * F, max_size=k * F))).reshape(k, F)
+    at = np.sort(np.array(data.draw(st.lists(st.integers(0, m), min_size=k, max_size=k)), dtype=np.intp))
+    more_groups = n_groups + extra + 1
+    mixed = utility._group_sums(
+        np.insert(values, at, other, axis=0),
+        np.insert(groups, at, n_groups + np.arange(k) % (extra + 1)),
+        more_groups,
+    )
+    assert mixed[:n_groups].tobytes() == want.tobytes()
 
 
 @settings(deadline=None, max_examples=20)

@@ -139,6 +139,18 @@ def test_bad_encoder_flags_are_config_errors(tmp_path, flags):
     assert err["error"] == "ConfigError" and "encoder" in err["message"]
 
 
+@pytest.mark.parametrize("key", ["permutations: 2.5", "leaf_cap: 12.5", "permutations: true"])
+def test_non_integer_counts_in_a_config_file_are_config_errors(tmp_path, key):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"seed: 1\nsynthetic_n: 60\n{key}\n")
+    out = tmp_path / "run"
+    rc = main(["value", "--config", str(cfg), "--out", str(out), "--data-format", "synthetic"])
+    assert rc == 2
+    assert not (out / "manifest.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and "must be an integer" in err["message"]
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("seed: 3\ndata_format: synthetic\nsynthetic_n: 60\npermutations: 16\nbranching: [3]\nleaf_cap: 12\n")

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from hcdval import (
     EMPTY_SET,
+    HierarchyTree,
     LabeledDataset,
     PointSet,
     RngStream,
     ValueVector,
+    build_tree,
     content_token,
     dataset_from_arrays,
     load_dataset,
@@ -53,6 +56,25 @@ def test_pointset_equality_and_hash():
 def test_pointset_key_distinguishes_sets():
     assert PointSet([1, 2]).key() != PointSet([1, 3]).key()
     assert EMPTY_SET.key() == PointSet([]).key()
+
+
+@pytest.mark.parametrize(
+    "indices, first",
+    [([1.5, 2.7], "1.5"), ([0, 3, float("nan")], "nan"), ([2.0, float("-inf")], "-inf"), (np.array([4.0, 0.25]), "0.25")],
+)
+def test_pointset_rejects_non_integral_indices(indices, first):
+    with pytest.raises(ValueError, match=f" is {first}, not an integer"):
+        PointSet(indices)
+
+
+def test_pointset_takes_integral_floats_and_trees_reject_fractional_members():
+    assert PointSet([3.0, 1.0, np.float64(2)]) == PointSet([1, 2, 3])
+    tree = build_tree(np.arange(12.0).reshape(6, 2), branching=[2], leaf_cap=3)
+    assert HierarchyTree.from_json(tree.to_json()).node(1).members == tree.node(1).members
+    doc = json.loads(tree.to_json())
+    doc["nodes"][1]["members"][0] += 0.5
+    with pytest.raises(ValueError, match="not an integer"):
+        HierarchyTree.from_json(json.dumps(doc))
 
 
 @given(st.lists(st.integers(min_value=0, max_value=50), max_size=12))

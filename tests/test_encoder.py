@@ -266,7 +266,7 @@ def _objective_case(seed: int, C: int, draws: int, one_class: bool, fd_step: flo
 def test_stacked_objective_matches_the_per_matrix_formula(seed, C, draws, one_class, fd_step):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
     assert (not pairs) == one_class
-    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)
+    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
     for W in Ws:
         value, _ = objective(W)
         assert abs(value - _reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs)) <= TOL
@@ -276,7 +276,7 @@ def test_stacked_objective_matches_the_per_matrix_formula(seed, C, draws, one_cl
 
 def test_large_fd_step_clips_the_shifted_anchors():
     data, idx, cfg, _, _, pairs, dirs, _ = _objective_case(3, 2, 3, False, 3.0)
-    _, _, shifted = encoder._probe_inputs(data, pairs, dirs, cfg.fd_step)
+    _, _, shifted = encoder._probe_inputs(data, pairs, dirs, cfg.fd_step, encoder._feature_bounds(data))
     anchors = data.features[[p for p, _ in pairs]]
     unit = dirs / np.linalg.norm(dirs, axis=2, keepdims=True)
     assert not np.array_equal(shifted, anchors[:, None, :] + cfg.fd_step * unit)
@@ -304,7 +304,7 @@ def _smooth_reference(data, idx, cfg, pairs, dirs):
 )
 def test_objective_gradient_matches_fd_gradient_of_the_smooth_part(seed, C, draws, one_class, fd_step):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
-    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs)
+    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
     smooth = _smooth_reference(data, idx, cfg, pairs, dirs)
     # Ws[0] is the zero matrix, where J is not differentiable; the rest embed
     # each nonzero feature row to a nonzero row (a zero feature row stays zero
@@ -331,7 +331,8 @@ def test_training_steps_along_the_closed_form_gradient(monkeypatch):
         gen = RngStream(cfg.seed, "encoder-pairs", content_token(epoch, 0)).generator()
         pairs = encoder._sample_pairs(data.labels, idx, cfg.partners_per_anchor, gen)
         dirs = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
-        return encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs)
+        bounds = encoder._feature_bounds(data)
+        return encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs, bounds)
 
     W0 = train_linear_encoder(data, EncoderConfig(d=2, epochs=0, seed=10)).transform
     W1 = W0 + cfg.lr * objective(1)(W0)[1]
@@ -353,7 +354,8 @@ def test_gradient_step_memory_is_bounded():
     pairs = encoder._sample_pairs(data.labels, idx, cfg.partners_per_anchor, gen)
     assert len(pairs) == cfg.batch_size * cfg.partners_per_anchor
     dirs = gen.standard_normal((len(pairs), cfg.fd_draws, D))
-    objective = encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs)
+    bounds = encoder._feature_bounds(data)
+    objective = encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs, bounds)
     W = gen.normal(size=(d, D)) / np.sqrt(D)
     tracemalloc.start()
     try:

@@ -250,6 +250,14 @@ def test_config_validation():
         HcdvConfig(leaf_mode="sometimes")
 
 
+@pytest.mark.parametrize("field", ["T", "leaf_cap"])
+@pytest.mark.parametrize("value", [2.5, 8.0, True, "8"])
+def test_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        HcdvConfig(**{field: value})
+    assert getattr(HcdvConfig(**{field: np.int64(8)}), field) == 8
+
+
 @pytest.mark.parametrize("lam", [float("nan"), float("inf")])
 def test_config_rejects_non_finite_lambda(lam):
     with pytest.raises(ValueError, match="finite"):

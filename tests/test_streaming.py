@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet, dataset_from_arrays
-from hcdval.encoder import EmbeddingMatrix, identity_embeddings
+from hcdval.encoder import EmbeddingMatrix, EncoderConfig, identity_embeddings, smoothness_penalty
 from hcdval.evaluation import synthetic_rows
 from hcdval.hcdv import HcdvConfig, last_run_report, run_hcdv
 from hcdval import streaming
@@ -144,6 +144,20 @@ def test_input_state_is_left_intact():
     assert np.array_equal(state.values, before_values)
     assert list(state.tree.leaf_ids()) == before_leaves
     assert state.epoch == 0
+
+
+def test_the_smoothness_penalty_clips_to_the_grown_corpus_range():
+    state = blob_stream_state(n_per=12, seed=5)
+    feats, labs = batch_near((12.0, 3.0), 4, seed=51, label=0)  # beyond the initial feature range
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        grown = ingest_batch(state, feats, labs).data
+    assert (grown.features.max(axis=0) > state.data.features.max(axis=0)).all()
+    fresh = LabeledDataset(grown.features, grown.labels, grown.val_features, grown.val_labels, grown.num_classes)
+    cfg = EncoderConfig(d=2, fd_step=3.0, fd_draws=3, seed=5)  # large steps, so the clipping binds
+    W = np.array([[1.0, 0.3], [-0.2, 0.8]])
+    batch = grown.all_points()
+    assert smoothness_penalty(grown, batch, W, cfg) == smoothness_penalty(fresh, batch, W, cfg)
 
 
 def test_far_away_batch_spawns_a_leaf():
