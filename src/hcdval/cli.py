@@ -2,7 +2,9 @@
 
 Subcommands: embed, tree, value, stream, check, baseline. Every run resolves
 a single RunConfig from defaults, an optional YAML config file, and explicit
-flags (later sources win), validates it up front, and writes its outputs
+flags (later sources win). Each RunConfig field is one config key and one
+flag, and a value from either source goes through the same typed parse. The
+run validates its config up front and writes its outputs
 under ``--out`` together with a manifest recording the config hash and the
 git revision. Apart from measured latency columns in the streaming metrics,
 outputs are a pure function of (input files, config, seed).
@@ -54,10 +56,25 @@ from .shapley import CoalitionGame, exact_shapley, flat_mcds, group_shapley, lea
 from .streaming import ingest_batch, init_stream
 from .utility import LEARNERS, METRICS, CharacteristicFn
 
-SUBCOMMANDS = ("embed", "tree", "value", "stream", "check", "baseline")
-DATA_FORMATS = ("csv", "binary", "synthetic")
-BASELINE_METHODS = ("mcds", "gs", "loo", "random")
 CHECK_SUITES = ("concentration", "efficiency", "regret", "stability")
+# The values a string setting may take; for ``suites``, the values of each name in its list.
+CHOICES = {
+    "data_format": ("csv", "binary", "synthetic"),
+    "embedding_source": ("identity", "train", "load"),
+    "leaf_mode": LEAF_MODES,
+    "metric": METRICS,
+    "learner": LEARNERS,
+    "method": ("mcds", "gs", "loo", "random"),
+    "suites": CHECK_SUITES,
+}
+_HELP = {
+    "seed": "root seed (required here or in the config file)",
+    "out": "output directory (default: out)",
+    "data": "dataset file (csv or binary)",
+    "branching": "comma list, e.g. 8,8",
+    "lam": "dispersion weight in the characteristic",
+    "suites": "comma list or 'all'",
+}
 
 
 class ConfigError(ValueError):
@@ -114,20 +131,8 @@ class RunConfig:
     check_n: int = 60
 
 
-def _int_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(x) for x in text)
-    return tuple(int(x) for x in str(text).split(",") if x.strip())
-
-
-def _suite_list(text) -> tuple:
-    if isinstance(text, (list, tuple)):
-        names = tuple(str(x) for x in text)
-    elif str(text) == "all":
-        return CHECK_SUITES
-    else:
-        names = tuple(x.strip() for x in str(text).split(",") if x.strip())
-    return names
+# Every setting, keyed by name: a flag ``--<name-with-dashes>`` and a config file key.
+_FIELDS = {f.name: f for f in fields(RunConfig) if f.name != "subcommand"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,50 +148,16 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="YAML file with RunConfig keys; flags override it")
-        p.add_argument("--seed", type=int, default=None, help="root seed (required here or in the config file)")
-        p.add_argument("--out", default=None, help="output directory (default: out)")
-        p.add_argument("--data", default=None, help="dataset file (csv or binary)")
-        p.add_argument("--data-format", dest="data_format", choices=DATA_FORMATS, default=None)
-        p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
-        p.add_argument("--synthetic-n", dest="synthetic_n", type=int, default=None)
-        p.add_argument("--synthetic-subclusters", dest="synthetic_subclusters", type=int, default=None)
-        p.add_argument("--synthetic-overlap", dest="synthetic_overlap", type=float, default=None)
-        p.add_argument("--embedding-source", dest="embedding_source", choices=("identity", "train", "load"), default=None)
-        p.add_argument("--embedding-path", dest="embedding_path", default=None)
-        p.add_argument("--embed-dim", dest="embed_dim", type=int, default=None)
-        p.add_argument("--embed-epochs", dest="embed_epochs", type=int, default=None)
-        p.add_argument("--embed-batch", dest="embed_batch", type=int, default=None)
-        p.add_argument("--embed-lr", dest="embed_lr", type=float, default=None)
-        p.add_argument("--embed-lam", dest="embed_lam", type=float, default=None)
-        p.add_argument("--embed-alpha", dest="embed_alpha", type=float, default=None)
-        p.add_argument("--embed-partners", dest="embed_partners", type=int, default=None)
-        p.add_argument("--embed-fd-step", dest="embed_fd_step", type=float, default=None)
-        p.add_argument("--embed-fd-draws", dest="embed_fd_draws", type=int, default=None)
-        p.add_argument("--branching", type=_int_list, default=None, help="comma list, e.g. 8,8")
-        p.add_argument("--leaf-cap", dest="leaf_cap", type=int, default=None)
-        p.add_argument("--gamma", type=float, default=None)
-        p.add_argument("--permutations", "-T", dest="permutations", type=int, default=None)
-        p.add_argument("--lam", type=float, default=None, help="dispersion weight in the characteristic")
-        p.add_argument("--leaf-mode", dest="leaf_mode", choices=LEAF_MODES, default=None)
-        p.add_argument("--metric", choices=tuple(METRICS), default=None)
-        p.add_argument("--learner", choices=tuple(LEARNERS), default=None)
-        p.add_argument("--method", choices=BASELINE_METHODS, default=None)
-        p.add_argument("--stream-data", dest="stream_data", default=None)
-        p.add_argument("--batch-rows", dest="batch_rows", type=int, default=None)
-        p.add_argument("--assign-threshold", dest="assign_threshold", type=float, default=None)
-        p.add_argument("--rebalance-period", dest="rebalance_period", type=int, default=None)
-        p.add_argument("--steps", type=int, default=None)
-        p.add_argument("--suites", type=_suite_list, default=None, help="comma list or 'all'")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--t-grid", dest="t_grid", type=_int_list, default=None)
-        p.add_argument("--check-n", dest="check_n", type=int, default=None)
+        for key in _FIELDS:
+            flags = ["--" + key.replace("_", "-")] + (["-T"] if key == "permutations" else [])
+            metavar = "{" + ",".join(CHOICES[key]) + "}" if key in CHOICES else None
+            p.add_argument(*flags, dest=key, default=None, metavar=metavar, help=_HELP.get(key))
     return parser
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    names = {f.name for f in fields(RunConfig)}
-    merged = {}
+def _settings(args: argparse.Namespace) -> dict:
+    """The settings given for a run, unparsed: the config file's keys, overridden by the flags given."""
+    settings = {}
     if args.config is not None:
         cfg_path = Path(args.config)
         if not cfg_path.is_file():
@@ -194,28 +165,57 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         loaded = yaml.safe_load(cfg_path.read_text()) or {}
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a mapping of RunConfig keys")
-        for key, value in loaded.items():
-            if key not in names or key == "subcommand":
+        for key in loaded:
+            if key not in _FIELDS:
                 raise ConfigError(f"unknown config key: {key}")
-            merged[key] = value
-    for key, value in vars(args).items():
-        if key in names and key != "subcommand" and value is not None:
-            merged[key] = value
-    for key, parse in (("branching", _int_list), ("t_grid", _int_list), ("suites", _suite_list)):
-        if key in merged:
-            merged[key] = parse(merged[key])
-    if merged.get("seed") is None:
+        settings.update(loaded)
+    settings.update((key, value) for key, value in vars(args).items() if key in _FIELDS and value is not None)
+    return settings
+
+
+def _parse(name: str, value):
+    """A setting, given as a flag string or a YAML scalar or list, as the type of its RunConfig field.
+
+    A tuple takes a comma list or a YAML list (``suites`` also takes ``all``),
+    and each item parses as the type of the default's items. An optional path
+    takes None.
+    """
+    field = _FIELDS[name]
+    if field.type == "tuple":  # the annotation's text, as this module postpones annotations
+        if name == "suites" and value == "all":
+            return CHECK_SUITES
+        items = value if isinstance(value, list) else [x.strip() for x in str(value).split(",") if x.strip()]
+        return tuple(_parse_item(name, type(field.default[0]), item) for item in items)
+    if value is None and field.default is None:
+        return None
+    return _parse_item(name, {"int": int, "float": float}.get(field.type, str), value)
+
+
+def _parse_item(name: str, kind: type, value):
+    """``value`` as an int (no bools, no fractions), a float (no bools) or a string (one of ``CHOICES[name]``)."""
+    if kind is str:
+        choices = CHOICES.get(name)
+        if isinstance(value, str) and (choices is None or value in choices):
+            return value
+        raise ConfigError(f"{name} must be {f'one of {choices}' if choices else 'a string'}, got {value!r}")
+    if not isinstance(value, bool) and not (kind is int and isinstance(value, float)):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+
+
+def resolve_config(subcommand: str, settings: dict) -> RunConfig:
+    """The run's config: every given setting parsed by its field's type, then checked as a whole."""
+    if settings.get("seed") is None:
         raise ConfigError("--seed is required (flag or config file)")
-    cfg = RunConfig(subcommand=args.subcommand, **merged)
+    cfg = RunConfig(subcommand=subcommand, **{key: _parse(key, value) for key, value in settings.items()})
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
-    if cfg.subcommand not in SUBCOMMANDS:
-        raise ConfigError(f"unknown subcommand: {cfg.subcommand}")
-    if cfg.data_format not in DATA_FORMATS:
-        raise ConfigError(f"data_format must be one of {DATA_FORMATS}")
     if cfg.data_format == "synthetic":
         if cfg.synthetic_n < 2 * cfg.synthetic_subclusters:
             raise ConfigError("synthetic_n must be at least 2 * synthetic_subclusters")
@@ -228,8 +228,6 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"dataset file not found: {cfg.data}")
     if not 0.0 < cfg.val_fraction < 1.0:
         raise ConfigError("val_fraction must lie in (0, 1)")
-    if cfg.embedding_source not in ("identity", "train", "load"):
-        raise ConfigError("embedding_source must be identity, train, or load")
     if cfg.embedding_source == "load":
         if cfg.embedding_path is None:
             raise ConfigError("--embedding-path is required with --embedding-source load")
@@ -242,26 +240,12 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"encoder settings: {exc}") from exc
     if not cfg.branching or any(k < 2 for k in cfg.branching):
         raise ConfigError("branching must be a non-empty list of factors >= 2")
-    if cfg.leaf_cap < 1:
-        raise ConfigError("leaf_cap must be >= 1")
     if not 0.0 <= cfg.gamma < 1.0:
         raise ConfigError("gamma must lie in [0, 1)")
-    if cfg.permutations < 1:
-        raise ConfigError("permutations must be >= 1")
-    if not 0.0 <= cfg.lam < math.inf:
-        raise ConfigError("lam must be finite and >= 0")
-    if cfg.leaf_mode not in LEAF_MODES:
-        raise ConfigError(f"leaf_mode must be one of {LEAF_MODES}")
     try:
         _hcdv_config(cfg)
     except ValueError as exc:
         raise ConfigError(f"valuation settings: {exc}") from exc
-    if cfg.metric not in METRICS:
-        raise ConfigError(f"metric must be one of {tuple(METRICS)}")
-    if cfg.learner not in LEARNERS:
-        raise ConfigError(f"learner must be one of {tuple(LEARNERS)}")
-    if cfg.subcommand == "baseline" and cfg.method not in BASELINE_METHODS:
-        raise ConfigError(f"method must be one of {BASELINE_METHODS}")
     if cfg.subcommand == "stream":
         if cfg.batch_rows < 1:
             raise ConfigError("batch_rows must be >= 1")
@@ -279,9 +263,8 @@ def _validate_config(cfg: RunConfig) -> None:
             if not Path(cfg.stream_data).is_file():
                 raise ConfigError(f"stream file not found: {cfg.stream_data}")
     if cfg.subcommand == "check":
-        bad = [s for s in cfg.suites if s not in CHECK_SUITES]
-        if bad:
-            raise ConfigError(f"unknown check suites: {bad}")
+        if not cfg.suites:
+            raise ConfigError("suites must name at least one suite")
         if cfg.trials < 2:
             raise ConfigError("trials must be >= 2")
         if not 0.0 < cfg.delta < 1.0:
@@ -688,13 +671,14 @@ _HANDLERS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out_hint = Path(args.out) if args.out else None
+    args = build_parser().parse_args(argv)
+    settings = {"out": args.out}
     try:
-        cfg = resolve_config(args)
+        settings = _settings(args)
+        cfg = resolve_config(args.subcommand, settings)
     except (ConfigError, OSError, yaml.YAMLError) as exc:
-        _write_error(out_hint, exc)
+        out = settings.get("out")
+        _write_error(Path(out) if isinstance(out, str) else None, exc)
         return 2
     out = Path(cfg.out)
     try:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -12,6 +13,13 @@ import numpy as np
 # Bytes per temporary of batched payoff play: a payoff call's player matrix and a scoring
 # chunk's largest array each take max(1, TEMP_BYTES // bytes_per_row) rows.
 TEMP_BYTES = 1 << 20
+
+
+def check_integer(name: str, value) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer; bools are not integers."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 # splitmix64 (Steele, Lea and Flood, "Fast splittable pseudorandom number
 # generators", OOPSLA 2014): output k of the generator seeded with s is

@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import LabeledDataset, PointSet, RngStream, content_token, read_matrix_binary, write_matrix_binary
+from .core import LabeledDataset, PointSet, RngStream, check_integer, content_token, read_matrix_binary, write_matrix_binary
 from .utility import D_MAX, _dispersion_from_stats, _unit_rows
 
 EMBED_SOURCES = ("precomputed", "identity", "trained_linear")
@@ -91,6 +91,8 @@ class EncoderConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("d", "epochs", "batch_size", "partners_per_anchor", "fd_draws", "seed"):
+            check_integer(name, getattr(self, name))
         if self.d < 1 or self.epochs < 0 or self.batch_size < 2:
             raise ValueError("need d >= 1, epochs >= 0, batch_size >= 2")
         if self.partners_per_anchor < 1 or self.fd_draws < 1:

@@ -29,7 +29,6 @@ The per-node masses are the budgets the paper propagates down the tree.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 import warnings
 from contextlib import contextmanager
@@ -38,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector
+from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, check_integer
 from .hierarchy import HierarchyTree
 from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
 
@@ -67,10 +66,8 @@ class HcdvConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "leaf_cap"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("T", "leaf_cap", "seed"):
+            check_integer(name, getattr(self, name))
         if self.T < 1:
             raise ValueError("need at least one permutation per game")
         if not 0 <= self.lam < np.inf:

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import PointSet, RngStream, content_token, union
+from .core import PointSet, RngStream, check_integer, content_token, union
 from .utility import _group_sums, _nearest
 
 
@@ -532,9 +532,13 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("cannot build a tree over zero rows")
+    for k in branching:
+        check_integer("branching", k)
+    check_integer("leaf_cap", leaf_cap)
+    check_integer("seed", seed)
     if leaf_cap < 1:
         raise ValueError("leaf cap must be positive")
-    if not branching or any(int(k) < 2 for k in branching):
+    if not branching or any(k < 2 for k in branching):
         raise ValueError("branching factors must all be >= 2")
     if not 0.0 <= gamma < 1.0:
         raise ValueError("gamma must lie in [0, 1)")

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, class_codes, content_token
+from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, check_integer, class_codes, content_token
 from .encoder import EmbeddingMatrix
 from .hcdv import HcdvConfig, propagate, run_hcdv
 from .hierarchy import HierarchyTree, build_tree, capacity_window, part_means, split_nodes
@@ -125,6 +125,8 @@ def init_stream(
     from .hcdv import last_run_report
 
     _check_streamable(emb)
+    check_integer("rebalance_period", rebalance_period)
+    check_integer("tree_seed", tree_seed)
     if rebalance_period < 1:
         raise ValueError("rebalance period must be positive")
     if not 0 <= assign_threshold < np.inf:

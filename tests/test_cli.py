@@ -1,14 +1,17 @@
 """End-to-end command-line tests (driven in process through main)."""
 
+import argparse
 import json
 import subprocess
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import hcdval
-from hcdval.cli import main
+from hcdval.cli import RunConfig, build_parser, main
 from hcdval.core import write_dataset_csv, write_matrix_binary
 from hcdval.evaluation import synthetic_rows
 
@@ -520,3 +523,115 @@ def test_embed_and_tree_commands(tmp_path):
     assert rc == 0
     tree_doc = json.loads((tree_out / "tree.json").read_text())
     assert tree_doc["leaf_cap"] == 8
+
+
+# ---------------------------------------------------------------- config
+
+# (setting, a wrongly typed config file value, a wrongly typed flag value or
+# None where every flag string is a valid value)
+BAD_SETTINGS = [
+    ("seed", 1.5, "1.5"),
+    ("out", ["a"], None),
+    ("data", 5, None),
+    ("data_format", "parquet", "parquet"),
+    ("val_fraction", "half", "half"),
+    ("synthetic_n", 60.5, "60.5"),
+    ("synthetic_subclusters", True, "three"),
+    ("synthetic_overlap", [0.3], "x"),
+    ("embedding_source", "random", "random"),
+    ("embedding_path", 7, None),
+    ("embed_dim", 2.5, "2.5"),
+    ("embed_epochs", "five", "five"),
+    ("embed_batch", 32.0, "32.0"),
+    ("embed_lr", True, "fast"),
+    ("embed_lam", "x", "x"),
+    ("embed_alpha", {"a": 1}, "x"),
+    ("embed_partners", 1.5, "1.5"),
+    ("embed_fd_step", "x", "x"),
+    ("embed_fd_draws", False, "one"),
+    ("branching", [2.5], "2.5"),
+    ("leaf_cap", 12.5, "abc"),
+    ("gamma", "x", "x"),
+    ("permutations", "abc", "abc"),
+    ("lam", None, "heavy"),
+    ("leaf_mode", "sometimes", "sometimes"),
+    ("metric", "bogus", "bogus"),
+    ("learner", "svm", "svm"),
+    ("method", "shap", "shap"),
+    ("stream_data", 3, None),
+    ("batch_rows", 6.4, "6.4"),
+    ("assign_threshold", "x", "x"),
+    ("rebalance_period", 2.5, "2.5"),
+    ("steps", "x", "x"),
+    ("suites", ["bogus"], "bogus"),
+    ("trials", 2.5, "2.5"),
+    ("delta", "x", "x"),
+    ("t_grid", [16.7], "16.7"),
+    ("check_n", 60.5, "60.5"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, source, value",
+    [(f, "file", v) for f, v, _ in BAD_SETTINGS] + [(f, "flag", v) for f, _, v in BAD_SETTINGS if v is not None],
+)
+def test_a_wrongly_typed_setting_is_a_config_error(tmp_path, monkeypatch, capsys, field, source, value):
+    monkeypatch.chdir(tmp_path)  # the default output directory
+    out = tmp_path / "run"
+    settings = {"seed": 1, "out": str(out), "data_format": "synthetic", "synthetic_n": 60}
+    flags = []
+    if source == "file":
+        settings[field] = value
+    else:
+        flags = ["--" + field.replace("_", "-"), value]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(settings))
+    assert main(["value", "--config", str(cfg), *flags]) == 2
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"{field} must be")
+    if field != "out":  # the error goes to the output directory the file names
+        assert json.loads((out / "error.json").read_text()) == err
+    assert not list(tmp_path.rglob("manifest.json"))
+
+
+def test_each_subcommand_takes_one_flag_per_setting():
+    names = {f.name for f in fields(RunConfig)} - {"subcommand"}
+    assert {f for f, _, _ in BAD_SETTINGS} == names
+    expected = {"--" + name.replace("_", "-") for name in names} | {"-T", "--config", "-h", "--help"}
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == {"embed", "tree", "value", "stream", "check", "baseline"}
+    for parser in subparsers.choices.values():
+        assert {s for a in parser._actions for s in a.option_strings} == expected
+        assert all(a.type is None and a.choices is None for a in parser._actions)
+
+
+def test_flags_and_a_config_file_give_the_same_manifest(tmp_path):
+    out = tmp_path / "run"
+    flags = [
+        "--seed", "3", "--data-format", "synthetic", "--synthetic-n", "60", "-T", "16",
+        "--branching", "3", "--leaf-cap", "12", "--lam", "1", "--metric", "balanced_accuracy",
+        "--t-grid", "16,64", "--suites", "all", "--out", str(out),
+    ]
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "seed: 3\ndata_format: synthetic\nsynthetic_n: 60\npermutations: 16\nbranching: [3]\nleaf_cap: 12\n"
+        f"lam: 1\nmetric: balanced_accuracy\nt_grid: [16, 64]\nsuites: all\nout: {out}\n"
+    )
+    assert main(["value", *flags]) == 0
+    by_flags = json.loads((out / "manifest.json").read_text())
+    assert main(["value", "--config", str(cfg)]) == 0
+    by_file = json.loads((out / "manifest.json").read_text())
+    assert by_file["config"] == by_flags["config"]
+    assert by_file["config_sha256"] == by_flags["config_sha256"]
+    assert isinstance(by_file["config"]["lam"], float)
+
+
+@pytest.mark.parametrize("subcommand, line, word", [("value", "lam: -1", "lambda"), ("check", "suites: []", "suites")])
+def test_a_config_error_reaches_the_output_directory_of_the_config_file(tmp_path, subcommand, line, word):
+    out = tmp_path / "runs" / "x"
+    cfg = tmp_path / "c.yaml"
+    cfg.write_text(f"seed: 1\ndata_format: synthetic\nout: {out}\n{line}\n")
+    assert main([subcommand, "--config", str(cfg)]) == 2
+    assert not (out / "manifest.json").exists()
+    err = json.loads((out / "error.json").read_text())
+    assert err["error"] == "ConfigError" and word in err["message"]

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 
 from hcdval import (
     EMPTY_SET,
+    CharacteristicFn,
+    EncoderConfig,
+    HcdvConfig,
     HierarchyTree,
     LabeledDataset,
     PointSet,
@@ -17,7 +20,10 @@ from hcdval import (
     build_tree,
     content_token,
     dataset_from_arrays,
+    identity_embeddings,
+    init_stream,
     load_dataset,
+    make_synthetic,
     read_matrix_binary,
     union,
     write_dataset_csv,
@@ -266,3 +272,29 @@ def test_labeled_dataset_validation():
         LabeledDataset(feats, np.array([0, 1, 0, 5]), val_x, val_y, num_classes=2)
     with pytest.raises(ValueError):
         LabeledDataset(feats, labels, np.empty((0, 2)), np.empty(0, dtype=int), num_classes=2)
+
+
+@pytest.mark.parametrize("value", [2.5, 4.0, True, "4"])
+@pytest.mark.parametrize(
+    "target, name",
+    [("build_tree", name) for name in ("branching", "leaf_cap", "seed")]
+    + [("EncoderConfig", name) for name in ("d", "epochs", "batch_size", "partners_per_anchor", "fd_draws", "seed")]
+    + [("init_stream", name) for name in ("rebalance_period", "tree_seed")],
+)
+def test_library_integer_arguments_reject_bools_and_non_integers(target, name, value):
+    data = make_synthetic(30, seed=1)
+    emb = identity_embeddings(data)
+
+    def call(v):
+        if target == "build_tree":
+            args = {"branching": (2,), "leaf_cap": 8, "seed": 0}
+            args[name] = (v,) if name == "branching" else v
+            return build_tree(emb, **args)
+        if target == "EncoderConfig":
+            return EncoderConfig(**{name: v})
+        tree = build_tree(emb, (2,), 8)
+        return init_stream(data, emb, tree, CharacteristicFn(data, emb), HcdvConfig(T=4, leaf_cap=8), **{name: v})
+
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        call(value)
+    call(np.int64(4))  # integral NumPy ints stay accepted

@@ -310,6 +310,34 @@ def test_full_recompute_conserves_on_current_corpus():
     assert math.fsum(vec.values.tolist()) == pytest.approx(full - empty, abs=1e-6)
 
 
+def test_full_recompute_is_a_fresh_batch_run_that_leaves_the_state_alone():
+    features, labels = synthetic_rows(140, 3, 0.3, seed=9, dim=6)
+    data = dataset_from_arrays(features[:100], labels[:100], seed=9)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, branching=(3, 2), leaf_cap=10, gamma=0.2, seed=5)
+    cf = CharacteristicFn(data, emb, lam=0.3, metric="balanced_accuracy")
+    state = init_stream(data, emb, tree, cf, HcdvConfig(T=8, lam=0.3, leaf_cap=10, seed=2), tree_seed=5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        state = ingest_batch(state, features[100:], labels[100:])
+    values, tree_json, evaluations = state.values.copy(), state.tree.to_json(), state.cf.evaluations
+
+    vec = full_recompute(state)
+    surplus = last_run_report().surplus
+    direct = run_hcdv(
+        state.data,
+        state.embedding,
+        build_tree(state.embedding, (3, 2), 10, 0.2, seed=5),
+        CharacteristicFn(state.data, state.embedding, lam=0.3, metric="balanced_accuracy"),
+        state.cfg,
+    )
+    assert vec.values.tobytes() == direct.values.tobytes()
+    assert math.fsum(vec.values.tolist()) == pytest.approx(surplus, abs=1e-9)
+    assert state.values.tobytes() == values.tobytes()
+    assert state.tree.to_json() == tree_json
+    assert state.cf.evaluations == evaluations
+
+
 def test_stream_surplus_equals_fresh_recompute_bit_for_bit():
     # The stream scores its root surplus first, with a single-coalition
     # evaluate, as a batch run on a fresh cache does. Taking it from the cache
