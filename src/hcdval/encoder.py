@@ -10,13 +10,15 @@ scores accuracy on a fixed validation subsample, dispersion is the mean
 cosine distance between cross-label pairs of batch embeddings, and the
 penalty discourages embeddings that amplify small input perturbations.
 
-Each batch's objective returns J and its gradient in W in closed form. The
-accuracy is piecewise constant in W, so its gradient is zero almost
-everywhere and only the dispersion and the penalty move W; the accuracy
-still enters J, which picks the best epoch snapshot. Rows of zero norm, in
-the embedded batch or in a probe pair, are constant pieces of J and add
-nothing to the gradient. ``fd_gradient`` (central differences) checks the
-closed form.
+Each batch's objective has two passes over one W: the value pass gives J,
+which scores the epoch snapshots, and the ascent pass gives its gradient in
+W in closed form, which the training steps follow. The accuracy is
+piecewise constant in W, so its gradient is zero almost everywhere and only
+the dispersion and the penalty move W; the ascent pass forms neither the
+accuracy nor any value, and the value pass forms no gradient. Rows of zero
+norm, in the embedded batch or in a probe pair, are constant pieces of J
+and add nothing to the gradient. ``fd_gradient`` (central differences)
+checks the closed form.
 
 The penalty's probe pairs are drawn once per batch: each anchor gets a
 uniform random subset of min(partners_per_anchor, m) of its m other-label
@@ -34,7 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import LabeledDataset, PointSet, RngStream, check_integer, content_token, read_matrix_binary, write_matrix_binary
-from .utility import D_MAX, _dispersion_from_stats, _unit_rows
+from .utility import D_MAX, _cross_pair_counts, _dispersion_from_stats, _unit_rows
 
 EMBED_SOURCES = ("precomputed", "identity", "trained_linear")
 VAL_SUBSAMPLE = 256
@@ -181,11 +183,12 @@ def _probe_inputs(data: LabeledDataset, pairs: Sequence[tuple], directions, eps:
 
 
 def _cosine_distances(a: np.ndarray, b: np.ndarray):
-    """Cosine distance between matching rows of ``a`` and ``b`` (last axis), with its gradients in both.
+    """Cosine distance between matching rows of ``a`` and ``b`` (last axis), and a function giving its gradients.
 
-    Returns the distances and the gradients in ``a`` and in ``b``, each of the
-    broadcast shape of the inputs. Where either row has zero norm the
-    distance is D_MAX and both gradients are zero.
+    Returns the distances and ``gradients``, whose call forms the gradients
+    in ``a`` and in ``b``, each of the broadcast shape of the inputs. Where
+    either row has zero norm the distance is D_MAX and both gradients are
+    zero.
     """
     a, b = np.broadcast_arrays(a, b)
     na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
@@ -193,30 +196,42 @@ def _cosine_distances(a: np.ndarray, b: np.ndarray):
     live = (na > 0.0) & (nb > 0.0)
     na, nb = np.where(live, na, 1.0), np.where(live, nb, 1.0)
     cos = (a * b).sum(axis=-1, keepdims=True) / (na * nb)
-    grad_a = np.where(live, (cos * a / na - b / nb) / na, 0.0)
-    grad_b = np.where(live, (cos * b / nb - a / na) / nb, 0.0)
-    return np.where(live, 1.0 - cos, D_MAX)[..., 0], grad_a, grad_b
+
+    def gradients():
+        return np.where(live, (cos * a / na - b / nb) / na, 0.0), np.where(live, (cos * b / nb - a / na) / nb, 0.0)
+
+    return np.where(live, 1.0 - cos, D_MAX)[..., 0], gradients
 
 
 def _penalty(W: np.ndarray, probes, eps: float):
-    """Smoothness penalty of one (d, D) matrix and its (d, D) gradient."""
-    if probes is None:
-        return 0.0, np.zeros_like(W)
+    """Functions giving the smoothness penalty of one (d, D) matrix and its (d, D) gradient.
+
+    Both read the probe distances and slopes formed here; each forms the rest
+    of its own result only when called.
+    """
     anchors, partners, shifted = probes
     n, k, _ = shifted.shape
     z_q = partners @ W.T
-    base, g_p, g_q_base = _cosine_distances(anchors @ W.T, z_q)
-    moved, g_s, g_q_moved = _cosine_distances(shifted @ W.T, z_q[:, None, :])
+    base, base_gradients = _cosine_distances(anchors @ W.T, z_q)
+    moved, moved_gradients = _cosine_distances(shifted @ W.T, z_q[:, None, :])
     slopes = (moved - base[:, None]) / eps
-    # d penalty / d moved = 2 * slope / (eps * n * k), and base enters every draw with the opposite sign
-    w = 2.0 * slopes / (eps * n * k)
-    w_base = w.sum(axis=1)[:, None]
-    grad = (
-        np.tensordot(w[..., None] * g_s, shifted, axes=([0, 1], [0, 1]))
-        + ((w[..., None] * g_q_moved).sum(axis=1) - w_base * g_q_base).T @ partners
-        - (w_base * g_p).T @ anchors
-    )
-    return float((slopes**2).mean(axis=1).mean()), grad
+
+    def value():
+        return float((slopes**2).mean(axis=1).mean())
+
+    def gradient():
+        g_p, g_q_base = base_gradients()
+        g_s, g_q_moved = moved_gradients()
+        # d penalty / d moved = 2 * slope / (eps * n * k), and base enters every draw with the opposite sign
+        w = 2.0 * slopes / (eps * n * k)
+        w_base = w.sum(axis=1)[:, None]
+        return (
+            np.tensordot(w[..., None] * g_s, shifted, axes=([0, 1], [0, 1]))
+            + ((w[..., None] * g_q_moved).sum(axis=1) - w_base * g_q_base).T @ partners
+            - (w_base * g_p).T @ anchors
+        )
+
+    return value, gradient
 
 
 def smoothness_penalty(
@@ -254,16 +269,17 @@ def smoothness_penalty(
     if directions is None:
         gen = RngStream(cfg.seed, "fd-directions", content_token(idx)).generator()
         directions = gen.standard_normal((len(pairs), cfg.fd_draws, data.dim))
-    return _penalty(W, _probe_inputs(data, pairs, directions, cfg.fd_step, _feature_bounds(data)), cfg.fd_step)[0]
+    return _penalty(W, _probe_inputs(data, pairs, directions, cfg.fd_step, _feature_bounds(data)), cfg.fd_step)[0]()
 
 
 def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions, bounds):
-    """The batch objective as a function ``objective(W) -> (J, grad J)`` of one (d, D) matrix.
+    """The batch objective as two passes over one (d, D) matrix: ``value(W) -> J`` and ``ascent(W) -> grad J``.
 
-    Everything that does not depend on W (batch rows, class masks, probe
-    inputs clipped to ``bounds``) is prepared here once. The gradient is
-    lambda times the dispersion's minus alpha times the penalty's; the
-    accuracy adds nothing.
+    Everything that does not depend on W (batch rows, class masks, the
+    cross-label pair count, probe inputs clipped to ``bounds``) is prepared
+    here once. The gradient is lambda times the dispersion's minus alpha
+    times the penalty's; the accuracy adds nothing, so the ascent pass skips
+    it, and it forms no value either.
     The dispersion's sum of cross-label unit dots is (|G|^2 - sum_c |U_c|^2) / 2
     for class sums U_c of unit rows and G = sum_c U_c, so its gradient in unit
     row i is -(G - U_c(i)) / pairs, taken through the unit map's Jacobian
@@ -274,9 +290,10 @@ def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions, bounds):
     members = [y == c for c in classes]
     onehot = np.array(members, dtype=np.float64)
     counts = onehot.sum(axis=1)
+    pair_count = max(float(_cross_pair_counts(counts[None])[0]), 1.0)
     probes = _probe_inputs(data, pairs, directions, cfg.fd_step, bounds) if pairs else None
 
-    def objective(W: np.ndarray):
+    def value(W: np.ndarray) -> float:
         Z = X @ W.T
         # nearest-centroid accuracy of the embedded batch on the embedded subsample
         if classes.size >= 2:
@@ -286,17 +303,22 @@ def _batch_objective(data, idx, cfg, val_X, val_y, pairs, directions, bounds):
         else:
             utility = 1.0 / data.num_classes
         unit, nonzero = _unit_rows(Z)
+        disp, _ = _dispersion_from_stats(counts[None], (onehot @ unit)[None], (nonzero @ onehot.T)[None])
+        penalty = _penalty(W, probes, cfg.fd_step)[0]() if probes is not None else 0.0
+        return utility + cfg.lam * float(disp[0]) - cfg.alpha * penalty
+
+    def ascent(W: np.ndarray) -> np.ndarray:
+        Z = X @ W.T
+        unit, _ = _unit_rows(Z)
         sums = onehot @ unit
-        disp, pair_count = _dispersion_from_stats(counts[None], sums[None], (nonzero @ onehot.T)[None])
-        g_unit = (sums[inverse] - sums.sum(axis=0)) / max(pair_count[0], 1.0)
+        g_unit = (sums[inverse] - sums.sum(axis=0)) / pair_count
         norms = np.linalg.norm(Z, axis=1, keepdims=True)
         inv_norms = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
         g_Z = (g_unit - (g_unit * unit).sum(axis=1, keepdims=True) * unit) * inv_norms
-        penalty, g_penalty = _penalty(W, probes, cfg.fd_step)
-        value = utility + cfg.lam * float(disp[0]) - cfg.alpha * penalty
-        return value, cfg.lam * (g_Z.T @ X) - cfg.alpha * g_penalty
+        g_penalty = _penalty(W, probes, cfg.fd_step)[1]() if probes is not None else np.zeros_like(W)
+        return cfg.lam * (g_Z.T @ X) - cfg.alpha * g_penalty
 
-    return objective
+    return value, ascent
 
 
 def fd_gradient(fn, W: np.ndarray, rel_step: float = 1e-4) -> np.ndarray:
@@ -360,11 +382,11 @@ def train_linear_encoder(data: LabeledDataset, cfg: EncoderConfig) -> EmbeddingM
     scoring = batch_objectives(0)
     snapshots = [W]
     for epoch in range(1, cfg.epochs + 1):
-        for objective in batch_objectives(epoch):
-            W = W + cfg.lr * objective(W)[1]
+        for _, ascent in batch_objectives(epoch):
+            W = W + cfg.lr * ascent(W)
         snapshots.append(W)
 
-    scores = [float(np.mean([objective(S)[0] for objective in scoring])) if scoring else 0.0 for S in snapshots]
+    scores = [float(np.mean([value(S) for value, _ in scoring])) if scoring else 0.0 for S in snapshots]
     best = int(np.argmax(scores))
     W_best = snapshots[best]
     return EmbeddingMatrix(

@@ -350,9 +350,23 @@ class TreeNode:
 
 
 class HierarchyTree:
-    """A balanced hierarchy: levels[0] = [root], levels[-1] = the leaves."""
+    """A balanced hierarchy: levels[0] = [root], levels[-1] = the leaves.
+
+    The constructor checks its parameters, for ``build_tree`` and
+    ``from_json`` alike: integer branching factors of at least 2, an integer
+    leaf cap of at least 1, and gamma in [0, 1).
+    """
 
     def __init__(self, branching: Sequence[int], leaf_cap: int, gamma: float):
+        for k in branching:
+            check_integer("branching", k)
+        check_integer("leaf_cap", leaf_cap)
+        if leaf_cap < 1:
+            raise ValueError("leaf cap must be positive")
+        if not branching or any(k < 2 for k in branching):
+            raise ValueError("branching factors must all be >= 2")
+        if not 0.0 <= gamma < 1.0:
+            raise ValueError("gamma must lie in [0, 1)")
         self.branching = [int(k) for k in branching]
         self.leaf_cap = int(leaf_cap)
         self.gamma = float(gamma)
@@ -532,19 +546,10 @@ def build_tree(embedding, branching: Sequence[int], leaf_cap: int, gamma: float 
     n = vectors.shape[0]
     if n < 1:
         raise ValueError("cannot build a tree over zero rows")
-    for k in branching:
-        check_integer("branching", k)
-    check_integer("leaf_cap", leaf_cap)
+    tree = HierarchyTree(branching, leaf_cap, gamma)
     check_integer("seed", seed)
-    if leaf_cap < 1:
-        raise ValueError("leaf cap must be positive")
-    if not branching or any(k < 2 for k in branching):
-        raise ValueError("branching factors must all be >= 2")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError("gamma must lie in [0, 1)")
     _check_finite(vectors, np.arange(n))
 
-    tree = HierarchyTree(branching, leaf_cap, gamma)
     all_points = PointSet._from_sorted(np.arange(n, dtype=np.int64))
     root = tree._new_node(0, None, all_points, vectors.mean(axis=0))
     tree.levels.append([root.id])

@@ -162,9 +162,12 @@ def exact_shapley(game):
     return estimates[0] if single else estimates
 
 
+@functools.lru_cache(maxsize=EXACT_PLAYER_LIMIT + 1)
 def _exact_plan(K: int) -> tuple:
     """The 2^K coalition rows of a K-player game, in mask order, and per player
-    the masks without it, the same masks with it, and their Shapley weights."""
+    the masks without it, the same masks with it, and their Shapley weights.
+
+    Built once per K; the arrays are read-only, as every call shares them."""
     masks = np.arange(1 << K, dtype=np.int64)
     rows = ((masks[:, None] >> np.arange(K)) & 1).astype(bool)
     popcount = rows.sum(axis=1)
@@ -174,10 +177,12 @@ def _exact_plan(K: int) -> tuple:
     for i in range(K):
         without = masks[(masks >> i) & 1 == 0]
         terms.append((without, without | (1 << i), weight[popcount[without]]))
-    return rows, terms
+    for array in [rows, *(a for term in terms for a in term)]:
+        array.flags.writeable = False
+    return rows, tuple(terms)
 
 
-def _exact_values(terms: list, v: np.ndarray) -> ShapleyEstimate:
+def _exact_values(terms: tuple, v: np.ndarray) -> ShapleyEstimate:
     """Exact Shapley values from the payoffs ``v`` of all 2^K coalitions, in mask order."""
     values = np.empty(len(terms))
     for i, (without, with_i, weight) in enumerate(terms):

@@ -389,6 +389,12 @@ def _nearest_centroid_utility(
     return np.where(np.isfinite(scores), scores, chance)
 
 
+def _cross_pair_counts(counts: np.ndarray) -> np.ndarray:
+    """(R,) cross-label pair counts of (R, C) class counts."""
+    total = counts.sum(axis=1)
+    return 0.5 * (total * total - (counts * counts).sum(axis=1))
+
+
 def _dispersion_from_stats(
     counts: np.ndarray, unit_sums: np.ndarray, nonzero: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -403,8 +409,7 @@ def _dispersion_from_stats(
     Class-wise unit-vector sums turn the pairwise dot-product sum into a few
     d-dimensional dots; pairs involving a zero-norm row count as distance 2.
     """
-    total = counts.sum(axis=1)
-    pair_count = 0.5 * (total * total - (counts * counts).sum(axis=1))
+    pair_count = _cross_pair_counts(counts)
     m_total = nonzero.sum(axis=1)
     cross_nonzero = 0.5 * (m_total * m_total - (nonzero * nonzero).sum(axis=1))
     grand = unit_sums.sum(axis=1)

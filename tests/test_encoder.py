@@ -266,10 +266,9 @@ def _objective_case(seed: int, C: int, draws: int, one_class: bool, fd_step: flo
 def test_stacked_objective_matches_the_per_matrix_formula(seed, C, draws, one_class, fd_step):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
     assert (not pairs) == one_class
-    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
+    value, _ = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
     for W in Ws:
-        value, _ = objective(W)
-        assert abs(value - _reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs)) <= TOL
+        assert abs(value(W) - _reference_objective(data, idx, W, cfg, val_X, val_y, pairs, dirs)) <= TOL
         penalty = smoothness_penalty(data, PointSet(idx), W, cfg, pairs=pairs, directions=dirs)
         assert abs(penalty - _reference_penalty(data, W, cfg.fd_step, pairs, dirs)) <= TOL
 
@@ -304,7 +303,7 @@ def _smooth_reference(data, idx, cfg, pairs, dirs):
 )
 def test_objective_gradient_matches_fd_gradient_of_the_smooth_part(seed, C, draws, one_class, fd_step):
     data, idx, cfg, val_X, val_y, pairs, dirs, Ws = _objective_case(seed, C, draws, one_class, fd_step)
-    objective = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
+    _, ascent = encoder._batch_objective(data, idx, cfg, val_X, val_y, pairs, dirs, encoder._feature_bounds(data))
     smooth = _smooth_reference(data, idx, cfg, pairs, dirs)
     # Ws[0] is the zero matrix, where J is not differentiable; the rest embed
     # each nonzero feature row to a nonzero row (a zero feature row stays zero
@@ -312,7 +311,7 @@ def test_objective_gradient_matches_fd_gradient_of_the_smooth_part(seed, C, draw
     for W in Ws[1:]:
         nonzero = np.linalg.norm(data.features[idx] @ W.T, axis=1) > 0.0
         assert np.array_equal(nonzero, data.features[idx].any(axis=1))
-        _, grad = objective(W)
+        grad = ascent(W)
         assert grad.shape == W.shape
         want = fd_gradient(smooth, W, rel_step=1e-6)
         assert np.max(np.abs(grad - want)) <= 1e-5 * max(np.max(np.abs(want)), 1e-12)
@@ -335,16 +334,143 @@ def test_training_steps_along_the_closed_form_gradient(monkeypatch):
         return encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs, bounds)
 
     W0 = train_linear_encoder(data, EncoderConfig(d=2, epochs=0, seed=10)).transform
-    W1 = W0 + cfg.lr * objective(1)(W0)[1]
+    W1 = W0 + cfg.lr * objective(1)[1](W0)
     trained = train_linear_encoder(data, cfg)
-    assert trained.training_trace == (objective(0)(W0)[0], objective(0)(W1)[0])
+    value = objective(0)[0]
+    assert trained.training_trace == (value(W0), value(W1))
     assert np.array_equal(trained.transform, W1 if trained.training_trace[1] > trained.training_trace[0] else W0)
 
 
+def _one_call_cosine_distances(a, b):
+    """Cosine distances of matching rows with both gradients, formed together in one call."""
+    a, b = np.broadcast_arrays(a, b)
+    na = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    nb = np.sqrt((b * b).sum(axis=-1, keepdims=True))
+    live = (na > 0.0) & (nb > 0.0)
+    na, nb = np.where(live, na, 1.0), np.where(live, nb, 1.0)
+    cos = (a * b).sum(axis=-1, keepdims=True) / (na * nb)
+    grad_a = np.where(live, (cos * a / na - b / nb) / na, 0.0)
+    grad_b = np.where(live, (cos * b / nb - a / na) / nb, 0.0)
+    return np.where(live, 1.0 - cos, 2.0)[..., 0], grad_a, grad_b
+
+
+def _one_call_penalty(W, probes, eps):
+    if probes is None:
+        return 0.0, np.zeros_like(W)
+    anchors, partners, shifted = probes
+    n, k, _ = shifted.shape
+    z_q = partners @ W.T
+    base, g_p, g_q_base = _one_call_cosine_distances(anchors @ W.T, z_q)
+    moved, g_s, g_q_moved = _one_call_cosine_distances(shifted @ W.T, z_q[:, None, :])
+    slopes = (moved - base[:, None]) / eps
+    w = 2.0 * slopes / (eps * n * k)
+    w_base = w.sum(axis=1)[:, None]
+    grad = (
+        np.tensordot(w[..., None] * g_s, shifted, axes=([0, 1], [0, 1]))
+        + ((w[..., None] * g_q_moved).sum(axis=1) - w_base * g_q_base).T @ partners
+        - (w_base * g_p).T @ anchors
+    )
+    return float((slopes**2).mean(axis=1).mean()), grad
+
+
+def _one_call_objective(data, idx, cfg, val_X, val_y, pairs, directions, bounds):
+    """The batch objective as one function ``W -> (J, grad J)`` that forms every piece on every call."""
+    X, y = data.features[idx], data.labels[idx]
+    classes, inverse = np.unique(y, return_inverse=True)
+    members = [y == c for c in classes]
+    onehot = np.array(members, dtype=np.float64)
+    counts = onehot.sum(axis=1)
+    probes = encoder._probe_inputs(data, pairs, directions, cfg.fd_step, bounds) if pairs else None
+
+    def objective(W):
+        Z = X @ W.T
+        if classes.size >= 2:
+            centroids = np.stack([Z[m].mean(axis=0) for m in members])
+            d2 = (((val_X @ W.T)[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            utility = float(np.mean(classes[d2.argmin(axis=1)] == val_y))
+        else:
+            utility = 1.0 / data.num_classes
+        norms = np.linalg.norm(Z, axis=1)
+        nonzero = norms > 0.0
+        unit = np.zeros_like(Z)
+        unit[nonzero] = Z[nonzero] / norms[nonzero, None]
+        sums = onehot @ unit
+        nz = nonzero @ onehot.T
+        pair_count = 0.5 * (counts.sum() ** 2 - (counts * counts).sum())
+        cross_nonzero = 0.5 * (nz.sum() ** 2 - (nz * nz).sum())
+        grand = sums.sum(axis=0)
+        dot_sum = 0.5 * ((grand * grand).sum() - (sums * sums).sum(axis=1).sum())
+        dist_sum = 2.0 * (pair_count - cross_nonzero) + (cross_nonzero - dot_sum)
+        disp = dist_sum / max(pair_count, 1.0) if pair_count > 0 else 0.0
+        g_unit = (sums[inverse] - grand) / max(pair_count, 1.0)
+        col = norms[:, None]
+        inv_norms = np.divide(1.0, col, out=np.zeros_like(col), where=col > 0.0)
+        g_Z = (g_unit - (g_unit * unit).sum(axis=1, keepdims=True) * unit) * inv_norms
+        penalty, g_penalty = _one_call_penalty(W, probes, cfg.fd_step)
+        return utility + cfg.lam * float(disp) - cfg.alpha * penalty, cfg.lam * (g_Z.T @ X) - cfg.alpha * g_penalty
+
+    return objective
+
+
+def _reference_train(data, cfg):
+    """The trainer on the one-call objective: (training_trace, transform, vectors)."""
+    D = data.dim
+    W = RngStream(cfg.seed, "encoder-init").generator().standard_normal((cfg.d, D)) / np.sqrt(D)
+    n_val = data.val_features.shape[0]
+    val_idx = np.sort(RngStream(cfg.seed, "encoder-val").generator().choice(n_val, size=min(encoder.VAL_SUBSAMPLE, n_val), replace=False))
+    val_X, val_y = data.val_features[val_idx], data.val_labels[val_idx]
+    bounds = encoder._feature_bounds(data)
+
+    def objectives(epoch):
+        batches = encoder._epoch_batches(data.n, cfg.batch_size, RngStream(cfg.seed, "encoder-batches", b"", epoch).generator())
+        out = []
+        for b, idx in enumerate(batches):
+            pg = RngStream(cfg.seed, "encoder-pairs", content_token(epoch, b)).generator()
+            pairs = encoder._sample_pairs(data.labels, idx, cfg.partners_per_anchor, pg)
+            dirs = pg.standard_normal((len(pairs), cfg.fd_draws, D)) if pairs else None
+            out.append(_one_call_objective(data, idx, cfg, val_X, val_y, pairs, dirs, bounds))
+        return out
+
+    scoring = objectives(0)
+    snapshots = [W]
+    for epoch in range(1, cfg.epochs + 1):
+        for objective in objectives(epoch):
+            W = W + cfg.lr * objective(W)[1]
+        snapshots.append(W)
+    scores = tuple(float(np.mean([objective(S)[0] for objective in scoring])) if scoring else 0.0 for S in snapshots)
+    W_best = snapshots[int(np.argmax(scores))]
+    return scores, W_best, data.features @ W_best.T
+
+
+def _has_one_class_batch(data, cfg):
+    for epoch in range(cfg.epochs + 1):
+        gen = RngStream(cfg.seed, "encoder-batches", b"", epoch).generator()
+        if any(np.unique(data.labels[idx]).size == 1 for idx in encoder._epoch_batches(data.n, cfg.batch_size, gen)):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 3])
+@pytest.mark.parametrize("seed", [3, 21])
+@pytest.mark.parametrize("batch_size", [16, 3])
+def test_trainer_matches_the_one_call_reference_bit_for_bit(epochs, seed, batch_size):
+    data = make_synthetic(60, subclusters=2, overlap=0.4, seed=seed, dim=3)
+    cfg = EncoderConfig(d=2, lam=0.8, alpha=0.2, epochs=epochs, batch_size=batch_size, fd_draws=2, seed=seed)
+    # batches of 3 rows from two classes: the partition holds one-class batches, which have no probe pairs
+    assert _has_one_class_batch(data, cfg) == (batch_size == 3)
+    trace, transform, vectors = _reference_train(data, cfg)
+    trained = train_linear_encoder(data, cfg)
+    assert len(trained.training_trace) == epochs + 1
+    assert np.array(trained.training_trace).tobytes() == np.array(trace).tobytes()
+    assert trained.transform.tobytes() == transform.tobytes()
+    assert trained.vectors.tobytes() == vectors.tobytes()
+
+
 def test_gradient_step_memory_is_bounded():
-    # d = D = 64 with a full validation subsample of 256 rows: one objective
-    # call holds the (256, C, d) centroid distances and the batch and probe
-    # embeddings, a few hundred kB
+    # d = D = 64 with a full validation subsample of 256 rows: the value pass
+    # holds the (256, C, d) centroid distances and the batch and probe
+    # embeddings, the ascent pass the batch and probe embeddings and their
+    # gradients, a few hundred kB each
     gen = np.random.default_rng(11)
     d = D = 64
     n, n_val = 64, encoder.VAL_SUBSAMPLE
@@ -355,15 +481,16 @@ def test_gradient_step_memory_is_bounded():
     assert len(pairs) == cfg.batch_size * cfg.partners_per_anchor
     dirs = gen.standard_normal((len(pairs), cfg.fd_draws, D))
     bounds = encoder._feature_bounds(data)
-    objective = encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs, bounds)
+    value, ascent = encoder._batch_objective(data, idx, cfg, data.val_features, data.val_labels, pairs, dirs, bounds)
     W = gen.normal(size=(d, D)) / np.sqrt(D)
     tracemalloc.start()
     try:
-        W = W + cfg.lr * objective(W)[1]
+        W = W + cfg.lr * ascent(W)
+        J = value(W)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert np.isfinite(W).all()
+    assert np.isfinite(W).all() and np.isfinite(J)
     assert peak < 2 * 2**20
 
 

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import numpy as np
@@ -215,6 +216,29 @@ def test_build_tree_validation_errors():
     with pytest.raises(ValueError):
         build_tree(emb, (2,), leaf_cap=5, gamma=1.0, seed=0)
 
+
+
+@pytest.mark.parametrize(
+    "field, value, match",
+    [
+        ("leaf_cap", 8.5, "leaf_cap must be an integer"),
+        ("leaf_cap", True, "leaf_cap must be an integer"),
+        ("leaf_cap", 0, "leaf cap must be positive"),
+        ("branching", [2.5], "branching must be an integer"),
+        ("branching", [1], "branching factors must all be >= 2"),
+        ("gamma", 1.5, r"gamma must lie in \[0, 1\)"),
+        ("gamma", float("nan"), r"gamma must lie in \[0, 1\)"),
+    ],
+)
+def test_tree_parameters_are_checked_when_built_and_when_loaded(field, value, match):
+    emb = _embedding(30, seed=13)
+    params = {"branching": [3], "leaf_cap": 8, "gamma": 0.25}
+    payload = json.loads(build_tree(emb, seed=13, **params).to_json())
+    payload[field] = value
+    with pytest.raises(ValueError, match=match):
+        HierarchyTree.from_json(json.dumps(payload))
+    with pytest.raises(ValueError, match=match):
+        build_tree(emb, seed=13, **{**params, field: value})
 
 # ------------------------------------------------- splits against the direct formula
 

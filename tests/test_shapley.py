@@ -98,6 +98,21 @@ def test_exact_additivity_is_linear():
     assert lhs == pytest.approx(rhs, abs=1e-9)
 
 
+def test_exact_plan_is_built_once_per_player_count_and_shared_read_only():
+    shapley._exact_plan.cache_clear()
+    games = [random_table_game(4, seed)[0] for seed in range(3)]
+    first = [exact_shapley(game).values for game in games]
+    assert [exact_shapley(game).values.tobytes() for game in games] == [v.tobytes() for v in first]
+    info = shapley._exact_plan.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    rows, terms = shapley._exact_plan(4)
+    arrays = [rows] + [a for term in terms for a in term]
+    assert len(arrays) == 1 + 3 * 4
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = True
+
+
 def test_game_players_must_be_disjoint():
     with pytest.raises(ValueError, match="disjoint"):
         CoalitionGame([PointSet([0, 1]), PointSet([2]), PointSet([1, 5])], lambda pts: 0.0)
