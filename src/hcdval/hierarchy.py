@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .core import PointSet, RngStream, check_integer, content_token, union
+from .core import TEMP_BYTES, PointSet, RngStream, check_integer, content_token, union
 from .utility import _group_sums, _nearest
 
 
@@ -213,6 +213,22 @@ def capacity_window(size: int, K: int, gamma: float) -> tuple[int, int, int]:
     return int(np.floor((1.0 - gamma) * s)), int(np.ceil((1.0 + gamma) * s)), s
 
 
+def _direct_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(B, K, m) direct distances sqrt(sum_k (x_k - c_k)^2) from each row of ``X`` (B, m, D) to each centroid (B, K, D).
+
+    The (B, K, points, D) difference is formed a few points at a time, within
+    ``TEMP_BYTES`` (one point at least). Each distance sums its own D squares
+    along one contiguous row, so it does not depend on the chunks.
+    """
+    (B, m, D), K = X.shape, centroids.shape[1]
+    out = np.empty((B, K, m))
+    step = max(1, TEMP_BYTES // (8 * B * K * D))
+    for start in range(0, m, step):
+        part = (X[:, None, start : start + step, :] - centroids[:, :, None, :]) ** 2
+        np.sqrt(part.sum(axis=3), out=out[:, :, start : start + step])
+    return out
+
+
 def _segmented_fill(
     X: np.ndarray, rows: np.ndarray, centroids: np.ndarray, present: np.ndarray, gamma: float
 ) -> np.ndarray:
@@ -229,7 +245,7 @@ def _segmented_fill(
     point reads its sorted parts past the nearest only when that one is full.
     """
     B, K = present.shape
-    dists = np.sqrt(((X[:, None, :, :] - centroids[:, :, None, :]) ** 2).sum(axis=3))  # (B, K, m)
+    dists = _direct_distances(X, centroids)
     dists[~present] = np.inf
     pref = np.argsort(dists, axis=1, kind="stable")  # each point's parts, nearest first
     two = np.take_along_axis(dists, pref[:, :2], axis=1)

@@ -22,11 +22,17 @@ games at once.
 
 The cache keys a coalition by a set hash (Zobrist hashing): each point index
 has two fixed 64-bit splitmix64 words, and a coalition's 16-byte key is the
-XOR of its points' words. A batch is keyed without listing its members, as
-the XOR of its selected blocks' keys, in one array pass over all rows. Two
-distinct coalitions share a key only when the words of their symmetric
-difference XOR to zero, with probability 2^-128 per pair on the assumption
-that distinct points' words behave as independent uniform words.
+XOR of its points' words. Two distinct coalitions share a key only when the
+words of their symmetric difference XOR to zero, with probability 2^-128 per
+pair on the assumption that distinct points' words behave as independent
+uniform words. A payoff call keys its rows without listing their members, and
+keys each distinct coalition pattern once. The call's blocks are laid out once
+(``_Layout``), for the block keys, the disjointness check and the block
+statistics. Each row gets one 64-bit code, its game's offset plus its block
+bits; the codes are deduped first, so only one row of each distinct (game,
+pattern) pair is keyed, as the XOR of its selected blocks' keys. The keys are
+then deduped by sorting their first words, and by both words only when two
+distinct keys share a first word.
 
 The nearest-centroid prediction takes its distances from one GEMM. With two
 classes it is the sign of the discriminant x.w + h, with w = -2 (mu_1 - mu_0)
@@ -48,8 +54,8 @@ from __future__ import annotations
 import copy
 import functools
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Callable, Sequence
+from itertools import accumulate, repeat
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -490,53 +496,118 @@ def normalized_dispersion(
     return DispersionResult(float(values[0]), int(pairs[0]))
 
 
-def _block_key_table(blocks: Sequence[Sequence[PointSet]], width: int, words: Callable) -> np.ndarray:
-    """(games, width, 2) uint64 set-hash keys of every game's blocks, zero past its last block.
+class _Layout(NamedTuple):
+    """The blocks of a payoff call's games, laid out once for keying, the disjointness check and scoring."""
 
-    A block's key is the XOR of its points' words (``coalition_key``; the
-    payoff's ``words(indices)`` gives them), read off a running XOR over all
-    blocks' points. Raises ValueError when two blocks of one game share a point.
-    """
-    counts = [len(game_blocks) for game_blocks in blocks]
-    flat = [b for game_blocks in blocks for b in game_blocks]
-    sizes = np.array([len(b) for b in flat], dtype=np.intp)
-    points = np.concatenate([b.indices for b in flat])
-    block_game = np.repeat(np.arange(len(blocks)), counts)
+    games: list  # each game's blocks (PointSets)
+    width: int  # the most blocks of any game
+    points: np.ndarray  # every block's points, games and blocks in order
+    sizes: np.ndarray  # each block's number of points
+    slots: np.ndarray  # each block's slot g * width + j: game g's block j
+
+
+def _lay_out(games: Sequence[Sequence[PointSet]]) -> _Layout:
+    """The ``_Layout`` of several games' blocks. Raises ValueError when two blocks of one game share a point."""
+    counts = [len(blocks) for blocks in games]
+    width = max(counts, default=0)
+    arrays = [b.indices for blocks in games for b in blocks]
+    sizes = np.array([a.size for a in arrays], dtype=np.intp)
+    points = np.concatenate(arrays or [np.zeros(0, np.int64)])
+    block_game = np.repeat(np.arange(len(games)), counts)
+    within = np.arange(sizes.size) - np.repeat(list(accumulate(counts[:-1], initial=0)), counts)
     # points offset by their game: one sort puts a point repeated within a game next to itself
     in_game = np.repeat(block_game, sizes) * (int(points.max(initial=0)) + 1) + points
     in_game.sort()
     if (in_game[1:] == in_game[:-1]).any():
         raise ValueError("coalition blocks must be disjoint")
-    running = np.zeros((points.size + 1, 2), np.uint64)
-    np.bitwise_xor.accumulate(words(points), axis=0, out=running[1:])
-    ends = sizes.cumsum()
-    slot = np.arange(sizes.size) - np.repeat(list(accumulate(counts[:-1], initial=0)), counts)  # within its game
-    table = np.zeros((len(blocks), width, 2), np.uint64)
-    table[block_game, slot] = running[ends] ^ running[ends - sizes]
+    return _Layout(list(games), width, points, sizes, block_game * width + within)
+
+
+def _block_keys(layout: _Layout, words: Callable) -> np.ndarray:
+    """(games * width + 1, 2) uint64 set-hash keys of the blocks by slot: zero in empty slots and in the last row.
+
+    A block's key is the XOR of its points' words (``coalition_key``; the
+    payoff's ``words(indices)`` gives them), read off a running XOR over all
+    blocks' points.
+    """
+    running = np.zeros((layout.points.size + 1, 2), np.uint64)
+    np.bitwise_xor.accumulate(words(layout.points), axis=0, out=running[1:])
+    ends = layout.sizes.cumsum()
+    table = np.zeros((len(layout.games) * layout.width + 1, 2), np.uint64)
+    table[layout.slots] = running[ends] ^ running[ends - layout.sizes]
     return table
 
 
-def _distinct_rows(blocks: Sequence[Sequence[PointSet]], rows: Sequence[np.ndarray], words: Callable) -> tuple:
+def _pattern_codes(member: np.ndarray, row_game: np.ndarray, widths: Sequence[int]):
+    """One uint64 per block row, equal exactly for equal (game, pattern) pairs; None when they do not fit in one word.
+
+    A row's code is its game's offset plus its block bits, bit j for block j:
+    game g's codes fill [offset_g, offset_g + 2^K_g), which fits while the
+    2^K_g of all games add up to at most 2^64.
+    """
+    offsets = list(accumulate((1 << K for K in widths), initial=0))
+    if offsets[-1] > 1 << 64:
+        return None
+    codes = np.array(offsets[:-1], np.uint64)[row_game]
+    for j in range(member.shape[1]):
+        codes += member[:, j].astype(np.uint64) << np.uint64(j)
+    return codes
+
+
+def _distinct(words: np.ndarray, first_of: np.ndarray) -> tuple:
+    """The distinct rows of an (N, W) uint64 array.
+
+    Returns, for each distinct row, the index of one row that holds it and
+    the least ``first_of`` over the rows that hold it, and for every row the
+    index of its distinct row. Rows are sorted by their first word; only when
+    two distinct rows share a first word are they sorted by every word.
+    """
+    order = np.argsort(words[:, 0])
+    ranked = words.take(order, axis=0)  # take: far faster than fancy indexing of rows
+    starts = np.ones(order.size, bool)
+    np.not_equal(ranked[1:, 0], ranked[:-1, 0], out=starts[1:])
+    tied = np.flatnonzero(~starts[1:])
+    if (ranked[tied, 1:] != ranked[tied + 1, 1:]).any():
+        order = np.lexsort(words.T[::-1])
+        ranked = words.take(order, axis=0)
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    heads = np.flatnonzero(starts)
+    inverse = np.empty(order.size, np.intp)
+    inverse[order] = starts.cumsum() - 1
+    return order[heads], np.minimum.reduceat(first_of[order], heads), inverse
+
+
+def _distinct_rows(layout: _Layout, rows: Sequence[np.ndarray], words: Callable) -> tuple:
     """The distinct coalitions among the 0/1 block rows of several games.
 
     Returns their 16-byte keys (``bytes``), the game and the block row
     (padded with zeros to the widest game) of the first row that holds each,
-    and for every row, games in order, the index of its coalition. A row's
-    key is the XOR of its selected blocks' keys, built column by column, so
-    no (rows, blocks, 2) temporary is formed.
+    and for every row, games in order, the index of its coalition.
+
+    Rows are deduped by ``_pattern_codes`` first (every row, if the codes do
+    not fit in one word), so one row of each distinct (game, pattern) pair is
+    keyed: the XOR of its selected blocks' keys, built column by column, so
+    no (rows, blocks, 2) temporary is formed. The keys are then deduped by
+    ``_distinct``; a coalition held by several (game, pattern) pairs is
+    scored from the first row that holds it.
     """
-    width = max(len(game_blocks) for game_blocks in blocks)
+    width = layout.width
     n_rows = [game_rows.shape[0] for game_rows in rows]
-    row_game = np.repeat(np.arange(len(blocks)), n_rows)
+    row_game = np.repeat(np.arange(len(rows)), n_rows)
     member = np.zeros((row_game.size, width), bool)
     for start, game_rows in zip(accumulate(n_rows, initial=0), rows):
         member[start : start + game_rows.shape[0], : game_rows.shape[1]] = game_rows
-    table = _block_key_table(blocks, width, words)
-    keys = np.zeros((row_game.size, 2), np.uint64)
-    for j in range(width):
-        np.bitwise_xor(keys, table[row_game, j], out=keys, where=member[:, j, None])
-    distinct, first, inverse = np.unique(keys.view(_KEY).ravel(), return_index=True, return_inverse=True)
-    return distinct.tolist(), row_game[first], member[first], inverse
+    every = np.arange(row_game.size)
+    codes = _pattern_codes(member, row_game, [game_rows.shape[1] for game_rows in rows])
+    pattern, pattern_of = (every, every) if codes is None else _distinct(codes[:, None], every)[1:]
+    slot, chosen = row_game[pattern] * width, member.take(pattern, axis=0)
+    table = _block_keys(layout, words)
+    keys = np.zeros((pattern.size, 2), np.uint64)
+    for j in range(width):  # an unselected block reads the zero last row
+        keys ^= table.take(np.where(chosen[:, j], slot + j, -1), axis=0)
+    held, first, key_of = _distinct(keys, pattern)
+    distinct = keys.take(held, axis=0).view(_KEY).ravel().tolist()
+    return distinct, row_game[first], member.take(first, axis=0), key_of[pattern_of]
 
 
 def _aligned_vectors(dataset: LabeledDataset, embedding) -> np.ndarray:
@@ -660,7 +731,7 @@ class CharacteristicFn:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        value = self._score_rows([[points]], np.zeros(1, np.intp), np.ones((1, 1), bool))
+        value = self._score_rows(_lay_out([[points]]), np.zeros(1, np.intp), np.ones((1, 1), bool))
         self._store([key], value)
         return float(value[0])
 
@@ -677,17 +748,18 @@ class CharacteristicFn:
 
         Game g is a pair (blocks, rows): disjoint point blocks, and an
         (R_g, K_g) 0/1 matrix whose row r is the union of the blocks j with
-        ``rows[r, j]`` set; the blocks of different games may overlap. All
-        rows are keyed in one pass: a block's key is the XOR of its points'
-        words and a row's the XOR of its selected blocks' keys, which is the
-        ``coalition_key`` of its union however a game splits it. Each
-        distinct key is looked up once in the cache that ``evaluate`` uses,
-        so a coalition repeated within the call, in one game or in several,
-        counts as one miss and is scored with the blocks of the first game
-        and row that hold it. The misses are scored together by
-        ``_score_rows``, bound-checked, and stored. Each coalition adds its
-        own game's blocks in block order, so every payoff equals a one-game
-        call's bit for bit.
+        ``rows[r, j]`` set; the blocks of different games may overlap. A
+        game of no blocks has rows of the empty coalition. Rows repeating a
+        (game, row) pattern of the call are keyed once (``_distinct_rows``):
+        a block's key is the XOR of its points' words and a row's the XOR of
+        its selected blocks' keys, which is the ``coalition_key`` of its union
+        however a game splits it. Each distinct key is looked up once in the
+        cache that ``evaluate`` uses, so a coalition repeated within the call,
+        in one game or in several, counts as one miss and is scored with the
+        blocks of the first game and row that hold it; ``lookups`` counts
+        every row. The misses are scored together by ``_score_rows``,
+        bound-checked, and stored. Each coalition adds its own game's blocks
+        in block order, so every payoff equals a one-game call's bit for bit.
         """
         if not games:
             return []
@@ -696,20 +768,21 @@ class CharacteristicFn:
         for game_blocks, game_rows in zip(blocks, rows):
             if game_rows.ndim != 2 or game_rows.shape[1] != len(game_blocks):
                 raise ValueError(f"{len(game_blocks)} blocks need an (R, {len(game_blocks)}) row matrix, got {game_rows.shape}")
-        keys, game, member, inverse = _distinct_rows(blocks, rows, self._point_words)
-        cached = self._cache.get
-        values = np.array([cached(key, np.nan) for key in keys])  # stored payoffs are never NaN
+        layout = _lay_out(blocks)
+        keys, game, member, inverse = _distinct_rows(layout, rows, self._point_words)
+        # NaN marks a miss: stored payoffs are never NaN
+        values = np.fromiter(map(self._cache.get, keys, repeat(np.nan)), np.float64, len(keys))
         self.lookups += inverse.size
         missed = np.flatnonzero(np.isnan(values))
         if missed.size:
-            scored = self._score_rows(blocks, game[missed], member[missed])
+            scored = self._score_rows(layout, game[missed], member[missed])
             self._store([keys[k] for k in missed.tolist()], scored)
             values[missed] = scored
         values = values[inverse]
         offsets = list(accumulate((game_rows.shape[0] for game_rows in rows), initial=0))
         return [values[start:end] for start, end in zip(offsets, offsets[1:])]
 
-    def _block_stats(self, games: Sequence[Sequence[PointSet]], width: int) -> np.ndarray:
+    def _block_stats(self, layout: _Layout) -> np.ndarray:
         """(games, width, C * F) per-class statistics of each game's blocks, zero past its last block.
 
         One ``_group_sums`` call adds every game's points into (game, block,
@@ -717,18 +790,17 @@ class CharacteristicFn:
         ascending point order onto 0.0, whichever games share the call.
         """
         C = self.dataset.num_classes
-        flat = [b for blocks in games for b in blocks]
-        points = np.concatenate([b.indices for b in flat])
-        slots = [g * width + j for g, blocks in enumerate(games) for j in range(len(blocks))]
-        groups = np.repeat(slots, [len(b) for b in flat]) * C + self.dataset.labels[points]
-        return _group_sums(self._point_stats[points], groups, len(games) * width * C).reshape(len(games), width, -1)
+        points, F = layout.points, self._point_stats.shape[1]
+        groups = np.repeat(layout.slots, layout.sizes) * C + self.dataset.labels[points]
+        stats = _group_sums(self._point_stats[points], groups, len(layout.games) * layout.width * C)
+        return stats.reshape(len(layout.games), layout.width, C * F)
 
-    def _score_rows(self, games: Sequence[Sequence[PointSet]], game: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Payoffs of the rows of a 0/1 block matrix; row r selects blocks of ``games[game[r]]``."""
+    def _score_rows(self, layout: _Layout, game: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Payoffs of the rows of a 0/1 block matrix; row r selects blocks of ``layout.games[game[r]]``."""
         if self.learner == "ridge_logistic":  # no sufficient statistics: one fit per row
             out = []
             for g, row in zip(game.tolist(), rows):
-                coalition = union(games[g][j] for j in np.flatnonzero(row).tolist())
+                coalition = union(layout.games[g][j] for j in np.flatnonzero(row).tolist())
                 value = coalition_utility(self.dataset, coalition, self.metric, self.learner)
                 if self.lam:
                     value = value + self.lam * normalized_dispersion(self.vectors, self.dataset.labels, coalition).value
@@ -736,7 +808,7 @@ class CharacteristicFn:
             return np.array(out, dtype=np.float64)
         data = self.dataset
         C = data.num_classes
-        stats = self._block_stats(games, rows.shape[1])
+        stats = self._block_stats(layout)
         val_X, val_y = data.val_features, data.val_labels
         D = val_X.shape[1]
         chance = chance_level(self.metric, C)

@@ -361,7 +361,7 @@ def test_chunks_fill_the_distance_budget_of_the_array_they_form(C, metric, per_p
 
     monkeypatch.setattr(utility, "_nearest_centroid_utility", record)
     monkeypatch.setattr(utility, "TEMP_BYTES", 8 * budget)
-    cf._score_rows([blocks], np.zeros(len(rows), np.intp), rows)
+    cf._score_rows(utility._lay_out([blocks]), np.zeros(len(rows), np.intp), rows)
     step = max(1, budget // (n_val * per_point))
     assert [r for r, _ in chunks] == [step] * (len(rows) // step) + [len(rows) % step] * bool(len(rows) % step)
     for r, v in chunks:  # within the budget, or one row whose array alone exceeds it
@@ -560,7 +560,8 @@ def test_one_point_blocks_take_the_group_sums_exactly(seed, C, lam):
     data, emb = random_dataset(seed, C, D=3, on_grid=False)
     points = np.random.default_rng(seed).permutation(data.n)[: int(seed % data.n) + 1]
     cf = CharacteristicFn(data, emb, lam=lam)
-    got = cf._block_stats([[PointSet([i]) for i in points]], points.size + 2)
+    wider = [EMPTY_SET] * (points.size + 2)  # a second game pads the first one's blocks with two slots
+    got = cf._block_stats(utility._lay_out([[PointSet([i]) for i in points], wider]))
     order = np.argsort(points)
     sums = utility._group_sums(cf._point_stats[points[order]], order * C + data.labels[points[order]], points.size * C)
     assert np.array_equal(got[0, : points.size], sums.reshape(points.size, -1))

@@ -492,6 +492,26 @@ def test_tree_reference_property_covers_uneven_levels():
     assert any(len(ks) > 1 and chained for ks, chained in _split_counts(tree))
 
 
+@pytest.mark.parametrize("D", [2, 9])
+def test_fill_distances_in_chunks_of_a_few_bytes_build_the_same_tree(D, monkeypatch):
+    X = _rows(np.random.default_rng(D), 300, D, "normal")
+    want = build_tree(X, (4, 3), leaf_cap=12, gamma=0.25, seed=D).to_json()
+    monkeypatch.setattr(hierarchy, "TEMP_BYTES", 8)  # one point per chunk
+    assert build_tree(X, (4, 3), leaf_cap=12, gamma=0.25, seed=D).to_json() == want
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 10_000), B=st.integers(1, 3), K=st.integers(1, 5), m=st.integers(1, 40), D=st.integers(1, 12),
+       budget=st.sampled_from([1, 64, 1000, 1 << 20]))
+def test_direct_distances_do_not_depend_on_the_chunks(seed, B, K, m, D, budget):
+    gen = np.random.default_rng(seed)
+    X, centroids = gen.normal(size=(B, m, D)), gen.normal(size=(B, K, D))
+    want = np.sqrt(((X[:, None, :, :] - centroids[:, :, None, :]) ** 2).sum(axis=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hierarchy, "TEMP_BYTES", budget)
+        assert hierarchy._direct_distances(X, centroids).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_embedding_rows_are_named(bad):
     emb = _embedding(30, seed=13)
