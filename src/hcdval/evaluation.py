@@ -324,14 +324,14 @@ def diagnostic_hcdv(
 ) -> ValueVector:
     """``run_hcdv``'s hand-down with the level games played the given way.
 
-    The values still sum to the root surplus; ("parent", "prefix") equals
-    ``run_hcdv`` bit for bit. No run report is kept.
+    ``propagate`` checks that the values still sum to the root surplus;
+    ("parent", "prefix") equals ``run_hcdv`` bit for bit. No run report is
+    kept.
     """
     _check_run_inputs(data, emb, tree, cf, cfg)
     level_estimates = _diagnostic_level_estimator(tree, cf, cfg, game_scope, sampling)
-    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     values = np.zeros(data.n)
-    propagate(tree, cf, cfg, surplus, values, {}, level_estimates)
+    propagate(tree, cf, cfg, values, {}, level_estimates)
     tag = f"hcdv-{game_scope}-{sampling}"
     return ValueVector(values=values, method_tag=tag, seed=cfg.seed, permutations_T=cfg.T, wallclock_ms=0.0)
 

@@ -10,16 +10,18 @@ point keeps the sign of its estimate: a negative value means the point lowers
 the payoff of its leaf or family. Because each family hands down exactly its
 parent's mass, the point values sum to the root surplus by construction.
 
-``propagate`` is the one hand-down engine, for the batch run and for
-streaming ingest alike; each caller brings its own level estimator. Given a
-``dirty`` set (the nodes whose members changed), it re-splits only families
-under dirty parents and redistributes only dirty leaves; ``dirty=None``
-marks every node dirty, which is the batch run. The caller's estimator gets
-a whole level's families at once; ``run_hcdv`` plays all of their games in one
-``monte_carlo_shapley`` call, so a level costs one draw per distinct family
-size and one payoff call. The exact within-leaf games of all the leaves it
-redistributes are played in one ``exact_shapley`` call, so their coalitions
-are scored together, in payoff calls of at most ``core.TEMP_BYTES`` bytes.
+``propagate`` is the one run engine, for the batch run, the diagnostic modes
+and streaming ingest alike; each caller brings its own level estimator. It
+scores the root surplus, hands it down, checks that the point values sum to
+it, and returns it with the run's phase ledger. Given a ``dirty`` set (the
+nodes whose members changed), it re-splits only families under dirty parents
+and redistributes only dirty leaves; ``dirty=None`` marks every node dirty,
+which is the batch run. The caller's estimator gets a whole level's families
+at once; ``run_hcdv`` plays all of their games in one ``monte_carlo_shapley``
+call, so a level costs one draw per distinct family size and one payoff call.
+The exact within-leaf games of all the leaves it redistributes are played in
+one ``exact_shapley`` call, so their coalitions are scored together, in
+payoff calls of at most ``core.TEMP_BYTES`` bytes.
 
 ``run_hcdv`` has one configuration: family games by prefix sweeps, mass
 split additively. The diagnostic game modes live in ``evaluation.py``.
@@ -82,10 +84,8 @@ class HcdvConfig:
 class HcdvReport:
     """Bookkeeping from one valuation run.
 
-    ``phase_counts`` and ``phase_ms`` hold the payoff evaluations and the
-    wall-clock milliseconds of each phase: root surplus, family sweeps and
-    leaf games. A ``"singletons"`` phase stays at 0 for the benchmark's
-    reader (``perfbench/worker.py``).
+    ``phase_counts`` and ``phase_ms`` are ``propagate``'s ledger: the payoff
+    evaluations and the wall-clock milliseconds of each phase.
     """
 
     surplus: float
@@ -142,13 +142,12 @@ def propagate(
     tree: HierarchyTree,
     cf,
     cfg: HcdvConfig,
-    surplus: float,
     values: np.ndarray,
     masses: Dict[int, float],
     level_estimates: Callable[[int, Families], Dict[int, float]],
     dirty: Optional[Set[int]] = None,
-) -> Tuple[Dict[str, int], Dict[str, float]]:
-    """Hand the root surplus down the tree into ``values``, family by family.
+) -> Tuple[float, Dict[str, int], Dict[str, float]]:
+    """Score the root surplus v(D) - v(empty) and hand it down into ``values``, family by family.
 
     Level by level from the root, ``level_estimates(level, families)`` gets
     that level's families under dirty parents and returns raw estimates for
@@ -159,12 +158,16 @@ def propagate(
     names its parent. Then every dirty leaf spreads its mass over its points,
     the exact leaves' games all in one ``exact_shapley`` call.
     ``dirty=None`` marks every node dirty: the batch run. ``masses`` and
-    ``values`` are updated in place. Returns the payoff evaluations and the
-    wall-clock milliseconds of each phase: the estimates ("sweeps") and the
-    leaf games. A ``"singletons"`` phase stays at 0 for the benchmark's
-    reader (``perfbench/worker.py``).
+    ``values`` are updated in place. Unless ``values`` then sum to the
+    surplus within 1e-6 * max(1, |surplus|), an AssertionError is raised,
+    under ``python -O`` too.
+
+    Returns the surplus, and the payoff evaluations and wall-clock
+    milliseconds of each phase: the surplus ("root"), the estimates
+    ("sweeps") and the leaf games. A ``"singletons"`` phase stays at 0 for
+    the benchmark's reader (``perfbench/worker.py``).
     """
-    counts = {"sweeps": 0, "singletons": 0, "leaves": 0}  # "singletons": 0 for perfbench/worker.py
+    counts = {"root": 0, "sweeps": 0, "singletons": 0, "leaves": 0}  # "singletons": 0 for perfbench/worker.py
     ms = dict.fromkeys(counts, 0.0)
 
     @contextmanager
@@ -176,6 +179,8 @@ def propagate(
 
     if dirty is None:
         dirty = set(tree.nodes)
+    with phase("root"):
+        surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     masses[tree.root_id] = surplus
 
     for level in range(1, len(tree.levels)):
@@ -194,7 +199,11 @@ def propagate(
     with phase("leaves"):
         leaves = [(tree.node(lid).members, masses[lid]) for lid in tree.leaf_ids() if lid in dirty]
         _distribute_leaves(values, leaves, cfg, cf)
-    return counts, ms
+
+    drift = abs(math.fsum(values.tolist()) - surplus)
+    if not drift <= 1e-6 * max(1.0, abs(surplus)):
+        raise AssertionError(f"value mass escaped during propagation: drift {drift}")
+    return surplus, counts, ms
 
 
 def _check_run_inputs(data: LabeledDataset, emb, tree: HierarchyTree, cf, cfg: HcdvConfig) -> None:
@@ -216,13 +225,6 @@ def run_hcdv(
     """Value every train point by hierarchical Shapley mass propagation."""
     _check_run_inputs(data, emb, tree, cf, cfg)
     start = time.perf_counter()
-    before = getattr(cf, "evaluations", 0)
-    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
-    evals_root = getattr(cf, "evaluations", 0) - before
-    root_ms = (time.perf_counter() - start) * 1000.0
-    if surplus < 0.0:
-        warnings.warn(f"total surplus is negative ({surplus}); value mass will be negative")
-
     level_player_counts: List[int] = []
     eval_bound = 2
     for level in range(1, len(tree.levels)):
@@ -247,13 +249,15 @@ def run_hcdv(
 
     masses: Dict[int, float] = {}
     values = np.zeros(data.n)
-    counts, ms = propagate(tree, cf, cfg, surplus, values, masses, level_games)
+    surplus, counts, ms = propagate(tree, cf, cfg, values, masses, level_games)
+    if surplus < 0.0:
+        warnings.warn(f"total surplus is negative ({surplus}); value mass will be negative")
 
     report = HcdvReport(
         surplus=surplus,
-        eval_count=getattr(cf, "evaluations", 0) - before,
-        phase_counts={"root": evals_root, **counts},
-        phase_ms={"root": root_ms, **ms},
+        eval_count=sum(counts.values()),
+        phase_counts=counts,
+        phase_ms=ms,
         eval_bound=eval_bound,
         masses=masses,
         level_player_counts=level_player_counts,
@@ -262,10 +266,6 @@ def run_hcdv(
     )
     global _LAST_REPORT
     _LAST_REPORT = report
-
-    drift = abs(math.fsum(values.tolist()) - surplus)
-    if not drift <= 1e-6 * max(1.0, abs(surplus)):
-        raise AssertionError(f"value mass escaped during propagation: drift {drift}")
 
     return ValueVector(
         values=values,

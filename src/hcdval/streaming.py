@@ -12,9 +12,10 @@ and a few small updates per ancestor: the leaf prototypes and their norms
 are stacked once per step, each row refreshes only its leaf's row, and each
 node's new points are appended once, after the last row. The payoff over
 the grown corpus (``CharacteristicFn.grown``) computes the per-point
-statistics of the new rows only. The valuation then runs:
+statistics of the new rows only. The valuation then runs inside
+``propagate``, as a batch run does:
 
-* the refreshed root surplus is scored first, as a batch run scores it;
+* the refreshed root surplus is scored first;
 * then one pass per level, from the root down, over the families under
   dirty parents:
 
@@ -32,13 +33,16 @@ statistics of the new rows only. The valuation then runs:
     still sum to the refreshed total surplus. The split is the batch run's
     additive efficient rule, so a negative residual is an ordinary signed
     mass, split like any other; a warning still names its parent;
-* last, only the dirty leaves spread their new mass over their points.
+* then only the dirty leaves spread their new mass over their points;
+* last, ``propagate`` checks that all point values, clean and dirty, sum to
+  the refreshed surplus, and returns it with the step's phase ledger.
 
 The tree is copied node by node on every batch (member sets are shared, as
 they are immutable), so the input state stays a consistent pre-ingest view.
 
 Every few steps (the rebalance period) leaves that outgrew the capacity cap
-are split in place under their parent and valued within the same pass.
+are split in place under their parent and valued within the same pass; the
+root of a one-node tree splits into a new leaf level under it.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, check_integer, class_codes, content_token
+from .core import LabeledDataset, PointSet, RngStream, ValueVector, check_integer, class_codes, content_token
 from .encoder import EmbeddingMatrix
 from .hcdv import HcdvConfig, propagate, run_hcdv
 from .hierarchy import HierarchyTree, build_tree, capacity_window, part_means, split_nodes
@@ -289,24 +293,23 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         prototypes = iter(part_means(new_vectors, [part for parts in split_parts for part in parts]))
         for lid, parts in zip(oversize, split_parts):
             parent = tree.node(lid).parent
-            tree.node(parent).children.remove(lid)
-            tree.levels[depth].remove(lid)
-            dirty.discard(lid)
-            del tree.nodes[lid]
+            if parent is None:  # a one-node tree: its parts form a new leaf level under it, as in build_tree
+                parent, depth = lid, depth + 1
+                tree.levels.append([])
+            else:
+                tree.node(parent).children.remove(lid)
+                tree.levels[depth].remove(lid)
+                dirty.discard(lid)
+                del tree.nodes[lid]
             for part in parts:
                 child = tree._new_node(depth, parent, part, next(prototypes))
                 tree.levels[depth].append(child.id)
                 _mark_dirty(tree, child.id, dirty)
             rebalanced = True
 
-    # -- hand the refreshed surplus down the dirty path ---------------------
+    # -- score the refreshed surplus and hand it down the dirty path ---------
     cfg = state.cfg
     masses = {nid: m for nid, m in state.masses.items() if nid in tree.nodes}
-    marks = cf.evaluations
-    surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
-    evals_root = cf.evaluations - marks
-    if surplus < 0.0:
-        warnings.warn(f"refreshed total surplus is negative ({surplus})")
 
     def refresh(level: int, families) -> Dict[int, float]:
         estimates = {kids[0]: 0.0 for _, kids in families if len(kids) == 1}
@@ -332,7 +335,9 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         return estimates
 
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    phase, phase_ms = propagate(tree, cf, cfg, surplus, values, masses, refresh, dirty)
+    surplus, phase, phase_ms = propagate(tree, cf, cfg, values, masses, refresh, dirty)
+    if surplus < 0.0:
+        warnings.warn(f"refreshed total surplus is negative ({surplus})")
 
     metrics = StepMetrics(
         epoch=epoch,
@@ -340,7 +345,7 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
         dirty_count=len(dirty),
         eval_count=cf.evaluations,
         evals_refresh=phase["sweeps"],
-        evals_root=evals_root,
+        evals_root=phase["root"],
         evals_leaves=phase["leaves"],
         leaf_count=len(tree.leaf_ids()),
         spawned=spawned,

@@ -16,9 +16,9 @@ embedding rows and counts of nonzero-norm rows. ``_nearest_centroid_utility``
 and ``_dispersion_from_stats`` score coalitions from those statistics, one row
 per coalition. The per-point reference functions ``coalition_utility`` and
 ``normalized_dispersion`` call them with a single row; ``CharacteristicFn``
-scores every coalition it caches in ``_score_rows``, whether ``evaluate`` asks
-for one coalition or ``evaluate_games`` for the coalition rows of one or more
-games at once.
+scores every coalition it caches in ``_score_rows``, through
+``evaluate_games``, which takes the coalition rows of one or more games at
+once (``evaluate`` asks it for one coalition).
 
 The cache keys a coalition by a set hash (Zobrist hashing): each point index
 has two fixed 64-bit splitmix64 words, and a coalition's 16-byte key is the
@@ -562,6 +562,9 @@ def _distinct(words: np.ndarray, first_of: np.ndarray) -> tuple:
     index of its distinct row. Rows are sorted by their first word; only when
     two distinct rows share a first word are they sorted by every word.
     """
+    if words.shape[0] < 2:  # nothing to dedupe: a one-coalition lookup
+        every = np.arange(words.shape[0])
+        return every, first_of[every], every
     order = np.argsort(words[:, 0])
     ranked = words.take(order, axis=0)  # take: far faster than fancy indexing of rows
     starts = np.ones(order.size, bool)
@@ -636,10 +639,10 @@ class CharacteristicFn:
     both learners are closed-form or fixed-step full-batch, so no RNG is
     consumed.
 
-    ``evaluate`` scores one coalition and ``evaluate_games`` the coalition
-    rows of one or more games over disjoint point blocks; both go through
-    one cache, one bound check and one scorer, ``_score_rows``, which
-    ``evaluate`` calls with one row of one block. The nearest-centroid
+    ``evaluate_games`` scores the coalition rows of one or more games over
+    disjoint point blocks, through one cache, one bound check and one
+    scorer, ``_score_rows``; ``evaluate`` scores one coalition as one row of
+    one block of an ``evaluate_games`` call. The nearest-centroid
     learner is scored from per-block class statistics and is
     batch-invariant: a coalition scored alone, inside any batch or game, or
     in any chunk gives the same bytes, and its argmin is certified to equal
@@ -713,35 +716,17 @@ class CharacteristicFn:
         """``point_words(indices)``, read from this payoff's table of point words.
 
         The table covers the dataset once a lookup needs it. A payoff over a
-        grown corpus (``grown``) appends the words of the new points. Single
-        lookups and batched ones both read it.
+        grown corpus (``grown``) appends the words of the new points. Every
+        lookup reads it.
         """
         if indices.size and indices.max() >= self._words.shape[0]:
             grown = np.arange(self._words.shape[0], self.dataset.n)
             self._words = np.concatenate([self._words, point_words(grown)])
         return self._words[indices]
 
-    def _key(self, points: PointSet) -> bytes:
-        """``points.key()``: the XOR of the points' rows of the word table."""
-        return np.bitwise_xor.reduce(self._point_words(points.indices), axis=0).tobytes()
-
     def evaluate(self, points: PointSet) -> float:
-        self.lookups += 1
-        key = self._key(points)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        value = self._score_rows(_lay_out([[points]]), np.zeros(1, np.intp), np.ones((1, 1), bool))
-        self._store([key], value)
-        return float(value[0])
-
-    def _store(self, keys: list, values: np.ndarray) -> None:
-        """Cache freshly scored payoffs once every one of them is within the bound."""
-        bad = ~(np.abs(values) <= self.B + 1e-12)
-        if bad.any():
-            raise AssertionError(f"payoff {float(values[bad][0])} escapes the bound B={self.B}")
-        self._cache.update(zip(keys, values.tolist()))
-        self.evaluations += len(keys)
+        """The payoff of one coalition: ``evaluate_games`` on one row of one block."""
+        return float(self.evaluate_games([([points], np.ones((1, 1), bool))])[0][0])
 
     def evaluate_games(self, games: Sequence[tuple]) -> list:
         """Payoffs of several coalition games' rows in one call: one (R_g,) array per game.
@@ -754,12 +739,13 @@ class CharacteristicFn:
         a block's key is the XOR of its points' words and a row's the XOR of
         its selected blocks' keys, which is the ``coalition_key`` of its union
         however a game splits it. Each distinct key is looked up once in the
-        cache that ``evaluate`` uses, so a coalition repeated within the call,
-        in one game or in several, counts as one miss and is scored with the
-        blocks of the first game and row that hold it; ``lookups`` counts
-        every row. The misses are scored together by ``_score_rows``,
-        bound-checked, and stored. Each coalition adds its own game's blocks
-        in block order, so every payoff equals a one-game call's bit for bit.
+        payoff cache, so a coalition repeated within the call, in one game or
+        in several, counts as one miss and is scored with the blocks of the
+        first game and row that hold it; ``lookups`` counts every row. The
+        misses are scored together by ``_score_rows``, and stored once every
+        one of them is within the bound B. Each coalition adds its own game's
+        blocks in block order, so every payoff equals a one-game call's bit
+        for bit.
         """
         if not games:
             return []
@@ -776,7 +762,11 @@ class CharacteristicFn:
         missed = np.flatnonzero(np.isnan(values))
         if missed.size:
             scored = self._score_rows(layout, game[missed], member[missed])
-            self._store([keys[k] for k in missed.tolist()], scored)
+            bad = ~(np.abs(scored) <= self.B + 1e-12)
+            if bad.any():
+                raise AssertionError(f"payoff {float(scored[bad][0])} escapes the bound B={self.B}")
+            self._cache.update(zip([keys[k] for k in missed.tolist()], scored.tolist()))
+            self.evaluations += missed.size
             values[missed] = scored
         values = values[inverse]
         offsets = list(accumulate((game_rows.shape[0] for game_rows in rows), initial=0))

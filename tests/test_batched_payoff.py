@@ -98,26 +98,27 @@ def test_evaluate_keys_from_a_point_word_table_that_grows_with_the_corpus():
     assert cf._words.shape == (0, 2)  # built by the first lookup, not the constructor
     sets = [EMPTY_SET, PointSet([0]), PointSet([3, 7, 11]), PointSet(range(data.n))]
     for S in sets:
-        assert cf._key(S) == S.key()
+        cf.evaluate(S)
+    assert list(cf._cache) == [S.key() for S in sets]
     assert cf._words.shape == (data.n, 2)
     # a payoff over the grown corpus shares the cache and the table, appends the new points' words,
     # and counts its own evaluations
-    cf.evaluate(PointSet([0, 1]))
     extra = make_synthetic(20, seed=3)
     grown = replace(data, features=np.vstack([data.features, extra.features]), labels=np.concatenate([data.labels, extra.labels]))
     bigger = cf.grown(grown, grown.features)
     assert bigger._cache is cf._cache and bigger._words is cf._words and bigger.evaluations == 0
-    assert [bigger._key(S) for S in sets + [PointSet([data.n, grown.n - 1])]] == [
-        S.key() for S in sets + [PointSet([data.n, grown.n - 1])]
-    ]
+    sets.append(PointSet([data.n, grown.n - 1]))
+    for S in sets:
+        bigger.evaluate(S)
+    assert list(cf._cache) == [S.key() for S in sets] and bigger.evaluations == 1 and cf.evaluations == 4
     assert bigger._words.shape == (grown.n, 2) and cf._words.shape == (data.n, 2)
     assert bigger._words.tolist() == point_words(np.arange(grown.n)).tolist()
     # evaluate and evaluate_games share cache entries
     S = PointSet([1, 4, 9])
     value = bigger.evaluate(S)
     got = bigger.evaluate_games([([PointSet([9]), PointSet([1, 4])], np.ones((1, 2), bool))])
-    assert got[0].tolist() == [value] and bigger.evaluations == 1 and cf.evaluations == 1
-    assert list(cf._cache) == [PointSet([0, 1]).key(), S.key()]
+    assert got[0].tolist() == [value] and bigger.evaluations == 2 and cf.evaluations == 4
+    assert list(cf._cache) == [P.key() for P in sets + [S]]
     # a batched lookup builds the same table and reads its words from it
     fresh = CharacteristicFn(data, data.features)
     fresh.evaluate_games([([PointSet([2]), PointSet([5, 8])], np.ones((1, 2), bool))])
@@ -830,8 +831,9 @@ def test_batched_permutation_log_replays_bit_for_bit():
 CHECKS_UNDER_O = """
 import numpy as np
 from hcdval import (
-    CharacteristicFn, CoalitionGame, LabeledDataset, PointSet, RngStream, independent_player_estimate,
-    make_synthetic, monte_carlo_shapley,
+    CharacteristicFn, CoalitionGame, HcdvConfig, LabeledDataset, PointSet, RngStream, build_tree, hcdv,
+    identity_embeddings, independent_player_estimate, ingest_batch, init_stream, make_synthetic, monte_carlo_shapley,
+    run_hcdv, synthetic_rows,
 )
 
 assert False, "asserts are stripped under -O"
@@ -868,6 +870,17 @@ feats = 123000001.5 + np.array([[-1.0], [-1.0], [1.0], [1.0]])
 tie = LabeledDataset(feats, np.array([0, 0, 1, 1]), 123000001.5 + np.array([[0.0], [-2.0], [2.0]]), np.array([1, 0, 1]), 2)
 rows = np.array([[1, 0, 1, 0], [1, 1, 1, 1]], bool)
 print("tie", CharacteristicFn(tie, feats, lam=0.0).evaluate_games([([PointSet([i]) for i in range(4)], rows)])[0].tolist())
+
+# a mass split that leaks: the batch run and the stream step both fail propagate's conservation check
+data = make_synthetic(80, subclusters=2, overlap=0.2, seed=4)
+emb = identity_embeddings(data)
+tree = build_tree(emb, (2, 3), 8, seed=4)
+cfg = HcdvConfig(T=4, leaf_cap=8, seed=4)
+state = init_stream(data, emb, tree, CharacteristicFn(data, emb), cfg)
+split = hcdv._split_mass
+hcdv._split_mass = lambda pot, estimates: split(pot, estimates) + 0.01
+print(raises(lambda: run_hcdv(data, emb, tree, CharacteristicFn(data, emb), cfg)))
+print(raises(lambda: ingest_batch(state, *synthetic_rows(6, subclusters=2, overlap=0.2, seed=40, purpose="stream"))))
 """
 
 
@@ -876,8 +889,9 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 12
     assert all(line.startswith("marginal contribution") for line in lines[:5])
     assert all(line.startswith("payoff") for line in lines[5:9])
     assert lines[9] == f"tie {[2.0 / 3.0] * 2}"
+    assert all(line.startswith("value mass escaped during propagation") for line in lines[10:])
 

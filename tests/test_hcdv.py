@@ -1,6 +1,7 @@
 """Tests for hierarchical mass propagation: conservation, counts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,26 @@ def test_point_values_sum_to_surplus():
     phi = run_hcdv(data, emb, tree, cf, cfg)
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     assert abs(math.fsum(phi.values.tolist()) - surplus) <= 1e-6 * max(1.0, abs(surplus))
+
+
+@pytest.mark.parametrize("run", ["batch", "diagnostic", "stream"])
+def test_propagate_fails_every_run_whose_split_leaks_mass(run, monkeypatch):
+    data = make_synthetic(n=80, subclusters=2, overlap=0.2, seed=4)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, branching=(2, 3), leaf_cap=8, gamma=0.25, seed=4)
+    cfg = HcdvConfig(T=6, leaf_cap=8, seed=4)
+    state = init_stream(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg)  # before the leak
+    split = hcdv._split_mass
+    monkeypatch.setattr(hcdv, "_split_mass", lambda pot, estimates: split(pot, estimates) + 0.01)
+    with pytest.raises(AssertionError, match="value mass escaped during propagation"):
+        if run == "batch":
+            run_hcdv(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg)
+        elif run == "diagnostic":
+            diagnostic_hcdv(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg, "parent", "prefix")
+        else:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # the leaked masses may leave negative residuals
+                ingest_batch(state, *synthetic_rows(6, subclusters=2, overlap=0.2, seed=40, purpose="stream"))
 
 
 def test_family_masses_conserve_parent_mass():
@@ -296,15 +317,25 @@ def test_negative_surplus_warns_and_still_conserves():
         val_labels=np.array([0, 1] * 2, dtype=np.int64),
         num_classes=2,
     )
-    emb = data.features
+    emb = identity_embeddings(data)
     tree = build_tree(emb, branching=(2,), leaf_cap=8, gamma=0.25)
     cf = CharacteristicFn(data, emb, lam=0.0)
     cfg = HcdvConfig(T=8, lam=0.0, leaf_cap=8, seed=0, leaf_mode="always_uniform")
-    with pytest.warns(UserWarning, match="negative"):
+    with pytest.warns(UserWarning, match="^total surplus is negative"):  # the prefix perfbench/worker.py counts
         phi = run_hcdv(data, emb, tree, cf, cfg)
     surplus = cf.evaluate(tree.node(tree.root_id).members) - cf.evaluate(EMPTY_SET)
     assert surplus < 0
     assert math.fsum(phi.values.tolist()) == pytest.approx(surplus, abs=1e-9)
+    # a stream step over four more crossed rows warns with its own prefix
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        state = init_stream(data, emb, tree, CharacteristicFn(data, emb, lam=0.0), cfg)
+        state = ingest_batch(state, features[:4], labels[:4])
+    messages = [str(w.message) for w in caught]
+    assert sum(m.startswith("total surplus is negative") for m in messages) == 1  # init_stream's batch run
+    assert sum(m.startswith("refreshed total surplus is negative") for m in messages) == 1
+    assert state.surplus < 0
+    assert math.fsum(state.values.tolist()) == pytest.approx(state.surplus, abs=1e-9)
 
 
 # ------------------------------------------------------- diagnostic modes
@@ -476,14 +507,14 @@ class LevelGameSpy:
 
         propagate = hcdv.propagate
 
-        def spied(tree, cf, cfg, surplus, values, masses, level_estimates, dirty=None):
+        def spied(tree, cf, cfg, values, masses, level_estimates, dirty=None):
             def recorded(level, families):
                 self.levels.append([sum(len(kids) > 1 for _, kids in families), [], self.payoff_calls])
                 out = level_estimates(level, families)
                 self.levels[-1][2] = self.payoff_calls - self.levels[-1][2]
                 return out
 
-            return propagate(tree, cf, cfg, surplus, values, masses, recorded, dirty)
+            return propagate(tree, cf, cfg, values, masses, recorded, dirty)
 
         monkeypatch.setattr(CharacteristicFn, "evaluate_games", counted)
         traced(hcdv, "monte_carlo_shapley")

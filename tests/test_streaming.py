@@ -210,6 +210,25 @@ def test_rebalance_splits_oversize_leaves():
     new.tree.validate(check_leaf_cap=False)
 
 
+def test_rebalance_splits_the_root_of_a_one_node_tree_into_a_leaf_level():
+    # 16 train points under a leaf cap of 20: the tree is its root alone
+    X, y = synthetic_rows(60, 2, 0.3, seed=1, dim=4)
+    order = np.random.default_rng(1).permutation(60)
+    X, y = X[order], y[order]
+    data = dataset_from_arrays(X[:20], y[:20], seed=1)
+    emb = identity_embeddings(data)
+    tree = build_tree(emb, (2,), leaf_cap=20)
+    assert data.n == 16 and tree.depth == 0
+    cfg = HcdvConfig(T=8, leaf_cap=20, seed=1)
+    state = init_stream(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg, rebalance_period=1)
+    new = ingest_batch(state, X[20:50], y[20:50])
+    assert new.metrics[-1].rebalanced and new.tree.depth == 1 and state.tree.depth == 0
+    assert new.tree.node(new.tree.root_id).children == new.tree.leaf_ids()
+    assert all(len(new.tree.node(lid).members) <= new.tree.leaf_cap for lid in new.tree.leaf_ids())
+    new.tree.validate()
+    assert abs(math.fsum(new.values.tolist()) - new.surplus) <= 1e-6 * max(1.0, abs(new.surplus))
+
+
 def test_rebalance_splits_its_oversize_leaves_as_one_at_a_time(monkeypatch):
     state = blob_stream_state(n_per=12, leaf_cap=8, seed=8, rebalance_period=1)
     right, left = batch_near((6.0, 0.0), 8, seed=81, label=0), batch_near((-6.0, 0.0), 8, seed=82, label=1)
