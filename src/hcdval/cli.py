@@ -683,6 +683,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     out = Path(cfg.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        (out / "error.json").unlink(missing_ok=True)  # an earlier run's failure
         _write_manifest(out, cfg)
         return _HANDLERS[cfg.subcommand](cfg, out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, not raises

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -27,7 +27,9 @@ from .core import (
     content_token,
     dataset_from_arrays,
 )
-from .hcdv import Families, HcdvConfig, _check_run_inputs, _distribute_leaves, _leaf_game, _split_mass, propagate
+from .hcdv import (
+    Families, HcdvConfig, LevelEstimator, _check_run_inputs, _distribute_leaves, _leaf_game, _split_mass, propagate,
+)
 from .hierarchy import HierarchyTree
 from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
 
@@ -152,7 +154,8 @@ def surrogate_regret(phi_ref, phi_test, k: int) -> RegretReport:
 
     With additive utility U(S) = sum of reference values over S, the regret
     U(top-k by reference) - U(top-k by surrogate) always lies in
-    [0, 2k * max-abs-difference]; the report asserts both sides.
+    [0, 2k * max-abs-difference]; an AssertionError is raised, under
+    ``python -O`` too, if either side fails.
     """
     ref = np.asarray(getattr(phi_ref, "values", phi_ref), dtype=np.float64)
     test = np.asarray(getattr(phi_test, "values", phi_test), dtype=np.float64)
@@ -165,8 +168,10 @@ def surrogate_regret(phi_ref, phi_test, k: int) -> RegretReport:
     u_test = math.fsum(ref[s_test.indices].tolist())
     regret = u_ref - u_test
     bound = 2.0 * k * eps_inf
-    assert regret >= 0.0, "top-k by reference values cannot lose to any other k-set"
-    assert regret <= bound + 1e-12, f"regret {regret} escapes the 2k*eps bound {bound}"
+    if not regret >= 0.0:
+        raise AssertionError("top-k by reference values cannot lose to any other k-set")
+    if not regret <= bound + 1e-12:
+        raise AssertionError(f"regret {regret} escapes the 2k*eps bound {bound}")
     return RegretReport(k=k, eps_inf=eps_inf, regret=regret, bound=bound)
 
 
@@ -291,29 +296,31 @@ class ErrorBudgetReport:
 
 def _diagnostic_level_estimator(
     tree: HierarchyTree, cf, cfg: HcdvConfig, game_scope: str, sampling: str
-) -> Callable[[int, Families], Dict[int, float]]:
+) -> LevelEstimator:
     """A ``propagate`` level estimator for the diagnostic game modes.
 
     ``game_scope="parent"`` plays one game per family on ``run_hcdv``'s
-    streams (a sole child maps to 0.0); "global" plays one game over all the
-    families' children. ``sampling`` is "prefix" or "independent".
+    streams (a sole child maps to 0.0), all of a level's in one
+    ``monte_carlo_shapley`` call; "global" plays one game over all the
+    families' children. ``sampling`` is "prefix" or "independent". Every
+    child is played, whatever the families' dirty children.
     """
     if game_scope not in GAME_SCOPES:
         raise ValueError(f"unknown game_scope {game_scope!r}")
 
-    def play(node_ids: List[int], purpose: str, token) -> Dict[int, float]:
-        game = CoalitionGame([tree.node(c).members for c in node_ids], cf)
-        est = monte_carlo_shapley(game, cfg.T, RngStream(cfg.seed, purpose, token), sampling=sampling)
-        return dict(zip(node_ids, est.values.tolist()))
-
     def level_estimates(level: int, families: Families) -> Dict[int, float]:
         if game_scope == "global":
-            node_ids = [c for _, kids in families for c in kids]
+            node_ids = [c for _, kids, _ in families for c in kids]
             token = content_token(level, *(tree.node(c).members.indices for c in node_ids))
-            return play(node_ids, "level-game-global", token)
-        estimates: Dict[int, float] = {}
-        for pid, kids in families:
-            estimates.update(play(kids, "level-game", tree.family_token(pid)) if len(kids) > 1 else {kids[0]: 0.0})
+            game = CoalitionGame([tree.node(c).members for c in node_ids], cf)
+            est = monte_carlo_shapley(game, cfg.T, RngStream(cfg.seed, "level-game-global", token), sampling=sampling)
+            return dict(zip(node_ids, est.values.tolist()))
+        estimates = {kids[0]: 0.0 for _, kids, _ in families if len(kids) == 1}
+        played = [(pid, kids) for pid, kids, _ in families if len(kids) > 1]
+        games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids in played]
+        streams = [RngStream(cfg.seed, "level-game", tree.family_token(pid)) for pid, _ in played]
+        for (_, kids), est in zip(played, monte_carlo_shapley(games, cfg.T, streams, sampling=sampling)):
+            estimates.update(zip(kids, est.values.tolist()))
         return estimates
 
     return level_estimates
@@ -356,7 +363,7 @@ def hierarchical_error_budget(
         n_nodes = len(tree.levels[level])
         if n_nodes > EXACT_PLAYER_LIMIT:  # checked before the level's game is played
             raise ValueError(f"level {level} has {n_nodes} coalitions; exact oracle capped at {EXACT_PLAYER_LIMIT}")
-        raw.update(level_estimates(level, tree.families(level)))
+        raw.update(level_estimates(level, [(pid, kids, kids) for pid, kids in tree.families(level)]))
     values = np.zeros(data.n)
     _distribute_leaves(values, [(tree.node(lid).members, raw[lid]) for lid in tree.leaf_ids()], cfg, cf)
 

@@ -11,14 +11,17 @@ the payoff of its leaf or family. Because each family hands down exactly its
 parent's mass, the point values sum to the root surplus by construction.
 
 ``propagate`` is the one run engine, for the batch run, the diagnostic modes
-and streaming ingest alike; each caller brings its own level estimator. It
-scores the root surplus, hands it down, checks that the point values sum to
-it, and returns it with the run's phase ledger. Given a ``dirty`` set (the
-nodes whose members changed), it re-splits only families under dirty parents
-and redistributes only dirty leaves; ``dirty=None`` marks every node dirty,
-which is the batch run. The caller's estimator gets a whole level's families
-at once; ``run_hcdv`` plays all of their games in one ``monte_carlo_shapley``
-call, so a level costs one draw per distinct family size and one payoff call.
+and streaming ingest alike. It scores the root surplus, hands it down, checks
+that the point values sum to it, and returns it with the run's phase ledger.
+Given a ``dirty`` set (the nodes whose members changed), it re-splits only
+families under dirty parents and redistributes only dirty leaves;
+``dirty=None`` marks every node dirty, which is the batch run. Its level
+estimator gets a whole level's families at once, each with its dirty
+children. ``level_estimator`` is the one production estimator, for the batch
+run and stream steps alike: the families whose children are all dirty (every
+family, in a batch run) play in one ``monte_carlo_shapley`` call, so a level
+costs one draw per distinct family size and one payoff call, and a stream
+step's partly dirty families in one ``independent_player_estimate`` call.
 The exact within-leaf games of all the leaves it redistributes are played in
 one ``exact_shapley`` call, so their coalitions are scored together, in
 payoff calls of at most ``core.TEMP_BYTES`` bytes.
@@ -41,7 +44,7 @@ import numpy as np
 
 from .core import EMPTY_SET, LabeledDataset, PointSet, RngStream, ValueVector, check_integer
 from .hierarchy import HierarchyTree
-from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, monte_carlo_shapley
+from .shapley import CoalitionGame, EXACT_PLAYER_LIMIT, exact_shapley, independent_player_estimate, monte_carlo_shapley
 
 LEAF_MODES = ("exact_if_small", "always_uniform")
 
@@ -135,7 +138,44 @@ def _distribute_leaves(values: np.ndarray, leaves: List[Tuple[PointSet, float]],
             values[members.indices] = mass / len(members)
 
 
-Families = List[Tuple[int, List[int]]]
+Families = List[Tuple[int, List[int], List[int]]]  # (parent, children, dirty children)
+LevelEstimator = Callable[[int, Families], Dict[int, float]]  # (level, families) -> raw estimates
+
+
+def level_estimator(tree: HierarchyTree, cf, cfg: HcdvConfig, epoch: int) -> LevelEstimator:
+    """The production level estimator, of the batch run (epoch 0) and of stream step ``epoch`` alike.
+
+    A sole child maps to 0.0. A level's families whose children are all
+    dirty play one prefix sweep each, all in one ``monte_carlo_shapley``
+    call, keyed "level-game" at epoch 0 and "refresh-family" with the epoch
+    after. A partly dirty family re-rolls only its dirty children, each on
+    its own "refresh-node" stream, so clean siblings keep their masses; the
+    level's such families are played in one ``independent_player_estimate``
+    call. A batch run is the case in which every child is dirty.
+    """
+    purpose = "refresh-family" if epoch else "level-game"
+
+    def level_games(level: int, families: Families) -> Dict[int, float]:
+        estimates = {kids[0]: 0.0 for _, kids, _ in families if len(kids) == 1}
+        swept = [(pid, kids) for pid, kids, dirty_kids in families if len(kids) > 1 and dirty_kids == kids]
+        partly = [(kids, dirty_kids) for _, kids, dirty_kids in families if len(kids) > 1 and dirty_kids != kids]
+        if swept:
+            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids in swept]
+            streams = [RngStream(cfg.seed, purpose, tree.family_token(pid), epoch) for pid, _ in swept]
+            for (_, kids), est in zip(swept, monte_carlo_shapley(games, cfg.T, streams)):
+                estimates.update(zip(kids, est.values.tolist()))
+        if partly:
+            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for kids, _ in partly]
+            players = [[kids.index(c) for c in dirty_kids] for kids, dirty_kids in partly]
+            streams = [
+                [RngStream(cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
+                for _, dirty_kids in partly
+            ]
+            for (_, dirty_kids), ests in zip(partly, independent_player_estimate(games, players, cfg.T, streams)):
+                estimates.update(zip(dirty_kids, ests.tolist()))
+        return estimates
+
+    return level_games
 
 
 def propagate(
@@ -144,16 +184,16 @@ def propagate(
     cfg: HcdvConfig,
     values: np.ndarray,
     masses: Dict[int, float],
-    level_estimates: Callable[[int, Families], Dict[int, float]],
+    level_estimates: LevelEstimator,
     dirty: Optional[Set[int]] = None,
 ) -> Tuple[float, Dict[str, int], Dict[str, float]]:
     """Score the root surplus v(D) - v(empty) and hand it down into ``values``, family by family.
 
     Level by level from the root, ``level_estimates(level, families)`` gets
-    that level's families under dirty parents and returns raw estimates for
-    (at least) their dirty children; a sole child maps to 0.0, as the split
-    gives it the whole pot. Clean children keep their masses; dirty ones split
-    the residual, the parent's mass minus the clean children's, by
+    that level's families under dirty parents, each as (parent, children,
+    dirty children), and returns raw estimates for (at least) their dirty
+    children. Clean children keep their masses; dirty ones split the
+    residual, the parent's mass minus the clean children's, by
     ``_split_mass``. A negative residual is an ordinary signed mass; a warning
     names its parent. Then every dirty leaf spreads its mass over its points,
     the exact leaves' games all in one ``exact_shapley`` call.
@@ -184,12 +224,11 @@ def propagate(
     masses[tree.root_id] = surplus
 
     for level in range(1, len(tree.levels)):
-        families = [(pid, kids) for pid, kids in tree.families(level) if pid in dirty]
+        families = [(pid, kids, [c for c in kids if c in dirty]) for pid, kids in tree.families(level) if pid in dirty]
         with phase("sweeps"):
             raw = level_estimates(level, families)
-        for pid, kids in families:
+        for pid, kids, dirty_kids in families:
             clean_kids = [c for c in kids if c not in dirty]
-            dirty_kids = [c for c in kids if c in dirty]
             residual = masses[pid] - math.fsum(masses[c] for c in clean_kids)
             if residual < 0.0 and clean_kids:
                 warnings.warn(f"negative residual mass {residual} under node {pid}")
@@ -237,19 +276,9 @@ def run_hcdv(
         if _plays_exact_leaf(cfg, g):
             eval_bound += 1 << g
 
-    def level_games(level: int, families: Families) -> Dict[int, float]:
-        estimates = {kids[0]: 0.0 for _, kids in families if len(kids) == 1}
-        played = [(pid, kids) for pid, kids in families if len(kids) > 1]
-        if played:
-            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids in played]
-            streams = [RngStream(cfg.seed, "level-game", tree.family_token(pid)) for pid, _ in played]
-            for (_, kids), est in zip(played, monte_carlo_shapley(games, cfg.T, streams)):
-                estimates.update(zip(kids, est.values.tolist()))
-        return estimates
-
     masses: Dict[int, float] = {}
     values = np.zeros(data.n)
-    surplus, counts, ms = propagate(tree, cf, cfg, values, masses, level_games)
+    surplus, counts, ms = propagate(tree, cf, cfg, values, masses, level_estimator(tree, cf, cfg, epoch=0))
     if surplus < 0.0:
         warnings.warn(f"total surplus is negative ({surplus}); value mass will be negative")
 

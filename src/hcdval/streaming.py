@@ -12,30 +12,12 @@ and a few small updates per ancestor: the leaf prototypes and their norms
 are stacked once per step, each row refreshes only its leaf's row, and each
 node's new points are appended once, after the last row. The payoff over
 the grown corpus (``CharacteristicFn.grown``) computes the per-point
-statistics of the new rows only. The valuation then runs inside
-``propagate``, as a batch run does:
+statistics of the new rows only.
 
-* the refreshed root surplus is scored first;
-* then one pass per level, from the root down, over the families under
-  dirty parents:
-
-  - a family whose children are all dirty re-runs one shared prefix sweep;
-    the level's such families are played in one ``monte_carlo_shapley`` call;
-  - a family with a mix refreshes just the dirty children, each with its
-    own independent permutation draws, keeping clean siblings' estimates
-    bit-exact; the level's such families are played in one
-    ``independent_player_estimate`` call (the permutations of all their
-    dirty children are drawn together, and their 2T coalitions each are
-    scored together, each distinct coalition once);
-  - clean children keep their cached masses unchanged and the dirty children
-    split the residual (parent mass minus the clean children's share), so
-    value drift stays confined to the dirty subtree while the point values
-    still sum to the refreshed total surplus. The split is the batch run's
-    additive efficient rule, so a negative residual is an ordinary signed
-    mass, split like any other; a warning still names its parent;
-* then only the dirty leaves spread their new mass over their points;
-* last, ``propagate`` checks that all point values, clean and dirty, sum to
-  the refreshed surplus, and returns it with the step's phase ledger.
+The step's family games are the batch run's (``hcdv.level_estimator``),
+keyed by the step's epoch. Clean children keep their masses and only dirty
+ones are re-estimated, so value drift stays confined to the dirty subtree
+while the point values still sum to the refreshed root surplus.
 
 The tree is copied node by node on every batch (member sets are shared, as
 they are immutable), so the input state stays a consistent pre-ingest view.
@@ -56,10 +38,10 @@ import numpy as np
 
 from .core import LabeledDataset, PointSet, RngStream, ValueVector, check_integer, class_codes, content_token
 from .encoder import EmbeddingMatrix
-from .hcdv import HcdvConfig, propagate, run_hcdv
+from .hcdv import HcdvConfig, level_estimator, propagate, run_hcdv
 from .hierarchy import HierarchyTree, build_tree, capacity_window, part_means, split_nodes
 from .hierarchy import balanced_split  # noqa: F401  perfbench/tracer.py wraps this name
-from .shapley import CoalitionGame, independent_player_estimate, monte_carlo_shapley
+from .shapley import independent_player_estimate, monte_carlo_shapley  # noqa: F401  perfbench/tracer.py wraps these names
 from .utility import CharacteristicFn
 
 
@@ -310,32 +292,8 @@ def ingest_batch(state: StreamState, features: np.ndarray, labels: np.ndarray) -
     # -- score the refreshed surplus and hand it down the dirty path ---------
     cfg = state.cfg
     masses = {nid: m for nid, m in state.masses.items() if nid in tree.nodes}
-
-    def refresh(level: int, families) -> Dict[int, float]:
-        estimates = {kids[0]: 0.0 for _, kids in families if len(kids) == 1}
-        swept, partly = [], []
-        for pid, kids in families:
-            if len(kids) > 1:
-                dirty_kids = [c for c in kids if c in dirty]
-                (swept if len(dirty_kids) == len(kids) else partly).append((pid, kids, dirty_kids))
-        if swept:
-            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids, _ in swept]
-            streams = [RngStream(cfg.seed, "refresh-family", tree.family_token(pid), epoch) for pid, _, _ in swept]
-            for (_, kids, _), est in zip(swept, monte_carlo_shapley(games, cfg.T, streams)):
-                estimates.update(zip(kids, est.values.tolist()))
-        if partly:
-            games = [CoalitionGame([tree.node(c).members for c in kids], cf) for _, kids, _ in partly]
-            players = [[kids.index(c) for c in dirty_kids] for _, kids, dirty_kids in partly]
-            streams = [
-                [RngStream(cfg.seed, "refresh-node", tree.node_token(c), epoch) for c in dirty_kids]
-                for _, _, dirty_kids in partly
-            ]
-            for (_, _, dirty_kids), ests in zip(partly, independent_player_estimate(games, players, cfg.T, streams)):
-                estimates.update(zip(dirty_kids, ests.tolist()))
-        return estimates
-
     values = np.concatenate([state.values, np.zeros(features.shape[0])])
-    surplus, phase, phase_ms = propagate(tree, cf, cfg, values, masses, refresh, dirty)
+    surplus, phase, phase_ms = propagate(tree, cf, cfg, values, masses, level_estimator(tree, cf, cfg, epoch), dirty)
     if surplus < 0.0:
         warnings.warn(f"refreshed total surplus is negative ({surplus})")
 

@@ -831,7 +831,7 @@ def test_batched_permutation_log_replays_bit_for_bit():
 CHECKS_UNDER_O = """
 import numpy as np
 from hcdval import (
-    CharacteristicFn, CoalitionGame, HcdvConfig, LabeledDataset, PointSet, RngStream, build_tree, hcdv,
+    CharacteristicFn, CoalitionGame, HcdvConfig, LabeledDataset, PointSet, RngStream, build_tree, evaluation, hcdv,
     identity_embeddings, independent_player_estimate, ingest_batch, init_stream, make_synthetic, monte_carlo_shapley,
     run_hcdv, synthetic_rows,
 )
@@ -881,6 +881,10 @@ split = hcdv._split_mass
 hcdv._split_mass = lambda pot, estimates: split(pot, estimates) + 0.01
 print(raises(lambda: run_hcdv(data, emb, tree, CharacteristicFn(data, emb), cfg)))
 print(raises(lambda: ingest_batch(state, *synthetic_rows(6, subclusters=2, overlap=0.2, seed=40, purpose="stream"))))
+
+# a top-k that picks the worst k: the reference selection loses to the surrogate's
+evaluation.topk_select = lambda values, k: PointSet(np.argsort(np.asarray(values))[:k])
+print(raises(lambda: evaluation.surrogate_regret(np.arange(4.0), np.arange(4.0)[::-1], 1)))
 """
 
 
@@ -889,9 +893,10 @@ def test_invariant_checks_survive_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-O", "-c", CHECKS_UNDER_O], env=env, capture_output=True, text=True, check=True)
     lines = out.stdout.splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert all(line.startswith("marginal contribution") for line in lines[:5])
     assert all(line.startswith("payoff") for line in lines[5:9])
     assert lines[9] == f"tie {[2.0 / 3.0] * 2}"
-    assert all(line.startswith("value mass escaped during propagation") for line in lines[10:])
+    assert all(line.startswith("value mass escaped during propagation") for line in lines[10:12])
+    assert lines[12] == "top-k by reference values cannot lose to any other k-set"
 

@@ -196,6 +196,15 @@ def test_runtime_error_reports_and_exits_one(tmp_path):
     assert err["error"] == "ValueError"
 
 
+def test_a_successful_run_removes_an_earlier_runs_error(tmp_path):
+    out = tmp_path / "run"
+    assert main(value_args(out, T="abc")) == 2
+    assert (out / "error.json").exists() and not (out / "manifest.json").exists()
+    assert main(value_args(out)) == 0
+    assert not (out / "error.json").exists()
+    assert (out / "manifest.json").exists() and (out / "valuation.csv").exists()
+
+
 # -------------------------------------------------------------- baseline
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcdval import hcdv, shapley, streaming
+from hcdval import evaluation, hcdv, shapley, streaming
 from hcdval.core import EMPTY_SET, LabeledDataset, PointSet
 from hcdval.encoder import identity_embeddings
 from hcdval.evaluation import diagnostic_hcdv, hierarchical_error_budget, make_synthetic, synthetic_rows
@@ -351,6 +351,24 @@ def test_diagnostic_parent_prefix_equals_run_hcdv_bit_for_bit(leaf_mode):
     assert diagnostic.values.tobytes() == production.values.tobytes()
 
 
+@pytest.mark.parametrize("sampling", ["prefix", "independent"])
+def test_diagnostic_parent_scope_plays_each_level_in_one_call(monkeypatch, sampling):
+    data, emb, tree, cf = small_pipeline(n=60, branching=(3, 2), leaf_cap=6, seed=21)
+    cfg = HcdvConfig(T=12, leaf_cap=6, seed=3)
+    play = evaluation.monte_carlo_shapley
+    calls = []
+
+    def per_family(games, T, streams, sampling):
+        calls.append(len(games))
+        return [play(game, T, stream, sampling=sampling) for game, stream in zip(games, streams)]
+
+    batched = diagnostic_hcdv(data, emb, tree, cf, cfg, "parent", sampling)
+    monkeypatch.setattr(evaluation, "monte_carlo_shapley", per_family)
+    reference = diagnostic_hcdv(data, emb, tree, CharacteristicFn(data, emb, lam=0.5), cfg, "parent", sampling)
+    assert batched.values.tobytes() == reference.values.tobytes()
+    assert len(calls) == len(tree.levels) - 1 and max(calls) > 1
+
+
 def test_diagnostic_rejects_unknown_modes():
     data, emb, tree, cf = small_pipeline()
     cfg = HcdvConfig(T=4, leaf_cap=8)
@@ -509,7 +527,7 @@ class LevelGameSpy:
 
         def spied(tree, cf, cfg, values, masses, level_estimates, dirty=None):
             def recorded(level, families):
-                self.levels.append([sum(len(kids) > 1 for _, kids in families), [], self.payoff_calls])
+                self.levels.append([sum(len(kids) > 1 for _, kids, _ in families), [], self.payoff_calls])
                 out = level_estimates(level, families)
                 self.levels[-1][2] = self.payoff_calls - self.levels[-1][2]
                 return out
@@ -518,8 +536,7 @@ class LevelGameSpy:
 
         monkeypatch.setattr(CharacteristicFn, "evaluate_games", counted)
         traced(hcdv, "monte_carlo_shapley")
-        traced(streaming, "monte_carlo_shapley")
-        traced(streaming, "independent_player_estimate")
+        traced(hcdv, "independent_player_estimate")
         monkeypatch.setattr(hcdv, "propagate", spied)
         monkeypatch.setattr(streaming, "propagate", spied)
 
@@ -542,4 +559,4 @@ def test_propagate_plays_each_level_of_family_games_in_one_payoff_call_per_trace
     # a batch level, and a stream level whose families are all fully or all
     # partly dirty, makes exactly one payoff call
     assert sum(payoff == 1 for _, _, payoff in played) > 0
-    assert all(payoff == 1 for _, calls, payoff in played if calls[0][0] == "hcdval.hcdv.monte_carlo_shapley")
+    assert all(payoff == 1 for _, calls, payoff in played if len(calls) == 1)
